@@ -33,10 +33,8 @@ from .domains import (
     membership,
     metric_indicatrix,
     polydisc,
-    product,
     spec_from_config,
     spec_to_config,
-    synthetic,
     synthetic_rem_one,
     synthetic_rem_two,
     truncated_gn,
@@ -97,7 +95,6 @@ from .wu import (
     min_vol_simplex_info,
     simplex_program,
     wu_metric,
-    wu_metric_of,
     wu_product,
 )
 

@@ -162,7 +162,7 @@ def cloud_indicatrix(
 _PHI_CACHE: dict[int, float] = {}
 
 
-def _generalized_golden(d: int) -> float:
+def generalized_golden(d: int) -> float:
     """Positive root of x^(d+1) = x + 1 (plastic-type constants)."""
     if d not in _PHI_CACHE:
         x = 1.5
@@ -174,7 +174,7 @@ def _generalized_golden(d: int) -> float:
 
 def _kronecker_points(d: int, count: int) -> np.ndarray:
     """count low-discrepancy points in [0,1)^d (fixed constants, no RNG)."""
-    phi = _generalized_golden(d)
+    phi = generalized_golden(d)
     alpha = np.array([(1.0 / phi) ** (j + 1) for j in range(d)])
     idx = np.arange(1, count + 1).reshape(-1, 1)
     return np.mod(0.5 + idx * alpha, 1.0)

@@ -17,8 +17,7 @@ Supported families:
   * elem_reinhardt(alpha, C) = {|z^alpha| < e^C}: indicatrices are built
     directly from the closed forms; at base points without zero
     coordinates the metrics are rank-one seminorms |<c, X>|, handled by a
-    unitary change of frame aligning the functional with the first axis;
-  * product and synthetic variants used by the experiment drivers.
+    unitary change of frame aligning the functional with the first axis.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from .metrics import (
     OutsideDomainError,
     elem_reinhardt_metric_info,
     membership_elem_reinhardt,
+    mu,
+    nu,
 )
 
 CVector = tuple[complex, ...]
@@ -59,8 +60,6 @@ class DomainSpec:
     radii: tuple[float, ...] | None = None
     n: int | None = None
     m: float | None = None
-    factors: tuple["DomainSpec", ...] | None = None
-    table: tuple[tuple[str, Indicatrix], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -72,8 +71,6 @@ class DomainSpec:
             return 2
         if self.variant in ("gn", "truncated_gn"):
             return self.n
-        if self.variant == "product":
-            return sum(f.dim for f in self.factors)
         raise ValueError(f"dimension undefined for variant {self.variant!r}")
 
 
@@ -114,16 +111,6 @@ def truncated_gn(n: int, m: float) -> DomainSpec:
     return DomainSpec(variant="truncated_gn", n=n, m=float(m))
 
 
-def product(*factors: DomainSpec) -> DomainSpec:
-    if not factors:
-        raise ValueError("product needs at least one factor")
-    return DomainSpec(variant="product", factors=tuple(factors))
-
-
-def synthetic(table: Mapping[str, Indicatrix]) -> DomainSpec:
-    return DomainSpec(variant="synthetic", table=tuple(table.items()))
-
-
 def truncation_intercepts(n: int, m: float) -> tuple[float, ...]:
     """Simplex intercepts (n/2, m n/2, n, ..., n) of the truncation."""
     return (n / 2.0, m * n / 2.0) + (float(n),) * (n - 2)
@@ -136,9 +123,8 @@ def _in_g2(z1: complex, z2: complex) -> bool:
 def membership(spec: DomainSpec, z: Sequence[complex]) -> bool:
     """Exact defining inequality of the domain (strict)."""
     zt = tuple(complex(c) for c in z)
-    if spec.variant != "product" and spec.variant != "synthetic":
-        if len(zt) != spec.dim:
-            raise ValueError("dimension mismatch")
+    if len(zt) != spec.dim:
+        raise ValueError("dimension mismatch")
     if spec.variant == "elem_reinhardt":
         return membership_elem_reinhardt(spec.alpha, spec.big_c, zt)
     if spec.variant == "polydisc":
@@ -152,15 +138,6 @@ def membership(spec: DomainSpec, z: Sequence[complex]) -> bool:
             return False
         t = truncation_intercepts(spec.n, spec.m)
         return sum(abs(c) ** 2 / tj for c, tj in zip(zt, t)) < 1.0
-    if spec.variant == "product":
-        pos = 0
-        for f in spec.factors:
-            if not membership(f, zt[pos : pos + f.dim]):
-                return False
-            pos += f.dim
-        if pos != len(zt):
-            raise ValueError("dimension mismatch")
-        return True
     raise ValueError(f"membership undefined for variant {spec.variant!r}")
 
 
@@ -319,7 +296,7 @@ def _require_axis_point(at: CVector, variant: str) -> float:
 def indicatrix_at(spec: DomainSpec, a: Sequence[complex]) -> SandwichIndicatrix:
     """Metric indicatrices of the domain at a supported base point."""
     at = tuple(complex(c) for c in a)
-    if spec.variant not in ("product", "synthetic") and len(at) != spec.dim:
+    if len(at) != spec.dim:
         raise ValueError("dimension mismatch")
     origin = all(c == 0 for c in at)
 
@@ -356,9 +333,7 @@ def indicatrix_at(spec: DomainSpec, a: Sequence[complex]) -> SandwichIndicatrix:
             )
             return SandwichIndicatrix(inner=inner, outer=outer)
         x = _require_axis_point(at, "g2")
-        mu = (1.0 - x * x) ** 2
-        nu = ((1.0 - x) / x) ** 2
-        inner = cloud_indicatrix([(mu, 0.0), (0.0, nu)])
+        inner = cloud_indicatrix([(mu(x), 0.0), (0.0, nu(x))])
         outer = radial_indicatrix(
             lambda d: (1.0 - x * x) / (abs(d[0]) + x * abs(d[1])),
             2,
@@ -389,10 +364,8 @@ def indicatrix_at(spec: DomainSpec, a: Sequence[complex]) -> SandwichIndicatrix:
             )
             return SandwichIndicatrix(inner=inner, outer=outer)
         x = _require_axis_point(at, "gn")
-        mu = (1.0 - x * x) ** 2
-        nu = ((1.0 - x) / x) ** 2
         inner = cloud_indicatrix(
-            [(mu, 0.0) + (1.0,) * (n - 2), (0.0, nu) + (1.0,) * (n - 2)]
+            [(mu(x), 0.0) + (1.0,) * (n - 2), (0.0, nu(x)) + (1.0,) * (n - 2)]
         )
         outer = radial_indicatrix(
             lambda d: min(
@@ -435,10 +408,6 @@ def indicatrix_at(spec: DomainSpec, a: Sequence[complex]) -> SandwichIndicatrix:
         align = None if u is None else tuple(tuple(row) for row in u)
         return SandwichIndicatrix(inner=inner, outer=outer, alignment=align)
 
-    if spec.variant == "synthetic":
-        raise UnsupportedBasePointError(
-            "synthetic: indicatrices are accessed directly from the table"
-        )
     raise UnsupportedBasePointError(
         f"{spec.variant}: no indicatrix model; supported variants are "
         "polydisc, g2, gn, truncated_gn, elem_reinhardt"
@@ -478,12 +447,7 @@ def synthetic_rem_two(n: int = 3) -> tuple[Indicatrix, Indicatrix]:
 # ---------------------------------------------------------------------------
 # config-format serialization (see cli module for the file format)
 
-_SERIALIZABLE = ("elem_reinhardt", "polydisc", "g2", "gn", "truncated_gn")
-
-
 def spec_to_config(spec: DomainSpec) -> dict[str, str]:
-    if spec.variant not in _SERIALIZABLE:
-        raise ValueError(f"variant {spec.variant!r} does not serialize")
     out = {"domain": spec.variant}
     if spec.variant == "elem_reinhardt":
         out["alpha"] = ",".join(repr(x) for x in spec.alpha)
@@ -515,6 +479,6 @@ def spec_from_config(cfg: Mapping[str, str]) -> DomainSpec:
     if variant == "truncated_gn":
         return truncated_gn(int(cfg["n"]), float(cfg["m"]))
     raise ValueError(
-        f"unknown or unserializable domain {variant!r}; expected one of "
-        + ", ".join(_SERIALIZABLE)
+        f"unknown domain {variant!r}; expected one of "
+        "elem_reinhardt, polydisc, g2, gn, truncated_gn"
     )

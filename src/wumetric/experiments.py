@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .busemann import Indicatrix, cloud_indicatrix
+from .busemann import Indicatrix, cloud_indicatrix, generalized_golden
 from .domains import (
     DomainSpec,
     elem_reinhardt,
@@ -25,7 +25,7 @@ from .domains import (
     synthetic_rem_two,
     truncated_gn,
 )
-from .metrics import MultiIndex, elem_reinhardt_metric_info
+from .metrics import MultiIndex, elem_reinhardt_metric_info, mu
 from .wu import (
     SimplexProgram,
     WuResult,
@@ -111,20 +111,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 _RADIUS_COUNTS = ((2, 7), (3, 7), (4, 6))
 
 
-def _plastic(d: int) -> float:
-    # positive root of x^(d+1) = x + 1
-    x = 1.5
-    for _ in range(64):
-        x = (1.0 + x) ** (1.0 / (d + 1))
-    return x
-
-
 def polydisc_cases() -> list[tuple[float, ...]]:
     """20 fixed radius tuples in [0.2, 3], Kronecker low-discrepancy."""
     cases: list[tuple[float, ...]] = []
     i = 0
     for n, count in _RADIUS_COUNTS:
-        g = _plastic(n)
+        g = generalized_golden(n)
         steps = [g ** -(j + 1) for j in range(n)]
         for _ in range(count):
             i += 1
@@ -204,10 +196,9 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     )
     for x in sorted(cfg.x_grid, reverse=True):
-        mu = (1.0 - x * x) ** 2
         res = wu_metric(indicatrix_at(g2(), (x, 0.0)).inner, tolerance=cfg.tolerance)
         w_e1 = res.w(_e1(2))
-        expected = math.sqrt(2.0 / mu)
+        expected = math.sqrt(2.0 / mu(x))
         rows.append(
             ResultRow(
                 experiment=cfg.experiment,
@@ -307,13 +298,12 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     )
     for x in sorted(cfg.x_grid, reverse=True):
-        mu = (1.0 - x * x) ** 2
         res = wu_metric(
             indicatrix_at(gn(n), (x,) + (0.0,) * (n - 1)).inner,
             tolerance=cfg.tolerance,
         )
         wt = res.w_tilde(_e1(n))
-        expected = math.sqrt(2.0 / (n * mu))
+        expected = math.sqrt(2.0 / (n * mu(x)))
         rows.append(
             ResultRow(
                 experiment=cfg.experiment,
@@ -337,7 +327,6 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     for x in sorted(cfg.x_grid, reverse=True):
         rep = certify_contradiction_gn(n, x, t)
-        mu = (1.0 - x * x) ** 2
         rows.append(
             ResultRow(
                 experiment=cfg.experiment,
@@ -352,7 +341,7 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                     "m": None,
                     "ratio": rep.ratio,
                     "ratio_bound": rep.ratio_bound,
-                    "regime": "active" if t <= (n - 1) * mu else "slack",
+                    "regime": "active" if t <= (n - 1) * mu(x) else "slack",
                     "certified": rep.certified,
                 },
                 ok=rep.ratio <= rep.ratio_bound * (1.0 + 1e-9),

@@ -436,6 +436,16 @@ def g2_kappa_upper_points(x: float) -> tuple[tuple[float, float], tuple[float, f
     return ((0.0, (1.0 - x) / x), (1.0 - x * x, 0.0))
 
 
+def mu(x: float) -> float:
+    """First g2 certificate coordinate (1 - x^2)^2 at the base point (x, 0)."""
+    return (1.0 - x * x) ** 2
+
+
+def nu(x: float) -> float:
+    """Second g2 certificate coordinate (1/x - 1)^2 at the base point (x, 0)."""
+    return (1.0 / x - 1.0) ** 2
+
+
 def product_metric(values: Sequence[float]) -> MetricValue:
     """Invariant metric of a product domain: max over the factors."""
     vals = [float(v) for v in values]

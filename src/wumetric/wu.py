@@ -38,9 +38,7 @@ from .busemann import (
     Indicatrix,
     UnsupportedIndicatrixError,
     absolute_directions,
-    convexify,
     degeneracy,
-    _polish_direction,
 )
 from .geometry import (
     DiagonalHermitianForm,
@@ -48,6 +46,7 @@ from .geometry import (
     SimplexParams,
     simplex_volume,
 )
+from .metrics import mu, nu
 
 DEFAULT_SOLVER_TOL = 1e-10
 
@@ -432,15 +431,14 @@ def wu_metric(
     *,
     resolution: int | None = None,
     tolerance: float = DEFAULT_SOLVER_TOL,
-    refine: bool = True,
 ) -> WuResult:
     """Wu seminorms of a balanced Reinhardt indicatrix.
 
     Degenerate axes (unbounded directions of the hull) are split off; on
     the complement the minimal-volume enclosing diagonal ellipsoid is
-    computed from certificate points: the cloud itself, or a boundary
-    sample of the radial evaluator (optionally refined by re-solving
-    against worst containment violations).
+    computed by one certified solve over the certificate points: the
+    cloud itself, or a boundary sample of the radial evaluator along
+    ``resolution`` directions (default 256 per non-degenerate axis).
     """
     if not (ind.balanced and ind.reinhardt):
         raise UnsupportedIndicatrixError("wu_metric needs a balanced Reinhardt indicatrix")
@@ -454,43 +452,9 @@ def wu_metric(
     u_axes = [j for j in range(n) if j not in report.v_axes]
     if ind.cloud is not None:
         pts = [tuple(p[j] for j in u_axes) for p in ind.cloud]
-        refine = False
     else:
         pts = _certificates_from_radial(ind, u_axes, resolution or 256 * len(u_axes))
-
-    def solve(certs: list[tuple[float, ...]]) -> SolveInfo:
-        return min_vol_simplex_info(
-            SimplexProgram(points=tuple(certs), tolerance=tolerance)
-        )
-
-    info = solve(pts)
-    rounds = 3 if refine else 0
-    for _ in range(rounds):
-        a = np.array(info.params.intercepts)
-
-        def violation(d: np.ndarray) -> float:
-            full = [0.0] * n
-            for col, j in enumerate(u_axes):
-                full[j] = float(d[col])
-            rho = ind.radial(tuple(complex(c) for c in full))
-            if not math.isfinite(rho):
-                return 0.0
-            return float(rho**2 * np.sum(d**2 / a))
-
-        seeds = absolute_directions(len(u_axes), 4 * len(u_axes))
-        worst_d, worst = None, 1.0
-        for seed in seeds:
-            d, val = _polish_direction(violation, seed, rounds=40)
-            if val > worst:
-                worst_d, worst = d, val
-        if worst_d is None or worst <= 1.0 + 10.0 * tolerance:
-            break
-        full = [0.0] * n
-        for col, j in enumerate(u_axes):
-            full[j] = float(worst_d[col])
-        rho = ind.radial(tuple(complex(c) for c in full))
-        pts.append(tuple((rho * worst_d[col]) ** 2 for col in range(len(u_axes))))
-        info = solve(pts)
+    info = min_vol_simplex_info(SimplexProgram(points=tuple(pts), tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):
         axes_tilde[j] = info.params.intercepts[col]
@@ -504,11 +468,6 @@ def wu_metric(
         gap=info.gap,
         certificate_points=len(pts),
     )
-
-
-def wu_metric_of(ind: Indicatrix, **kwargs) -> WuResult:
-    """wu_metric after convexification (no-op for already-hulled inputs)."""
-    return wu_metric(convexify(ind), **kwargs)
 
 
 def wu_product(left: WuResult, right: WuResult) -> WuResult:
@@ -573,9 +532,7 @@ def certify_contradiction_g2(x: float, t: float) -> ContradictionReport:
         raise ValueError("x in (0, 1) required")
     if t <= 1.0:
         raise ValueError("t > 1 required")
-    mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
-    prog = SimplexProgram(points=((mu, 0.0), (0.0, nu)), fixed=((0, t * t),))
+    prog = SimplexProgram(points=((mu(x), 0.0), (0.0, nu(x))), fixed=((0, t * t),))
     params = min_vol_simplex(prog)
     vol_c = simplex_volume(params)
     reference = SimplexParams(intercepts=(1.0, 1.0 / (x * x)))
@@ -619,10 +576,8 @@ def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
     therefore optimal exactly when t <= (n-1) mu, and for larger pins the
     first constraint goes slack.
     """
-    mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
-    s_opt = min((n - 2) / (n - 1), 1.0 - mu / t)
-    return (t, nu / (1.0 - s_opt)) + ((n - 2) / s_opt,) * (n - 2)
+    s_opt = min((n - 2) / (n - 1), 1.0 - mu(x) / t)
+    return (t, nu(x) / (1.0 - s_opt)) + ((n - 2) / s_opt,) * (n - 2)
 
 
 def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN:
@@ -643,10 +598,9 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN
         raise ValueError("x in (0, 1) required")
     if t <= n / 2.0:
         raise ValueError("t > n/2 required for the monotone volume bound")
-    mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
-    p = (mu, 0.0) + (1.0,) * (n - 2)
-    q = (0.0, nu) + (1.0,) * (n - 2)
+    mu_x, nu_x = mu(x), nu(x)
+    p = (mu_x, 0.0) + (1.0,) * (n - 2)
+    q = (0.0, nu_x) + (1.0,) * (n - 2)
     prog = SimplexProgram(points=(p, q), fixed=((0, t),))
     params = min_vol_simplex(prog)
     vol_c = simplex_volume(params)
@@ -657,7 +611,7 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN
             f"constrained volume {vol_c!r} disagrees with closed form {vol_expected!r}",
             gap=abs(vol_c / vol_expected - 1.0),
         )
-    active = (t, nu * t / mu) + ((n - 2) * t / (t - mu),) * (n - 2)
+    active = (t, nu_x * t / mu_x) + ((n - 2) * t / (t - mu_x),) * (n - 2)
     vol_active = math.prod(active) / math.factorial(n)
     if vol_c > vol_active * (1.0 + 1e-9):
         raise SolverError(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import cloud_cases
 from wumetric.busemann import cloud_indicatrix, convexify, radial_indicatrix
-from wumetric.domains import g2, indicatrix_at, polydisc, synthetic_rem_one
+from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
 from wumetric.geometry import SimplexParams, simplex_contains, simplex_volume
 from wumetric.wu import (
     DegenerateAxisError,
@@ -265,6 +265,18 @@ def test_wu_of_cloud_equals_wu_of_hull_marker():
     raw = wu_metric(cloud_indicatrix(pts))
     hulled = wu_metric(convexify(cloud_indicatrix(pts)))
     assert raw.w_tilde.axes == pytest.approx(hulled.w_tilde.axes, rel=1e-12)
+
+
+def test_wu_on_convexified_gn_origin_certifies():
+    # hull radials carry about 1e-7 of LP noise, and the boundary sample
+    # must still certify at the solver's gap tolerance
+    hull = convexify(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner)
+    res = wu_metric(hull, resolution=200)
+    assert res.m == 2
+    assert res.v_axes == frozenset({1})
+    assert res.gap <= 1e-10
+    assert res.w_tilde.axes[1] == math.inf
+    assert (res.w_tilde.axes[0], res.w_tilde.axes[2]) == pytest.approx((2.0, 2.0), rel=1e-12)
 
 
 def test_monotonicity_failure_is_real():
