@@ -10,10 +10,10 @@ program
 
 whose Lagrange dual is a diagonal D-optimal design problem over weights w
 on the points: maximize sum_j log (U^T w)_j on the probability simplex.
-The solver runs the classical multiplicative ascent w <- w * s / n_f with
-s_i = sum_j u_ij / (U^T w)_j, interleaved with Newton solves of the active
-set equations s_i = n_f, and certifies optimality through the duality gap
-n_f * log(max_i s_i / n_f).
+The solver is a primal-dual interior-point Newton method on the n_f
+primal variables, run on a working set of points that grows until the
+normalized multipliers w certify optimality over every point through the
+duality gap n_f * log(max_i score_i / n_f), score_i = sum_j u_ij / (U^T w)_j.
 
 Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion) or
 dropped (degenerate directions removed before solving).  Fixing reduces to
@@ -49,6 +49,12 @@ from .geometry import (
 from .metrics import mu, nu
 
 DEFAULT_SOLVER_TOL = 1e-10
+# Interior-point constants: centring parameter, fraction-to-boundary step,
+# working-set points per free axis, and the Newton step budget.
+CENTERING = 0.1
+TO_BOUNDARY = 0.99
+WORK_PER_AXIS = 20
+MAX_NEWTON_STEPS = 200
 
 
 class InfeasibleProgramError(ValueError):
@@ -80,21 +86,22 @@ class SimplexProgram:
     tolerance: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self) -> None:
-        pts = tuple(tuple(float(c) for c in p) for p in self.points)
-        if not pts:
+        if len(self.points) == 0:
             raise ValueError("at least one point required")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
+        n = len(self.points[0])
+        if any(len(p) != n for p in self.points):
             raise ValueError("points must share a dimension")
-        for p in pts:
-            for j, c in enumerate(p):
-                if c < 0 or math.isnan(c):
-                    raise ValueError("coordinates must be nonnegative")
-                if math.isinf(c) and j not in self.dropped:
-                    raise DegenerateAxisError(
-                        f"infinite coordinate on axis {j}: degenerate, drop the axis first"
-                    )
-        object.__setattr__(self, "points", pts)
+        u = np.array(self.points, dtype=float)
+        if np.isnan(u).any() or (u < 0.0).any():
+            raise ValueError("coordinates must be nonnegative")
+        for j in np.nonzero(np.isinf(u).any(axis=0))[0]:
+            if j not in self.dropped:
+                raise DegenerateAxisError(
+                    f"infinite coordinate on axis {j}: degenerate, drop the axis first"
+                )
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        object.__setattr__(self, "points", tuple(map(tuple, u.tolist())))
         fixed = tuple(sorted((int(j), float(v)) for j, v in dict(self.fixed).items()))
         for j, v in fixed:
             if not 0 <= j < n:
@@ -120,7 +127,7 @@ def simplex_program(
     tolerance: float = DEFAULT_SOLVER_TOL,
 ) -> SimplexProgram:
     return SimplexProgram(
-        points=tuple(tuple(p) for p in points),
+        points=tuple(points),
         fixed=tuple((fixed or {}).items()),
         dropped=frozenset(dropped),
         tolerance=tolerance,
@@ -129,10 +136,12 @@ def simplex_program(
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """Certified optimum: the duality gap, the Newton steps taken and the
+    dual weights on the points kept by the reduction."""
+
     params: SimplexParams
     gap: float
     iterations: int
-    active: tuple[int, ...]
     weights: tuple[float, ...]
 
     @property
@@ -146,26 +155,24 @@ def _reduce(prog: SimplexProgram) -> tuple[np.ndarray, list[int], dict[int, floa
     n = prog.dim
     fixed = dict(prog.fixed)
     free = [j for j in range(n) if j not in fixed and j not in prog.dropped]
-    u = np.array([[p[j] for j in range(n)] for p in prog.points], dtype=float)
+    u = np.array(prog.points, dtype=float)
     rho = np.ones(len(prog.points))
     for j, aj in fixed.items():
         rho -= u[:, j] / aj
-    free_mass = u[:, free].sum(axis=1) if free else np.zeros(len(prog.points))
-    feas_tol = 1e-12
-    keep = []
-    for i in range(len(prog.points)):
-        if rho[i] < -feas_tol:
+    # rho >= 0 with no free mass: point already enclosed, constraint void
+    keep = u[:, free].sum(axis=1) > 0.0
+    violated = rho < -1e-12
+    bad = np.nonzero(violated | (keep & (rho <= 0.0)))[0]
+    if bad.size:
+        i = int(bad[0])
+        if violated[i]:
             raise InfeasibleProgramError(
                 f"point {i} violates the fixed intercepts (slack {rho[i]:.3e})"
             )
-        if free_mass[i] > 0.0:
-            if rho[i] <= 0.0:
-                raise InfeasibleProgramError(
-                    f"point {i} saturates the fixed intercepts with free mass left"
-                )
-            keep.append(i)
-        # rho >= 0 with no free mass: point already enclosed, constraint void
-    reduced = u[np.ix_(keep, free)] / rho[keep, None] if keep else np.zeros((0, len(free)))
+        raise InfeasibleProgramError(
+            f"point {i} saturates the fixed intercepts with free mass left"
+        )
+    reduced = u[np.ix_(keep, free)] / rho[keep, None]
     if free:
         if reduced.shape[0] == 0:
             raise DegenerateAxisError(
@@ -190,113 +197,68 @@ def _assemble(
     return SimplexParams(intercepts=tuple(a))
 
 
-def _newton_attempt(
-    u: np.ndarray, w: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Solve the active-set equations s_i(v) = K from the current iterate.
+def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Primal-dual interior-point Newton method (Boyd and Vandenberghe,
+    Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
-    Returns (b, full weights, certified gap) on success, None when the
-    guessed support was wrong (caller keeps ascending).
+    It runs on a working set: the WORK_PER_AXIS * k points of largest
+    column-normalized mass and each column's maximum.  Once that set is
+    solved but the gap k log(max_i score_i / k) over all points is not
+    certified, where score_i = sum_j u_ij / (U^T w)_j and w = lam / sum(lam),
+    the points with score_i > k join it.  Steps continue past ``tol`` while
+    the gap halves.  Returns (b, w, gap, Newton steps).
     """
     m, k = u.shape
-    mass = u.T @ w
-    s = u @ (1.0 / mass)
-    order = np.argsort(-s)
-    cut = min(m, 3 * k)
-    thresh = k * (1.0 - 1e-4)
-    active = [int(i) for i in order[:cut] if s[i] >= thresh]
-    if not active:
-        active = [int(order[0])]
-    active_set = set(active)
-    for _ in range(2 * k + 10):
-        ua = u[sorted(active_set)]
-        idx = sorted(active_set)
-        v = np.maximum(w[idx], 1e-16)
-        v = v / v.sum()
-        ok = True
-        for _ in range(60):
-            mass = ua.T @ v
-            if mass.min() <= 0.0:
-                ok = False
+    # unit column maxima make the pivoting of the solve scale-free, so
+    # power-of-two column scalings of u give bitwise-scaled results
+    scale = u.max(axis=0)
+    v = u / scale
+    heavy = np.argpartition(-v.sum(axis=1), min(WORK_PER_AXIS * k, m) - 1)
+    work = np.union1d(heavy[: WORK_PER_AXIS * k], v.argmax(axis=0))
+    steps, best = 0, math.inf
+    while True:
+        x = v[work]
+        b = np.full(k, 0.5 / k)
+        s = 1.0 - x @ b
+        lam = np.ones(len(work))
+        stuck = False
+        while True:
+            w = lam / lam.sum()
+            mass = x.T @ w
+            score = v @ (1.0 / mass)
+            gap = k * math.log(max(float(score.max()), k) / k)
+            halved = gap < 0.5 * best
+            if gap < best:
+                best, best_w = gap, np.zeros(m)
+                best_w[work] = w
+            if best <= tol and (best == 0.0 or not halved):
+                return 1.0 / (k * (u.T @ best_w)), best_w, best, steps
+            if k * math.log(max(float(score[work].max()), k) / k) <= tol < best:
+                work = np.union1d(work, np.nonzero(score > k)[0])
                 break
-            sa = ua @ (1.0 / mass)
-            f = sa - k
-            if np.max(np.abs(f)) <= 1e-13 * k:
-                break
-            gram = (ua / mass) @ (ua / mass).T
+            if stuck or steps >= MAX_NEWTON_STEPS:
+                raise SolverError(
+                    f"no certificate for the {m} x {k} program after {steps} "
+                    f"Newton steps (best gap {best:.3e})",
+                    best,
+                )
+            steps += 1
+            d = lam / s
+            tau = CENTERING * float(s @ lam) / len(s)
+            hess = (x.T * d) @ x + np.diag(1.0 / b**2)
             try:
-                step = np.linalg.solve(gram, f)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(gram, f, rcond=None)
-            # ds/dv = -gram, so the Newton direction is +gram^{-1} f;
-            # damp so the weights stay positive
-            scale = 1.0
-            neg = -step > v
-            if np.any(neg):
-                scale = min(scale, 0.8 * float(np.min(v[neg] / -step[neg])))
-            v = v + scale * step
-            if v.min() < 0.0:
-                v = np.maximum(v, 0.0)
-        else:
-            ok = False
-        if not ok:
-            return None
-        # prune points driven to zero weight, re-add violated points
-        drop = [idx[t] for t in range(len(idx)) if v[t] <= 1e-14]
-        keep = [t for t in range(len(idx)) if v[t] > 1e-14]
-        if len(keep) == 0:
-            return None
-        mass = ua[keep].T @ v[keep] * (1.0 / v[keep].sum())
-        s_all = u @ (1.0 / mass)
-        viol = [int(i) for i in np.argsort(-s_all) if s_all[i] > k * (1.0 + 1e-13)]
-        if not viol and not drop:
-            total = v.sum()
-            w_full = np.zeros(m)
-            for t, i in enumerate(idx):
-                w_full[i] = v[t] / total
-            gap = k * math.log(max(float(s_all.max()), k) / k)
-            if gap > tol:
-                return None
-            b = 1.0 / (k * mass)
-            return b, w_full, gap
-        for i in drop:
-            active_set.discard(i)
-        for i in viol[:2]:
-            active_set.add(i)
-        if not active_set:
-            return None
-    return None
-
-
-def _solve_reduced(
-    u: np.ndarray, tol: float, max_iter: int = 500_000
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Dual multiplicative ascent with interleaved Newton polishing."""
-    m, k = u.shape
-    w = np.full(m, 1.0 / m)
-    checkpoint = 8
-    gap = math.inf
-    for it in range(max_iter):
-        mass = u.T @ w
-        s = u @ (1.0 / mass)
-        smax = float(s.max())
-        gap = k * math.log(smax / k)
-        if it >= checkpoint or gap <= tol:
-            got = _newton_attempt(u, w, tol)
-            if got is not None:
-                b, w_full, cert_gap = got
-                return b, w_full, cert_gap, it
-            if gap <= tol:
-                # ascent already certifies; recover the primal directly
-                b = 1.0 / (k * mass)
-                top = float(np.max(u @ b))
-                if top > 1.0:
-                    b = b / top
-                return b, w, gap, it
-            checkpoint = max(2 * checkpoint, it + 8)
-        w = w * (s / k)
-        w = w / w.sum()
-    raise SolverError(f"no certificate after {max_iter} iterations (gap {gap:.3e})", gap)
+                db = np.linalg.solve(hess, 1.0 / b - tau * (x.T @ (1.0 / s)))
+            except np.linalg.LinAlgError:  # the multipliers swamp the 1 / b^2 term
+                stuck = True
+                continue
+            ds = -(x @ db)
+            dlam = tau / s - lam - d * ds
+            alpha = 1.0
+            for z, dz in ((b, db), (s, ds), (lam, dlam)):
+                neg = dz < 0.0
+                if neg.any():
+                    alpha = min(alpha, TO_BOUNDARY * float(np.min(z[neg] / -dz[neg])))
+            b, s, lam = b + alpha * db, s + alpha * ds, lam + alpha * dlam
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
@@ -304,20 +266,18 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     reduced, free, fixed = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
-        return SolveInfo(params=params, gap=0.0, iterations=0, active=(), weights=())
+        return SolveInfo(params=params, gap=0.0, iterations=0, weights=())
     b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
     # conservative rescale: containment of every reduced point, exactly
     top = float(np.max(reduced @ b))
     if top > 1.0:
         b = b / top
     params = _assemble(prog, free, fixed, b)
-    active = tuple(int(i) for i in np.nonzero(w > 1e-13)[0])
     return SolveInfo(
         params=params,
         gap=gap,
         iterations=iters,
-        active=active,
-        weights=tuple(float(x) for x in w),
+        weights=tuple(w.tolist()),
     )
 
 

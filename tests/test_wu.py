@@ -1,14 +1,18 @@
 """Minimal-volume enclosing simplex solver and the Wu construction.
 
-Solver results are checked three ways: against closed forms (box corners,
+Solver results are checked four ways: against closed forms (box corners,
 pinned two-point programs in both active and slack regimes), against the
-exhaustive grid reference, and against the convex-programming invariants
-(containment, permutation equivariance, exact scaling).
+exhaustive grid reference, against the convex-programming invariants
+(containment, permutation equivariance, exact scaling), and against
+planted optima of adversarial programs (near-duplicate and dominated
+points, axis scales from 1e-12 to 1e12, single-axis mass).
 """
 
 import itertools
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +21,12 @@ from helpers import cloud_cases
 from wumetric.busemann import cloud_indicatrix, convexify, radial_indicatrix
 from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
 from wumetric.geometry import SimplexParams, simplex_contains, simplex_volume
+from wumetric import wu as wu_module
 from wumetric.wu import (
     DegenerateAxisError,
     InfeasibleProgramError,
     SimplexProgram,
+    SolverError,
     certify_contradiction_g2,
     certify_contradiction_gn,
     gn_constrained_optimum,
@@ -196,6 +202,131 @@ def test_scaling_equivariance_generic():
     a = solve(pts)
     b = solve([tuple(l * c for l, c in zip(lam, p)) for p in pts])
     assert b == pytest.approx(tuple(l * c for l, c in zip(lam, a)), rel=1e-10)
+
+
+def test_program_validation_messages():
+    with pytest.raises(ValueError, match="share a dimension"):
+        simplex_program([(1.0, 1.0), (1.0,)])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simplex_program([(1.0, 1.0), (0.5, bad)])
+    with pytest.raises(DegenerateAxisError, match="axis 1"):
+        simplex_program([(1.0, 0.0), (0.5, math.inf)], dropped=[0])
+    # the first offending point names the error, violation before saturation
+    with pytest.raises(InfeasibleProgramError, match="point 0 saturates"):
+        solve([(0.5, 1.0), (1.0, 0.0)], fixed={0: 0.5})
+    with pytest.raises(InfeasibleProgramError, match="point 1 violates"):
+        solve([(0.25, 1.0), (1.0, 1.0), (0.5, 1.0)], fixed={0: 0.5})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        simplex_program([(1.0, 1.0)], tolerance=tol)
+
+
+def test_step_budget_exhaustion_fails_fast(monkeypatch):
+    monkeypatch.setattr(wu_module, "MAX_NEWTON_STEPS", 3)
+    prog = simplex_program([(1.0, 1.0), (1.0 + 2e-7, 1.0)])
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match=r"2 x 2 program after 3 Newton steps \(best gap") as err:
+        min_vol_simplex_info(prog)
+    assert time.perf_counter() - start < 1.0
+    assert TOL < err.value.gap < math.inf
+
+
+def test_singular_newton_system_fails_with_solver_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(wu_module.np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="after 1 Newton steps"):
+        min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.5, 0.9)]))
+
+
+# ---------------------------------------------------------------------------
+# adversarial programs with planted optima
+
+
+@pytest.mark.parametrize("eps", [1e-5, 2e-7])
+def test_near_duplicate_stall_reproducers_certify(eps):
+    # (1 + eps, 1) dominates (1, 1), so a = 2 (1 + eps, 1); one point
+    # touches the optimum, where a gap g bounds the error by sqrt(2 g)
+    info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (1.0 + eps, 1.0)]))
+    assert info.gap <= TOL
+    assert info.iterations <= 50
+    want = (2.0 * (1.0 + eps), 2.0)
+    assert info.params.intercepts == pytest.approx(want, rel=math.sqrt(2.0 * TOL))
+
+
+def _unit_face(rng, count, k):
+    x = rng.standard_exponential((count, k))
+    return x / x.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=5),
+    depth=st.sampled_from([1e-1, 1e-3, 2e-7, 1e-9, 1e-12]),
+    exponents=st.lists(st.integers(min_value=-12, max_value=12), min_size=5, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_planted_vertices_with_near_duplicates(k, depth, exponents, seed):
+    # the vertices a_j e_j force a' >= a and every other point lies in T_a,
+    # so T_a is optimal; near-duplicates sit ``depth`` inside the vertices
+    # and the face, and axis scales range over 1e-12 .. 1e12
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(-0.7, 0.7, k)) * 10.0 ** np.array(exponents[:k], dtype=float)
+    face = a * _unit_face(rng, 30, k)
+    vertices = np.diag(a)
+    pts = np.vstack(
+        [vertices, vertices * (1.0 - depth), face, face * (1.0 - depth), face[:3] * 1e-12]
+    )
+    rng.shuffle(pts)
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.gap <= TOL
+    assert info.params.intercepts == pytest.approx(tuple(a), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=5),
+    eps=st.sampled_from([1e-3, 1e-5, 2e-7, 1e-9, 1e-12]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dominated_points_leave_the_corner_optimum(k, eps, seed):
+    # every point is <= p coordinatewise, so a = k p; half of them are
+    # within a relative eps of p
+    rng = np.random.default_rng(seed)
+    p = np.exp(rng.uniform(-2.0, 2.0, k))
+    near = p * (1.0 - eps * rng.uniform(0.0, 1.0, (60, k)))
+    far = p * rng.uniform(0.0, 1.0, (60, k))
+    pts = np.vstack([p, near, far])
+    rng.shuffle(pts)
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.gap <= TOL
+    assert info.params.intercepts == pytest.approx(tuple(k * p), rel=math.sqrt(2.0 * TOL))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_lone_point_on_an_axis_outside_the_heavy_points(c):
+    # 100 points near (1, 1, 0), dominated by it, outrank (0, 0, c) by mass;
+    # that single point alone bounds the third axis, so a = (2, 2, c)
+    pts = [(1.0 - 1e-3 * (i % 7), 1.0 - 1e-3 * (i % 5), 0.0) for i in range(100)]
+    info = min_vol_simplex_info(simplex_program(pts + [(0.0, 0.0, c)]))
+    assert info.gap <= TOL
+    assert info.params.intercepts == pytest.approx((2.0, 2.0, c), rel=math.sqrt(2.0 * TOL))
+
+
+def test_mass_on_a_single_axis_matches_bruteforce():
+    # most points lie on the first axis; the grid reference agrees
+    pts = [(0.01 * i, 0.0) for i in range(1, 101)] + [(0.3, 0.8), (0.0, 0.5)]
+    prog = simplex_program(pts)
+    info = min_vol_simplex_info(prog)
+    assert info.gap <= TOL
+    ref = simplex_volume(min_vol_simplex_bruteforce(prog, grid=601))
+    assert info.volume == pytest.approx(ref, rel=1e-3)
+    assert info.volume <= ref * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
