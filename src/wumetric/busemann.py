@@ -55,7 +55,6 @@ class Indicatrix:
     dim: int
     balanced: bool = True
     reinhardt: bool = True
-    complete_reinhardt: bool = False
     radial: RadialEvaluator | None = None
     cloud: tuple[PsiPoint, ...] | None = None
     bounded_axes: tuple[bool | None, ...] | None = None
@@ -121,14 +120,12 @@ def radial_indicatrix(
     *,
     balanced: bool = True,
     reinhardt: bool = True,
-    complete_reinhardt: bool = False,
     hulled: bool = False,
 ) -> Indicatrix:
     return Indicatrix(
         dim=dim,
         balanced=balanced,
         reinhardt=reinhardt,
-        complete_reinhardt=complete_reinhardt,
         radial=fn,
         bounded_axes=tuple(bounded_axes),
         hulled=hulled,
@@ -141,7 +138,6 @@ def cloud_indicatrix(
     bounded_axes: Sequence[bool | None] | None = None,
     balanced: bool = True,
     reinhardt: bool = True,
-    complete_reinhardt: bool = False,
 ) -> Indicatrix:
     pts = tuple(tuple(float(c) for c in p) for p in points)
     if not pts:
@@ -150,7 +146,6 @@ def cloud_indicatrix(
         dim=len(pts[0]),
         balanced=balanced,
         reinhardt=reinhardt,
-        complete_reinhardt=complete_reinhardt,
         cloud=pts,
         bounded_axes=None if bounded_axes is None else tuple(bounded_axes),
     )
@@ -172,8 +167,10 @@ def generalized_golden(d: int) -> float:
     return _PHI_CACHE[d]
 
 
-def _kronecker_points(d: int, count: int) -> np.ndarray:
-    """count low-discrepancy points in [0,1)^d (fixed constants, no RNG)."""
+def kronecker_points(d: int, count: int) -> np.ndarray:
+    """count low-discrepancy points in [0,1)^d (fixed constants, no RNG):
+    point i = 1..count has coordinates frac(0.5 + i phi^-(j+1)), phi the
+    generalized golden ratio of d."""
     phi = generalized_golden(d)
     alpha = np.array([(1.0 / phi) ** (j + 1) for j in range(d)])
     idx = np.arange(1, count + 1).reshape(-1, 1)
@@ -205,7 +202,7 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
         dirs.append(v / math.sqrt(size))
     fill = max(0, count - len(dirs))
     if fill:
-        angles = _kronecker_points(k - 1, fill) * (math.pi / 2.0)
+        angles = kronecker_points(k - 1, fill) * (math.pi / 2.0)
         v = np.ones((fill, k))
         for j in range(k - 1):
             v[:, j] *= np.cos(angles[:, j])
@@ -300,7 +297,6 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
         dim=ind.dim,
         balanced=True,
         reinhardt=ind.reinhardt,
-        complete_reinhardt=True,
         radial=hull_radial,
         bounded_axes=ind.bounded_axes,
         hulled=True,

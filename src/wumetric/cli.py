@@ -321,24 +321,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"{name}: required for eval")
 
     spec_cfg = {"domain": domain}
-    alpha = setting("alpha", args.alpha)
-    if alpha is not None:
-        spec_cfg["alpha"] = alpha
-    big_c = setting("big_c", args.big_c)
-    if big_c is not None:
-        spec_cfg["big_c"] = repr(float(big_c))
-    declared = setting("type", args.declared)
-    if declared is not None:
-        spec_cfg["type"] = declared
-    radii = setting("r", args.r)
-    if radii is not None:
-        spec_cfg["r"] = radii
-    n = setting("n", args.n)
-    if n is not None:
-        spec_cfg["n"] = str(int(n))
-    m = setting("m", args.m)
-    if m is not None:
-        spec_cfg["m"] = repr(float(m))
+    for key, flag in (("alpha", args.alpha), ("big_c", args.big_c), ("type", args.declared),
+                      ("r", args.r), ("n", args.n), ("m", args.m)):
+        value = setting(key, flag)
+        if value is not None:
+            spec_cfg[key] = str(value)
     try:
         spec = spec_from_config(spec_cfg)
     except (ValueError, KeyError) as exc:

@@ -7,11 +7,13 @@ sandwiching the extremal-disc metric ball between a certified inside
 of complete Reinhardt pseudoconvex domains) and a functional-theoretic
 outside (Caratheodory-side bound).
 
-Supported families:
+Supported families, one ``_FAMILIES`` entry each (defining inequality,
+sandwich builder, config encoder and decoder):
 
   * polydisc(r_1, ..., r_n);
   * g2 = {|z_1| (1 + |z_2|) < 1} and gn = g2 x Delta^(n-2), the unbounded
     pseudoconvex Reinhardt domains behind the semicontinuity failures;
+    g2 is gn at n = 2 and shares its entry's functions;
   * truncated_gn(n, m): gn cut with the inverse image under Psi of the
     open simplex with intercepts (n/2, m n/2, n, ..., n);
   * elem_reinhardt(alpha, C) = {|z^alpha| < e^C}: indicatrices are built
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,17 +63,16 @@ class DomainSpec:
     n: int | None = None
     m: float | None = None
 
+    def __post_init__(self) -> None:
+        _family(self.variant)
+
     @property
     def dim(self) -> int:
-        if self.variant == "elem_reinhardt":
+        if self.alpha is not None:
             return len(self.alpha)
-        if self.variant == "polydisc":
+        if self.radii is not None:
             return len(self.radii)
-        if self.variant == "g2":
-            return 2
-        if self.variant in ("gn", "truncated_gn"):
-            return self.n
-        raise ValueError(f"dimension undefined for variant {self.variant!r}")
+        return self.n
 
 
 def elem_reinhardt(
@@ -94,7 +95,7 @@ def polydisc(*radii: float) -> DomainSpec:
 
 
 def g2() -> DomainSpec:
-    return DomainSpec(variant="g2")
+    return DomainSpec(variant="g2", n=2)
 
 
 def gn(n: int) -> DomainSpec:
@@ -116,29 +117,21 @@ def truncation_intercepts(n: int, m: float) -> tuple[float, ...]:
     return (n / 2.0, m * n / 2.0) + (float(n),) * (n - 2)
 
 
-def _in_g2(z1: complex, z2: complex) -> bool:
-    return abs(z1) * (1.0 + abs(z2)) < 1.0
-
-
 def membership(spec: DomainSpec, z: Sequence[complex]) -> bool:
     """Exact defining inequality of the domain (strict)."""
     zt = tuple(complex(c) for c in z)
     if len(zt) != spec.dim:
         raise ValueError("dimension mismatch")
-    if spec.variant == "elem_reinhardt":
-        return membership_elem_reinhardt(spec.alpha, spec.big_c, zt)
-    if spec.variant == "polydisc":
-        return all(abs(c) < r for c, r in zip(zt, spec.radii))
-    if spec.variant == "g2":
-        return _in_g2(zt[0], zt[1])
-    if spec.variant == "gn":
-        return _in_g2(zt[0], zt[1]) and all(abs(c) < 1.0 for c in zt[2:])
-    if spec.variant == "truncated_gn":
-        if not (_in_g2(zt[0], zt[1]) and all(abs(c) < 1.0 for c in zt[2:])):
-            return False
-        t = truncation_intercepts(spec.n, spec.m)
-        return sum(abs(c) ** 2 / tj for c, tj in zip(zt, t)) < 1.0
-    raise ValueError(f"membership undefined for variant {spec.variant!r}")
+    return _FAMILIES[spec.variant].inside(spec, zt)
+
+
+def _in_gn(spec: DomainSpec, z: CVector) -> bool:
+    return abs(z[0]) * (1.0 + abs(z[1])) < 1.0 and all(abs(c) < 1.0 for c in z[2:])
+
+
+def _in_truncated_gn(spec: DomainSpec, z: CVector) -> bool:
+    t = truncation_intercepts(spec.n, spec.m)
+    return _in_gn(spec, z) and sum(abs(c) ** 2 / tj for c, tj in zip(z, t)) < 1.0
 
 
 @dataclass(frozen=True)
@@ -245,10 +238,7 @@ def metric_indicatrix(
             m0 = abs(d[0])
             return math.inf if m0 == 0.0 else radius / m0
 
-        ind = radial_indicatrix(
-            aligned_radial, n, (True,) + (False,) * (n - 1), complete_reinhardt=True
-        )
-        return ind, u
+        return radial_indicatrix(aligned_radial, n, (True,) + (False,) * (n - 1)), u
 
     bounded = tuple(
         metric(tuple(1.0 if i == j else 0.0 for i in range(n))) > 0.0 for j in range(n)
@@ -258,7 +248,7 @@ def metric_indicatrix(
         v = metric(d)
         return math.inf if v == 0.0 else 1.0 / v
 
-    return radial_indicatrix(moduli_radial, n, bounded, complete_reinhardt=True), None
+    return radial_indicatrix(moduli_radial, n, bounded), None
 
 
 def _cylinder_radial(radii: tuple[float | None, ...]):
@@ -272,15 +262,26 @@ def _cylinder_radial(radii: tuple[float | None, ...]):
     return rho
 
 
-def _g2_radial(d1: complex, d2: complex) -> float:
+def _g2_radial(d: tuple[complex, ...]) -> float:
     """sup{t : |t d1| (1 + |t d2|) < 1}."""
-    p, q = abs(d1), abs(d2)
+    p, q = abs(d[0]), abs(d[1])
     if p == 0.0:
         return math.inf
     if q == 0.0:
         return 1.0 / p
     # p q t^2 + p t - 1 = 0
     return (-p + math.sqrt(p * p + 4.0 * p * q)) / (2.0 * p * q)
+
+
+def _times_unit_discs(rho2: Callable[[tuple[complex, ...]], float]):
+    """Radial evaluator of B x Delta^(n-2), rho2 being that of B in the
+    first two coordinates."""
+    return lambda d: min([rho2(d)] + [1.0 / abs(c) for c in d[2:] if abs(c) > 0.0])
+
+
+def _require_origin(at: CVector, variant: str) -> None:
+    if any(c != 0 for c in at):
+        raise UnsupportedBasePointError(f"{variant}: supported base point is the origin")
 
 
 def _require_axis_point(at: CVector, variant: str) -> float:
@@ -298,120 +299,65 @@ def indicatrix_at(spec: DomainSpec, a: Sequence[complex]) -> SandwichIndicatrix:
     at = tuple(complex(c) for c in a)
     if len(at) != spec.dim:
         raise ValueError("dimension mismatch")
-    origin = all(c == 0 for c in at)
+    return _FAMILIES[spec.variant].sandwich(spec, at)
 
-    if spec.variant == "polydisc":
-        if not origin:
-            raise UnsupportedBasePointError(
-                "polydisc: supported base point is the origin"
-            )
-        r = spec.radii
-        inner = cloud_indicatrix([tuple(x * x for x in r)], complete_reinhardt=True)
+
+def _polydisc_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
+    _require_origin(at, spec.variant)
+    r = spec.radii
+    inner = cloud_indicatrix([tuple(x * x for x in r)])
+    outer = radial_indicatrix(_cylinder_radial(r), len(r), (True,) * len(r), hulled=True)
+    return SandwichIndicatrix(inner=inner, outer=outer)
+
+
+def _gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
+    """At the origin the domain's own ball; at (x, 0, ..., 0) the tangents
+    of the two extremal discs, times the unit discs of Delta^(n-2)."""
+    n = spec.n
+    discs = (1.0,) * (n - 2)
+    if all(c == 0 for c in at):
+        bounded = (True, False) + (True,) * (n - 2)
+        inner = radial_indicatrix(_times_unit_discs(_g2_radial), n, bounded)
         outer = radial_indicatrix(
-            _cylinder_radial(r),
-            len(r),
-            (True,) * len(r),
-            complete_reinhardt=True,
-            hulled=True,
+            _cylinder_radial((1.0, None) + discs), n, bounded, hulled=True
         )
         return SandwichIndicatrix(inner=inner, outer=outer)
-
-    if spec.variant == "g2":
-        if origin:
-            inner = radial_indicatrix(
-                lambda d: _g2_radial(d[0], d[1]),
-                2,
-                (True, False),
-                complete_reinhardt=True,
-            )
-            outer = radial_indicatrix(
-                _cylinder_radial((1.0, None)),
-                2,
-                (True, False),
-                complete_reinhardt=True,
-                hulled=True,
-            )
-            return SandwichIndicatrix(inner=inner, outer=outer)
-        x = _require_axis_point(at, "g2")
-        inner = cloud_indicatrix([(mu(x), 0.0), (0.0, nu(x))])
-        outer = radial_indicatrix(
-            lambda d: (1.0 - x * x) / (abs(d[0]) + x * abs(d[1])),
-            2,
-            (True, True),
-            complete_reinhardt=True,
-            hulled=True,
-        )
-        return SandwichIndicatrix(inner=inner, outer=outer)
-
-    if spec.variant == "gn":
-        n = spec.n
-        if origin:
-            inner = radial_indicatrix(
-                lambda d: min(
-                    [_g2_radial(d[0], d[1])]
-                    + [1.0 / abs(c) for c in d[2:] if abs(c) > 0.0]
-                ),
-                n,
-                (True, False) + (True,) * (n - 2),
-                complete_reinhardt=True,
-            )
-            outer = radial_indicatrix(
-                _cylinder_radial((1.0, None) + (1.0,) * (n - 2)),
-                n,
-                (True, False) + (True,) * (n - 2),
-                complete_reinhardt=True,
-                hulled=True,
-            )
-            return SandwichIndicatrix(inner=inner, outer=outer)
-        x = _require_axis_point(at, "gn")
-        inner = cloud_indicatrix(
-            [(mu(x), 0.0) + (1.0,) * (n - 2), (0.0, nu(x)) + (1.0,) * (n - 2)]
-        )
-        outer = radial_indicatrix(
-            lambda d: min(
-                [(1.0 - x * x) / (abs(d[0]) + x * abs(d[1]))]
-                + [1.0 / abs(c) for c in d[2:] if abs(c) > 0.0]
-            ),
-            n,
-            (True,) * n,
-            complete_reinhardt=True,
-            hulled=True,
-        )
-        return SandwichIndicatrix(inner=inner, outer=outer)
-
-    if spec.variant == "truncated_gn":
-        if not origin:
-            raise UnsupportedBasePointError(
-                "truncated_gn: supported base point is the origin"
-            )
-        n = spec.n
-        t = truncation_intercepts(n, spec.m)
-        inner = cloud_indicatrix(
-            [(1.0, 0.0) + (1.0,) * (n - 2), (0.0, float(spec.m)) + (1.0,) * (n - 2)]
-        )
-        outer = radial_indicatrix(
-            lambda d: 1.0 / math.sqrt(sum(abs(c) ** 2 / tj for c, tj in zip(d, t))),
-            n,
-            (True,) * n,
-            complete_reinhardt=True,
-            hulled=True,
-        )
-        return SandwichIndicatrix(inner=inner, outer=outer)
-
-    if spec.variant == "elem_reinhardt":
-        if not membership(spec, at):
-            raise OutsideDomainError("base point outside the domain")
-        inner, u = metric_indicatrix("kappa", spec, at)
-        outer, _ = metric_indicatrix("gamma", spec, at)
-        # gamma and kappa functionals are positive multiples of the same
-        # covector, so the kappa frame aligns both
-        align = None if u is None else tuple(tuple(row) for row in u)
-        return SandwichIndicatrix(inner=inner, outer=outer, alignment=align)
-
-    raise UnsupportedBasePointError(
-        f"{spec.variant}: no indicatrix model; supported variants are "
-        "polydisc, g2, gn, truncated_gn, elem_reinhardt"
+    x = _require_axis_point(at, spec.variant)
+    inner = cloud_indicatrix([(mu(x), 0.0) + discs, (0.0, nu(x)) + discs])
+    outer = radial_indicatrix(
+        _times_unit_discs(lambda d: (1.0 - x * x) / (abs(d[0]) + x * abs(d[1]))),
+        n,
+        (True,) * n,
+        hulled=True,
     )
+    return SandwichIndicatrix(inner=inner, outer=outer)
+
+
+def _truncated_gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
+    _require_origin(at, spec.variant)
+    n = spec.n
+    t = truncation_intercepts(n, spec.m)
+    inner = cloud_indicatrix(
+        [(1.0, 0.0) + (1.0,) * (n - 2), (0.0, float(spec.m)) + (1.0,) * (n - 2)]
+    )
+    outer = radial_indicatrix(
+        lambda d: 1.0 / math.sqrt(sum(abs(c) ** 2 / tj for c, tj in zip(d, t))),
+        n,
+        (True,) * n,
+        hulled=True,
+    )
+    return SandwichIndicatrix(inner=inner, outer=outer)
+
+
+def _elem_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
+    if not membership(spec, at):
+        raise OutsideDomainError("base point outside the domain")
+    inner, u = metric_indicatrix("kappa", spec, at)
+    outer, _ = metric_indicatrix("gamma", spec, at)
+    # gamma and kappa functionals are positive multiples of the same
+    # covector, so the kappa frame aligns both
+    align = None if u is None else tuple(tuple(row) for row in u)
+    return SandwichIndicatrix(inner=inner, outer=outer, alignment=align)
 
 
 def synthetic_rem_one() -> tuple[Indicatrix, Indicatrix]:
@@ -422,9 +368,7 @@ def synthetic_rem_one() -> tuple[Indicatrix, Indicatrix]:
     (at z0).  Certificate clouds are exact: the minimal simplex of the
     Euclidean ball is T_(1,1), of the polydisc T_(2,8).
     """
-    generic = cloud_indicatrix([(1.0, 0.0), (0.0, 1.0)], complete_reinhardt=True)
-    special = cloud_indicatrix([(1.0, 4.0)], complete_reinhardt=True)
-    return generic, special
+    return cloud_indicatrix([(1.0, 0.0), (0.0, 1.0)]), cloud_indicatrix([(1.0, 4.0)])
 
 
 def synthetic_rem_two(n: int = 3) -> tuple[Indicatrix, Indicatrix]:
@@ -438,47 +382,81 @@ def synthetic_rem_two(n: int = 3) -> tuple[Indicatrix, Indicatrix]:
     degenerate = cloud_indicatrix(
         [(1.0, 0.0) + (1.0,) * (n - 2)],
         bounded_axes=(True, False) + (True,) * (n - 2),
-        complete_reinhardt=True,
     )
-    bounded = cloud_indicatrix([(1.0,) * n], complete_reinhardt=True)
-    return degenerate, bounded
+    return degenerate, cloud_indicatrix([(1.0,) * n])
 
 
 # ---------------------------------------------------------------------------
 # config-format serialization (see cli module for the file format)
 
 def spec_to_config(spec: DomainSpec) -> dict[str, str]:
-    out = {"domain": spec.variant}
-    if spec.variant == "elem_reinhardt":
-        out["alpha"] = ",".join(repr(x) for x in spec.alpha)
-        out["big_c"] = repr(spec.big_c)
-        if spec.declared_type:
-            out["type"] = spec.declared_type
-    elif spec.variant == "polydisc":
-        out["r"] = ",".join(repr(x) for x in spec.radii)
-    elif spec.variant in ("gn", "truncated_gn"):
-        out["n"] = str(spec.n)
-        if spec.variant == "truncated_gn":
-            out["m"] = repr(spec.m)
-    return out
+    return {"domain": spec.variant, **_FAMILIES[spec.variant].encode(spec)}
 
 
 def spec_from_config(cfg: Mapping[str, str]) -> DomainSpec:
-    variant = cfg.get("domain", "").strip()
-    if variant == "elem_reinhardt":
-        alpha = [float(x) for x in cfg["alpha"].split(",")]
-        return elem_reinhardt(
-            alpha, float(cfg.get("big_c", "0")), cfg.get("type") or None
+    return _family(cfg.get("domain", "").strip()).decode(cfg)
+
+
+def _elem_to_config(spec: DomainSpec) -> dict[str, str]:
+    out = {"alpha": ",".join(repr(x) for x in spec.alpha), "big_c": repr(spec.big_c)}
+    if spec.declared_type:
+        out["type"] = spec.declared_type
+    return out
+
+
+def _elem_from_config(cfg: Mapping[str, str]) -> DomainSpec:
+    alpha = [float(x) for x in cfg["alpha"].split(",")]
+    return elem_reinhardt(alpha, float(cfg.get("big_c", "0")), cfg.get("type") or None)
+
+
+# ---------------------------------------------------------------------------
+# the family table: a new domain family is one entry plus its constructor
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Defining inequality (on a point of the domain's dimension), sandwich
+    builder at a base point, and config encoder (keys besides ``domain``)
+    and decoder."""
+
+    inside: Callable[[DomainSpec, CVector], bool]
+    sandwich: Callable[[DomainSpec, CVector], SandwichIndicatrix]
+    encode: Callable[[DomainSpec], dict[str, str]]
+    decode: Callable[[Mapping[str, str]], DomainSpec]
+
+
+_FAMILIES: dict[str, _Family] = {
+    "elem_reinhardt": _Family(
+        lambda spec, z: membership_elem_reinhardt(spec.alpha, spec.big_c, z),
+        _elem_sandwich,
+        _elem_to_config,
+        _elem_from_config,
+    ),
+    "polydisc": _Family(
+        lambda spec, z: all(abs(c) < r for c, r in zip(z, spec.radii)),
+        _polydisc_sandwich,
+        lambda spec: {"r": ",".join(repr(x) for x in spec.radii)},
+        lambda cfg: polydisc(*(float(x) for x in cfg["r"].split(","))),
+    ),
+    "g2": _Family(_in_gn, _gn_sandwich, lambda spec: {}, lambda cfg: g2()),
+    "gn": _Family(
+        _in_gn,
+        _gn_sandwich,
+        lambda spec: {"n": str(spec.n)},
+        lambda cfg: gn(int(cfg["n"])),
+    ),
+    "truncated_gn": _Family(
+        _in_truncated_gn,
+        _truncated_gn_sandwich,
+        lambda spec: {"n": str(spec.n), "m": repr(spec.m)},
+        lambda cfg: truncated_gn(int(cfg["n"]), float(cfg["m"])),
+    ),
+}
+
+
+def _family(variant: str) -> _Family:
+    if variant not in _FAMILIES:
+        raise ValueError(
+            f"unknown domain {variant!r}; expected one of {', '.join(_FAMILIES)}"
         )
-    if variant == "polydisc":
-        return polydisc(*(float(x) for x in cfg["r"].split(",")))
-    if variant == "g2":
-        return g2()
-    if variant == "gn":
-        return gn(int(cfg["n"]))
-    if variant == "truncated_gn":
-        return truncated_gn(int(cfg["n"]), float(cfg["m"]))
-    raise ValueError(
-        f"unknown domain {variant!r}; expected one of "
-        "elem_reinhardt, polydisc, g2, gn, truncated_gn"
-    )
+    return _FAMILIES[variant]

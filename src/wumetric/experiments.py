@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .busemann import Indicatrix, cloud_indicatrix, generalized_golden
+from .busemann import Indicatrix, cloud_indicatrix, kronecker_points
 from .domains import (
     DomainSpec,
     elem_reinhardt,
@@ -114,13 +114,10 @@ _RADIUS_COUNTS = ((2, 7), (3, 7), (4, 6))
 def polydisc_cases() -> list[tuple[float, ...]]:
     """20 fixed radius tuples in [0.2, 3], Kronecker low-discrepancy."""
     cases: list[tuple[float, ...]] = []
-    i = 0
     for n, count in _RADIUS_COUNTS:
-        g = generalized_golden(n)
-        steps = [g ** -(j + 1) for j in range(n)]
-        for _ in range(count):
-            i += 1
-            cases.append(tuple(0.2 + 2.8 * ((0.5 + i * s) % 1.0) for s in steps))
+        # the point index runs on across dimensions
+        draws = kronecker_points(n, len(cases) + count)[len(cases):]
+        cases.extend(tuple(row) for row in (0.2 + 2.8 * draws).tolist())
     return cases
 
 
@@ -181,15 +178,10 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
             experiment=cfg.experiment,
             data={
                 "kind": "origin",
-                "x": None,
-                "t": None,
                 "w_tilde_e1": origin.w_tilde(_e1(2)),
                 "w_e1": w0,
                 "expected": 1.0,
                 "m": origin.m,
-                "ratio": None,
-                "ratio_bound": None,
-                "certified": None,
             },
             ok=(w0 == 1.0 and origin.m == 1),
             tolerance=0.0,
@@ -205,14 +197,10 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                 data={
                     "kind": "usc",
                     "x": x,
-                    "t": None,
                     "w_tilde_e1": res.w_tilde(_e1(2)),
                     "w_e1": w_e1,
                     "expected": expected,
                     "m": res.m,
-                    "ratio": None,
-                    "ratio_bound": None,
-                    "certified": None,
                 },
                 ok=(abs(w_e1 - expected) <= cfg.tolerance * expected and w_e1 > 1.0),
                 tolerance=cfg.tolerance,
@@ -227,10 +215,6 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                     "kind": "certificate",
                     "x": x,
                     "t": cfg.t,
-                    "w_tilde_e1": None,
-                    "w_e1": None,
-                    "expected": None,
-                    "m": None,
                     "ratio": rep.ratio,
                     "ratio_bound": rep.ratio_bound,
                     "certified": rep.certified,
@@ -247,12 +231,9 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
             experiment=cfg.experiment,
             data={
                 "kind": "limit",
-                "x": None,
                 "t": cfg.t,
-                "w_tilde_e1": None,
                 "w_e1": limit_w,
                 "expected": 1.0,
-                "m": None,
                 "ratio": cfg.t * cfg.t,
                 "ratio_bound": cfg.t * cfg.t,
                 "certified": cfg.t * cfg.t > 1.0,
@@ -278,16 +259,10 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
             data={
                 "kind": "origin",
                 "n": n,
-                "x": None,
-                "t": None,
                 "w_tilde_e1": wt0,
                 "w_e1": origin.w(_e1(n)),
                 "expected": expected0,
                 "m": origin.m,
-                "ratio": None,
-                "ratio_bound": None,
-                "regime": None,
-                "certified": None,
             },
             ok=(
                 abs(wt0 - expected0) <= cfg.tolerance
@@ -311,15 +286,10 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                     "kind": "usc",
                     "n": n,
                     "x": x,
-                    "t": None,
                     "w_tilde_e1": wt,
                     "w_e1": res.w(_e1(n)),
                     "expected": expected,
                     "m": res.m,
-                    "ratio": None,
-                    "ratio_bound": None,
-                    "regime": None,
-                    "certified": None,
                 },
                 ok=abs(wt - expected) <= cfg.tolerance * expected,
                 tolerance=cfg.tolerance,
@@ -335,10 +305,6 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                     "n": n,
                     "x": x,
                     "t": t,
-                    "w_tilde_e1": None,
-                    "w_e1": None,
-                    "expected": None,
-                    "m": None,
                     "ratio": rep.ratio,
                     "ratio_bound": rep.ratio_bound,
                     "regime": "active" if t <= (n - 1) * mu(x) else "slack",
@@ -356,15 +322,12 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
             data={
                 "kind": "limit",
                 "n": n,
-                "x": None,
                 "t": t,
                 "w_tilde_e1": limit_wt,
                 "w_e1": math.sqrt(2.0),
                 "expected": expected0,
-                "m": None,
                 "ratio": limit,
                 "ratio_bound": limit,
-                "regime": None,
                 "certified": limit > 1.0,
             },
             ok=(limit > 1.0 and limit_wt > expected0),
@@ -412,11 +375,8 @@ def _run_monotone(cfg: ExperimentConfig) -> list[ResultRow]:
             data={
                 "kind": "limit",
                 "n": n,
-                "m_trunc": None,
-                "a": None,
                 "w_tilde_e1": limit_value,
                 "expected": expected,
-                "rel_err": None,
                 "margin": margin,
             },
             ok=margin >= 0.10 if n == 3 else margin > 0.0,
@@ -444,7 +404,6 @@ def _run_rem_one(cfg: ExperimentConfig) -> list[ResultRow]:
                 "w_e1": w_g,
                 "w_tilde_e1": res_g.w_tilde(_e1(2)),
                 "expected": math.sqrt(2.0),
-                "violation": None,
             },
             ok=w_g == math.sqrt(2.0),
             tolerance=0.0,
@@ -457,7 +416,6 @@ def _run_rem_one(cfg: ExperimentConfig) -> list[ResultRow]:
                 "w_e1": w_s,
                 "w_tilde_e1": res_s.w_tilde(_e1(2)),
                 "expected": 1.0,
-                "violation": None,
             },
             ok=w_s == 1.0,
             tolerance=0.0,
@@ -468,9 +426,7 @@ def _run_rem_one(cfg: ExperimentConfig) -> list[ResultRow]:
             experiment=cfg.experiment,
             data={
                 "kind": "gap",
-                "a": None,
                 "w_e1": w_g,
-                "w_tilde_e1": None,
                 "expected": w_s,
                 "violation": w_g > w_s,
             },
@@ -522,10 +478,8 @@ def _run_rem_two(cfg: ExperimentConfig) -> list[ResultRow]:
             data={
                 "kind": "gap",
                 "n": n,
-                "a": None,
                 "w_tilde_e1": wt_d,
                 "expected": wt_b,
-                "m": None,
             },
             ok=wt_d > wt_b,
             tolerance=0.0,
@@ -642,7 +596,7 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
         eta_hat = golden_eta_hat(case, value.value)
         wu_val, wu_err = _wu_against_eta(case, eta_hat, cfg.resolution, cfg.tolerance)
         ok = abs(value.value - case.expected) <= tol * max(1.0, abs(case.expected))
-        ok = ok and (wu_err <= 0.01 if eta_hat > 0.0 else wu_val == 0.0)
+        ok = ok and (wu_err <= tol if eta_hat > 0.0 else wu_val == 0.0)
         rows.append(
             ResultRow(
                 experiment=cfg.experiment,
@@ -689,16 +643,10 @@ def _custom_alpha_rows(cfg: ExperimentConfig) -> list[ResultRow]:
                     "case": "custom",
                     "kind": kind,
                     "alpha": cfg.alpha,
-                    "type": None,
                     "big_c": cfg.big_c,
-                    "k": None,
                     "a": base,
                     "x_vec": x_vec,
                     "value": value.value,
-                    "expected": None,
-                    "eta_hat": None,
-                    "wu_tilde": None,
-                    "wu_err": None,
                     "branch": info.case,
                     "s": info.s,
                     "r": info.r,

@@ -42,7 +42,6 @@ from .busemann import (
 )
 from .geometry import (
     DiagonalHermitianForm,
-    PsiPoint,
     SimplexParams,
     simplex_volume,
 )
@@ -71,16 +70,17 @@ class SolverError(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexProgram:
     """Minimal-volume enclosing simplex instance.
 
-    points: Psi-points to enclose; fixed: axis -> pinned intercept;
+    points: Psi-points to enclose, kept as a read-only (m, n) float array
+    copied from the input; fixed: axis -> pinned intercept;
     dropped: axes removed from the program (reported back as infinite
     intercepts); tolerance: duality-gap certificate threshold.
     """
 
-    points: tuple[PsiPoint, ...]
+    points: np.ndarray
     fixed: tuple[tuple[int, float], ...] = ()
     dropped: frozenset[int] = frozenset()
     tolerance: float = DEFAULT_SOLVER_TOL
@@ -88,10 +88,13 @@ class SimplexProgram:
     def __post_init__(self) -> None:
         if len(self.points) == 0:
             raise ValueError("at least one point required")
-        n = len(self.points[0])
-        if any(len(p) != n for p in self.points):
+        try:
+            u = np.array(self.points, dtype=float)
+        except ValueError as exc:  # ragged rows or non-numeric entries
+            raise ValueError(f"points must be real and share a dimension ({exc})") from None
+        if u.ndim != 2:
             raise ValueError("points must share a dimension")
-        u = np.array(self.points, dtype=float)
+        n = u.shape[1]
         if np.isnan(u).any() or (u < 0.0).any():
             raise ValueError("coordinates must be nonnegative")
         for j in np.nonzero(np.isinf(u).any(axis=0))[0]:
@@ -101,7 +104,8 @@ class SimplexProgram:
                 )
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        object.__setattr__(self, "points", tuple(map(tuple, u.tolist())))
+        u.flags.writeable = False
+        object.__setattr__(self, "points", u)
         fixed = tuple(sorted((int(j), float(v)) for j, v in dict(self.fixed).items()))
         for j, v in fixed:
             if not 0 <= j < n:
@@ -117,7 +121,7 @@ class SimplexProgram:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return self.points.shape[1]
 
 
 def simplex_program(
@@ -127,7 +131,7 @@ def simplex_program(
     tolerance: float = DEFAULT_SOLVER_TOL,
 ) -> SimplexProgram:
     return SimplexProgram(
-        points=tuple(points),
+        points=points,
         fixed=tuple((fixed or {}).items()),
         dropped=frozenset(dropped),
         tolerance=tolerance,
@@ -155,8 +159,8 @@ def _reduce(prog: SimplexProgram) -> tuple[np.ndarray, list[int], dict[int, floa
     n = prog.dim
     fixed = dict(prog.fixed)
     free = [j for j in range(n) if j not in fixed and j not in prog.dropped]
-    u = np.array(prog.points, dtype=float)
-    rho = np.ones(len(prog.points))
+    u = prog.points
+    rho = np.ones(len(u))
     for j, aj in fixed.items():
         rho -= u[:, j] / aj
     # rho >= 0 with no free mass: point already enclosed, constraint void
@@ -414,7 +418,7 @@ def wu_metric(
         pts = [tuple(p[j] for j in u_axes) for p in ind.cloud]
     else:
         pts = _certificates_from_radial(ind, u_axes, resolution or 256 * len(u_axes))
-    info = min_vol_simplex_info(SimplexProgram(points=tuple(pts), tolerance=tolerance))
+    info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):
         axes_tilde[j] = info.params.intercepts[col]

@@ -305,7 +305,7 @@ def test_criterion_9_property_suites():
     )
 
     # support sublinearity / homogeneity on a hulled cloud
-    ind = cloud_indicatrix([(1.0, 0.2), (0.3, 0.9)], complete_reinhardt=True)
+    ind = cloud_indicatrix([(1.0, 0.2), (0.3, 0.9)])
     ys = [(1.0, 0.5), (0.2, 1.3), (0.7, 0.0)]
     sup_ok = True
     for y1, y2 in itertools.combinations(ys, 2):

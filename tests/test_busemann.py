@@ -31,7 +31,7 @@ DIRS_2D = [
 
 
 def unit_ball(n):
-    return radial_indicatrix(lambda d: 1.0, n, (True,) * n, complete_reinhardt=True)
+    return radial_indicatrix(lambda d: 1.0, n, (True,) * n)
 
 
 def test_indicatrix_construction_guards():

@@ -161,6 +161,44 @@ def test_eval_wu_on_polydisc(tmp_path):
     assert float(row["w"]) == pytest.approx(1.0, rel=1e-10)
 
 
+WU_EVAL_CASES = [
+    # (settings, w_tilde(vector), m): the g2 point uses the extremal-disc
+    # cloud (mu(0.3), 0), (0, nu(0.3)); the origins use the domain's ball
+    ({"domain": "g2", "point": "0.3,0", "vector": "1,0"}, 1.0 / 0.91, "2"),
+    ({"domain": "gn", "n": "3", "point": "0,0,0", "vector": "1,0,0"}, math.sqrt(0.5), "2"),
+    (
+        {"domain": "truncated_gn", "n": "3", "m": "4", "point": "0,0,0", "vector": "1,0,0"},
+        math.sqrt(2.0 / 3.0),
+        "3",
+    ),
+]
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("settings,w_tilde,m", WU_EVAL_CASES)
+def test_eval_wu_on_g2_family(tmp_path, source, settings, w_tilde, m):
+    settings = dict(settings, kind="wu")
+    out = tmp_path / "row.csv"
+    if source == "flags":
+        argv = ["eval"] + [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+    else:
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text("[eval]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        argv = ["eval", "--config", str(cfg)]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert row["domain"] == settings["domain"]
+    assert float(row["w_tilde"]) == pytest.approx(w_tilde, rel=1e-10)
+    assert row["m"] == m
+
+
+def test_eval_bad_domain_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text("[eval]\ndomain = gn\nn = three\nkind = wu\npoint = 0,0,0\nvector = 1,0,0\n")
+    assert run_cli(["eval", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_eval_from_config_section(tmp_path):
     cfg = tmp_path / "eval.ini"
     cfg.write_text(

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import kronecker_sequence
+from wumetric import domains
 from wumetric.busemann import degeneracy
 from wumetric.domains import (
+    DomainSpec,
     UnsupportedBasePointError,
     elem_reinhardt,
     g2,
@@ -38,6 +40,8 @@ def test_spec_validation():
         truncated_gn(3, 0.0)
     with pytest.raises(ValueError):
         elem_reinhardt((1.0, 0.0))
+    with pytest.raises(ValueError, match="unknown domain 'nope'"):
+        DomainSpec(variant="nope")
 
 
 def test_membership_examples():
@@ -214,6 +218,7 @@ def test_config_round_trip():
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.items())
         back = spec_from_config(cfg)
         assert back == spec, spec.variant
+    assert {spec.variant for spec in specs} == set(domains._FAMILIES)
 
 
 def test_config_rejects_garbage():

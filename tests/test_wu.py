@@ -219,6 +219,17 @@ def test_program_validation_messages():
         solve([(0.25, 1.0), (1.0, 1.0), (0.5, 1.0)], fixed={0: 0.5})
 
 
+def test_program_keeps_a_read_only_copy_of_its_points():
+    points = np.array([[1.0, 0.5], [0.25, 2.0]])
+    prog = simplex_program(points)
+    before = solve(points)
+    points[0, 0] = 100.0
+    assert prog.points.tolist() == [[1.0, 0.5], [0.25, 2.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        prog.points[0, 0] = 100.0
+    assert min_vol_simplex_info(prog).params.intercepts == before
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tolerance"):
@@ -373,9 +384,7 @@ def test_wu_on_polydisc_radial():
 
 def test_wu_normalization_on_scaled_balls():
     for r in (1.0, 0.5, 3.0):
-        ball = radial_indicatrix(
-            lambda d, r=r: r, 3, (True,) * 3, complete_reinhardt=True
-        )
+        ball = radial_indicatrix(lambda d, r=r: r, 3, (True,) * 3)
         res = wu_metric(ball)
         assert res.m == 3
         got = res.w_tilde((1.0, 2.0, -2.0))
