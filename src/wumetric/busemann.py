@@ -6,7 +6,11 @@ representations are supported:
 
   * radial: an evaluator rho(d) = sup{t : t d in B} on unit directions,
     together with per-axis boundedness metadata, for balls known in
-    functional form;
+    functional form.  Evaluators work on batches: directions of shape
+    (..., n) give radii of shape (...), so one direction gives one radius.
+    Only the moduli |d_j| matter, since the balls are Reinhardt;
+    ``batch_radial`` builds an evaluator from a closed form on the moduli
+    array and ``rowwise_radial`` from a function of one row;
   * cloud: a finite set of certificate points in Psi-coordinates
     (squared moduli) lying on the closure of B, for balls pinned down by
     explicitly constructed analytic discs.
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import PsiPoint
 
@@ -47,7 +50,38 @@ class UnknownBoundednessError(ValueError):
     """Operation needs per-axis boundedness that was not declared."""
 
 
-RadialEvaluator = Callable[[tuple[complex, ...]], float]
+# Directions of shape (..., n), complex or real, to radii of shape (...);
+# only the moduli of the entries matter.
+RadialEvaluator = Callable[[np.ndarray | Sequence[complex]], np.ndarray | float]
+
+
+def _moduli(d) -> np.ndarray:
+    return np.abs(np.asarray(d)).astype(float, copy=False)
+
+
+def batch_radial(radius: Callable[[np.ndarray], np.ndarray]) -> RadialEvaluator:
+    """Radial evaluator from a closed form mapping a float array of moduli
+    |d_j| of shape (..., n) to radii of shape (...).  The closed form may
+    divide by zero: a zero modulus gives an infinite radius."""
+
+    def radial(d):
+        m = _moduli(d)
+        with np.errstate(divide="ignore"):
+            return np.asarray(radius(m))[()]
+
+    return radial
+
+
+def rowwise_radial(radius: Callable[[np.ndarray], float]) -> RadialEvaluator:
+    """Radial evaluator from a function of one row of moduli, called once
+    per direction."""
+
+    def radial(d):
+        m = _moduli(d)
+        rows = [radius(row) for row in m.reshape(-1, m.shape[-1])]
+        return np.array(rows, dtype=float).reshape(m.shape[:-1])[()]
+
+    return radial
 
 
 @dataclass(frozen=True)
@@ -92,6 +126,15 @@ class Indicatrix:
             )
         return tuple(bool(b) for b in self.bounded_axes)
 
+    def radii(self, directions: np.ndarray) -> np.ndarray:
+        """Radii along directions of shape (..., dim), as floats of shape
+        (...); an evaluator returning one number for all is broadcast."""
+        if self.radial is None:
+            raise UnsupportedIndicatrixError("radii need the radial representation")
+        d = np.asarray(directions)
+        rho = np.asarray(self.radial(d), dtype=float)
+        return rho if rho.shape == d.shape[:-1] else np.broadcast_to(rho, d.shape[:-1])
+
     def eta(self, X: Sequence[complex]) -> float:
         """Metric value eta(X) = |X| / rho(X/|X|) (radial representation)."""
         if self.radial is None:
@@ -99,7 +142,7 @@ class Indicatrix:
         norm = math.sqrt(sum(abs(x) ** 2 for x in X))
         if norm == 0.0:
             return 0.0
-        rho = self.radial(tuple(complex(x) / norm for x in X))
+        rho = float(self.radial(tuple(complex(x) / norm for x in X)))
         if rho == math.inf:
             return 0.0
         if rho <= 0.0:
@@ -189,26 +232,20 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
         raise ValueError("k >= 1 required")
     if k == 1:
         return np.array([[1.0]])
-    dirs: list[np.ndarray] = []
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        dirs.append(e)
-    for mask in range(1, 1 << k):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        v = np.array([1.0 if mask & (1 << j) else 0.0 for j in range(k)])
-        dirs.append(v / math.sqrt(size))
-    fill = max(0, count - len(dirs))
+    # subset diagonals in ascending bit-mask order, singletons left out
+    bits = (np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1
+    sizes = bits.sum(axis=1)
+    multi = sizes >= 2
+    dirs = [np.eye(k), bits[multi] / np.sqrt(sizes[multi])[:, None]]
+    fill = max(0, count - k - int(multi.sum()))
     if fill:
         angles = kronecker_points(k - 1, fill) * (math.pi / 2.0)
         v = np.ones((fill, k))
         for j in range(k - 1):
             v[:, j] *= np.cos(angles[:, j])
             v[:, j + 1 :] *= np.sin(angles[:, j : j + 1])
-        dirs.extend(v)
-    return np.array(dirs)
+        dirs.append(v)
+    return np.concatenate(dirs)
 
 
 def _sample_moduli_boundary(
@@ -218,26 +255,27 @@ def _sample_moduli_boundary(
     bounded = ind.boundedness()
     unbounded = [j for j, b in enumerate(bounded) if not b]
     dirs = absolute_directions(ind.dim, resolution)
-    pts = []
-    for d in dirs:
-        rho = ind.radial(tuple(complex(c) for c in d))
-        if rho == math.inf or rho > RADIUS_CAP:
-            if all(d[j] == 0.0 or j in unbounded for j in range(ind.dim)):
-                continue  # recession direction, carried by metadata
-            raise UnknownBoundednessError(
-                "radial evaluator unbounded on a declared-bounded direction"
-            )
-        if rho > 0.0:
-            pts.append(rho * d)
-    if not pts:
+    rho = ind.radii(dirs)
+    far = rho > RADIUS_CAP
+    # a far direction is a recession direction, carried by the metadata,
+    # unless it has mass on a bounded axis
+    if (far & (dirs[:, np.array(bounded)] != 0.0).any(axis=1)).any():
+        raise UnknownBoundednessError(
+            "radial evaluator unbounded on a declared-bounded direction"
+        )
+    keep = ~far & (rho > 0.0)
+    if not keep.any():
         raise ValueError("no finite boundary samples")
-    return np.array(pts), unbounded
+    return rho[keep, None] * dirs[keep], unbounded
 
 
 def _hull_radius(
     points: np.ndarray, unbounded: Sequence[int], direction: np.ndarray
 ) -> float:
     """sup{t : t * direction in downward-closed conv(points) + recession}."""
+    # imported here: scipy.optimize dominates the package's import time
+    from scipy.optimize import linprog
+
     k = points.shape[1]
     support_axes = [j for j in range(k) if direction[j] > 0.0]
     if all(j in unbounded for j in support_axes):
@@ -288,16 +326,11 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
         )
     pts, unbounded = _sample_moduli_boundary(ind, resolution or 256 * ind.dim)
     unbounded_t = tuple(unbounded)
-
-    def hull_radial(d: tuple[complex, ...]) -> float:
-        moduli = np.array([abs(c) for c in d])
-        return _hull_radius(pts, unbounded_t, moduli)
-
     return Indicatrix(
         dim=ind.dim,
         balanced=True,
         reinhardt=ind.reinhardt,
-        radial=hull_radial,
+        radial=rowwise_radial(lambda m: _hull_radius(pts, unbounded_t, m)),
         bounded_axes=ind.bounded_axes,
         hulled=True,
         hull_points=tuple(tuple(float(c) for c in p) for p in pts),
@@ -371,12 +404,13 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     dirs = absolute_directions(ind.dim, resolution or 256 * ind.dim)
 
     def obj(d: np.ndarray) -> float:
-        rho = ind.radial(tuple(complex(c) for c in d))
-        if rho == math.inf or rho > RADIUS_CAP:
+        rho = float(ind.radial(d))
+        if rho > RADIUS_CAP:
             return 0.0  # recession handled above; support mass is elsewhere
         return float(rho * (d @ ay))
 
-    vals = [obj(d) for d in dirs]
-    best_idx = int(np.argmax(vals))
-    _, best = _polish_direction(obj, dirs[best_idx])
+    # recession directions score 0, as in obj
+    rho = ind.radii(dirs)
+    vals = np.where(rho > RADIUS_CAP, 0.0, rho) * (dirs @ ay)
+    _, best = _polish_direction(obj, dirs[int(np.argmax(vals))])
     return float(best)

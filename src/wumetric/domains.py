@@ -30,7 +30,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .busemann import Indicatrix, cloud_indicatrix, radial_indicatrix
+from .busemann import (
+    Indicatrix,
+    absolute_directions,
+    batch_radial,
+    cloud_indicatrix,
+    radial_indicatrix,
+    rowwise_radial,
+)
 from .metrics import (
     MultiIndex,
     OutsideDomainError,
@@ -159,23 +166,16 @@ class SandwichIndicatrix:
     def sandwich_ok(self, tol: float = 1e-12, samples: int = 64) -> bool:
         """Closed containment inner subset-of outer on certificates/samples."""
         if self.inner.cloud is not None:
-            pts = [np.sqrt(np.array(p)) for p in self.inner.cloud]
+            pts = np.sqrt(np.array(self.inner.cloud))
         else:
-            from .busemann import absolute_directions
-
-            pts = []
-            for d in absolute_directions(self.inner.dim, samples):
-                rho = self.inner.radial(tuple(complex(c) for c in d))
-                if math.isfinite(rho):
-                    pts.append(rho * d)
-        for p in pts:
-            norm = float(np.linalg.norm(p))
-            if norm == 0.0:
-                continue
-            rho_out = self.outer.radial(tuple(complex(c) for c in p / norm))
-            if norm > rho_out * (1.0 + tol) + tol:
-                return False
-        return True
+            dirs = absolute_directions(self.inner.dim, samples)
+            rho = self.inner.radii(dirs)
+            finite = np.isfinite(rho)
+            pts = rho[finite, None] * dirs[finite]
+        norm = np.linalg.norm(pts, axis=1)
+        pts, norm = pts[norm > 0.0], norm[norm > 0.0]
+        rho_out = self.outer.radii(pts / norm[:, None])
+        return not np.any(norm > rho_out * (1.0 + tol) + tol)
 
 
 def _unitary_from_functional(c: np.ndarray) -> np.ndarray:
@@ -196,7 +196,9 @@ def _unitary_from_functional(c: np.ndarray) -> np.ndarray:
 
 
 def _full_space_indicatrix(n: int) -> Indicatrix:
-    return radial_indicatrix(lambda d: math.inf, n, (False,) * n)
+    return radial_indicatrix(
+        batch_radial(lambda m: np.full(m.shape[:-1], math.inf)), n, (False,) * n
+    )
 
 
 def metric_indicatrix(
@@ -215,15 +217,16 @@ def metric_indicatrix(
     """
     n = spec.dim
     at = tuple(complex(c) for c in a)
+    mi = MultiIndex(spec.alpha, spec.declared_type)
 
     def metric(X: Sequence[complex]) -> float:
-        value, _ = elem_reinhardt_metric_info(kind, spec.alpha, spec.big_c, at, X, k)
+        value, _ = elem_reinhardt_metric_info(kind, mi, spec.big_c, at, X, k)
         return value.value
 
     s = sum(1 for c in at if c != 0)
     if s == n:
         _, info = elem_reinhardt_metric_info(
-            kind, spec.alpha, spec.big_c, at, (1.0,) + (0.0,) * (n - 1), k
+            kind, mi, spec.big_c, at, (1.0,) + (0.0,) * (n - 1), k
         )
         val0 = metric((1.0,) + (0.0,) * (n - 1))
         if val0 == 0.0:
@@ -234,49 +237,50 @@ def metric_indicatrix(
         u = _unitary_from_functional(c)
         radius = 1.0 / float(np.linalg.norm(c))
 
-        def aligned_radial(d: tuple[complex, ...]) -> float:
-            m0 = abs(d[0])
-            return math.inf if m0 == 0.0 else radius / m0
-
-        return radial_indicatrix(aligned_radial, n, (True,) + (False,) * (n - 1)), u
+        bounded = (True,) + (False,) * (n - 1)
+        return radial_indicatrix(batch_radial(lambda m: radius / m[..., 0]), n, bounded), u
 
     bounded = tuple(
         metric(tuple(1.0 if i == j else 0.0 for i in range(n))) > 0.0 for j in range(n)
     )
 
-    def moduli_radial(d: tuple[complex, ...]) -> float:
-        v = metric(d)
+    def moduli_radius(row: np.ndarray) -> float:
+        v = metric(row)
         return math.inf if v == 0.0 else 1.0 / v
 
-    return radial_indicatrix(moduli_radial, n, bounded), None
+    return radial_indicatrix(rowwise_radial(moduli_radius), n, bounded), None
 
 
-def _cylinder_radial(radii: tuple[float | None, ...]):
-    """Radial evaluator of a polydisc-cylinder; None marks a full-plane
-    (unbounded) factor."""
+# Closed-form radii below map moduli of shape (..., n) to radii of shape
+# (...), with division by zero allowed (see busemann.batch_radial).
 
-    def rho(d: tuple[complex, ...]) -> float:
-        vals = [r / abs(c) for r, c in zip(radii, d) if r is not None and abs(c) > 0.0]
-        return min(vals) if vals else math.inf
-
-    return rho
+Radius = Callable[[np.ndarray], np.ndarray]
 
 
-def _g2_radial(d: tuple[complex, ...]) -> float:
+def _cylinder_radius(radii: tuple[float | None, ...]) -> Radius:
+    """Radii of a polydisc-cylinder; None marks a full-plane (unbounded)
+    factor, whose infinite radius drops out of the minimum."""
+    r = [math.inf if x is None else x for x in radii]
+    return lambda m: np.minimum.reduce(r / m, axis=-1)
+
+
+def _g2_radius(m: np.ndarray) -> np.ndarray:
     """sup{t : |t d1| (1 + |t d2|) < 1}."""
-    p, q = abs(d[0]), abs(d[1])
-    if p == 0.0:
-        return math.inf
-    if q == 0.0:
-        return 1.0 / p
-    # p q t^2 + p t - 1 = 0
-    return (-p + math.sqrt(p * p + 4.0 * p * q)) / (2.0 * p * q)
+    p, q = m[..., 0], m[..., 1]
+    # the positive root of p q t^2 + p t - 1 = 0 in the form without
+    # cancellation; it is 1/p at q = 0 and infinite at p = 0
+    return 2.0 / (p + np.sqrt(p * p + 4.0 * p * q))
 
 
-def _times_unit_discs(rho2: Callable[[tuple[complex, ...]], float]):
-    """Radial evaluator of B x Delta^(n-2), rho2 being that of B in the
-    first two coordinates."""
-    return lambda d: min([rho2(d)] + [1.0 / abs(c) for c in d[2:] if abs(c) > 0.0])
+def _times_unit_discs(radius2: Radius) -> Radius:
+    """Radii of B x Delta^(n-2), radius2 giving those of B in the first two
+    coordinates."""
+
+    def radius(m: np.ndarray) -> np.ndarray:
+        discs = np.minimum.reduce(1.0 / m[..., 2:], axis=-1, initial=math.inf)
+        return np.minimum(radius2(m), discs)
+
+    return radius
 
 
 def _require_origin(at: CVector, variant: str) -> None:
@@ -306,7 +310,9 @@ def _polydisc_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     _require_origin(at, spec.variant)
     r = spec.radii
     inner = cloud_indicatrix([tuple(x * x for x in r)])
-    outer = radial_indicatrix(_cylinder_radial(r), len(r), (True,) * len(r), hulled=True)
+    outer = radial_indicatrix(
+        batch_radial(_cylinder_radius(r)), len(r), (True,) * len(r), hulled=True
+    )
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 
@@ -317,19 +323,15 @@ def _gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     discs = (1.0,) * (n - 2)
     if all(c == 0 for c in at):
         bounded = (True, False) + (True,) * (n - 2)
-        inner = radial_indicatrix(_times_unit_discs(_g2_radial), n, bounded)
+        inner = radial_indicatrix(batch_radial(_times_unit_discs(_g2_radius)), n, bounded)
         outer = radial_indicatrix(
-            _cylinder_radial((1.0, None) + discs), n, bounded, hulled=True
+            batch_radial(_cylinder_radius((1.0, None) + discs)), n, bounded, hulled=True
         )
         return SandwichIndicatrix(inner=inner, outer=outer)
     x = _require_axis_point(at, spec.variant)
     inner = cloud_indicatrix([(mu(x), 0.0) + discs, (0.0, nu(x)) + discs])
-    outer = radial_indicatrix(
-        _times_unit_discs(lambda d: (1.0 - x * x) / (abs(d[0]) + x * abs(d[1]))),
-        n,
-        (True,) * n,
-        hulled=True,
-    )
+    axis_ball = _times_unit_discs(lambda m: (1.0 - x * x) / (m[..., 0] + x * m[..., 1]))
+    outer = radial_indicatrix(batch_radial(axis_ball), n, (True,) * n, hulled=True)
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 
@@ -340,12 +342,11 @@ def _truncated_gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     inner = cloud_indicatrix(
         [(1.0, 0.0) + (1.0,) * (n - 2), (0.0, float(spec.m)) + (1.0,) * (n - 2)]
     )
-    outer = radial_indicatrix(
-        lambda d: 1.0 / math.sqrt(sum(abs(c) ** 2 / tj for c, tj in zip(d, t))),
-        n,
-        (True,) * n,
-        hulled=True,
+    # summed column by column in a fixed order; np.sum would pair the terms
+    ellipsoid = batch_radial(
+        lambda m: 1.0 / np.sqrt(sum(m[..., j] ** 2 / tj for j, tj in enumerate(t)))
     )
+    outer = radial_indicatrix(ellipsoid, n, (True,) * n, hulled=True)
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 

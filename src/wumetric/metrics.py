@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 RATIONAL_DENOMINATOR_BOUND = 10**6
@@ -83,9 +84,14 @@ class MultiIndex:
         """Number of negative entries."""
         return sum(1 for x in self.alpha if x < 0)
 
-    def rational_fractions(self) -> list[Fraction] | None:
+    def rational_fractions(self) -> tuple[Fraction, ...] | None:
         """Fractions f_j with alpha ~ alpha_1 * f, or None if some ratio
-        has no small-denominator rational representation."""
+        has no small-denominator rational representation.  Computed once
+        per instance, like ``primitive``."""
+        return self._fractions
+
+    @cached_property
+    def _fractions(self) -> tuple[Fraction, ...] | None:
         out = []
         for x in self.alpha:
             ratio = x / self.alpha[0]
@@ -93,20 +99,26 @@ class MultiIndex:
             if abs(float(f) - ratio) > _RATIO_TOL * max(1.0, abs(ratio)):
                 return None
             out.append(f)
-        return out
+        return tuple(out)
 
     @property
     def is_rational(self) -> bool:
         if self.declared_type is not None:
             return self.declared_type == "rational"
-        return self.rational_fractions() is not None
+        return self._fractions is not None
 
     def primitive(self) -> tuple[int, ...]:
         """The unique primitive integer vector that is a positive multiple
         of alpha.  Only defined for rational type."""
-        fr = self.rational_fractions()
-        if fr is None:
+        if self._primitive is None:
             raise UnsupportedCaseError("alpha is not of rational type")
+        return self._primitive
+
+    @cached_property
+    def _primitive(self) -> tuple[int, ...] | None:
+        fr = self._fractions
+        if fr is None:
+            return None
         lcm = math.lcm(*(f.denominator for f in fr))
         ints = [int(f * lcm) for f in fr]
         g = math.gcd(*(abs(k) for k in ints))

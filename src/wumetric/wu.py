@@ -374,20 +374,19 @@ class WuResult:
 
 def _certificates_from_radial(
     ind: Indicatrix, u_axes: list[int], resolution: int
-) -> list[tuple[float, ...]]:
-    pts: list[tuple[float, ...]] = []
-    for d in absolute_directions(len(u_axes), resolution):
-        full = [0.0] * ind.dim
-        for col, j in enumerate(u_axes):
-            full[j] = float(d[col])
-        rho = ind.radial(tuple(complex(c) for c in full))
-        if not math.isfinite(rho):
-            raise UnsupportedIndicatrixError(
-                "radial evaluator unbounded along a declared-bounded axis set"
-            )
-        if rho > 0.0:
-            pts.append(tuple((rho * d[col]) ** 2 for col in range(len(u_axes))))
-    return pts
+) -> np.ndarray:
+    """Psi-images of the boundary points along ``resolution`` directions
+    spanning u_axes, one row per positive radius, from one radial call."""
+    dirs = absolute_directions(len(u_axes), resolution)
+    full = np.zeros((len(dirs), ind.dim))
+    full[:, u_axes] = dirs
+    rho = ind.radii(full)
+    if not np.isfinite(rho).all():
+        raise UnsupportedIndicatrixError(
+            "radial evaluator unbounded along a declared-bounded axis set"
+        )
+    keep = rho > 0.0
+    return (rho[keep, None] * dirs[keep]) ** 2
 
 
 def wu_metric(

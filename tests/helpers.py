@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def generalized_golden(d: int) -> float:
     x = 2.0
@@ -24,6 +26,32 @@ def kronecker_sequence(dim: int, count: int, skip: int = 0) -> list[tuple[float,
         tuple((0.5 + (i + 1 + skip) * a) % 1.0 for a in alphas)
         for i in range(count)
     ]
+
+
+def absolute_directions_loop(k: int, count: int) -> np.ndarray:
+    """Loop reference for ``busemann.absolute_directions``: the coordinate
+    axes, then every subset diagonal of two or more axes in ascending
+    bit-mask order, then the Kronecker sweep of the open orthant up to
+    ``count`` rows."""
+    if k == 1:
+        return np.array([[1.0]])
+    rows = [[1.0 if i == j else 0.0 for i in range(k)] for j in range(k)]
+    for mask in range(1, 1 << k):
+        members = [j for j in range(k) if mask >> j & 1]
+        if len(members) >= 2:
+            entry = 1.0 / math.sqrt(len(members))
+            rows.append([entry if j in members else 0.0 for j in range(k)])
+    fill = count - len(rows)
+    if fill > 0:
+        g = generalized_golden(k - 1)
+        steps = np.array([(1.0 / g) ** (j + 1) for j in range(k - 1)])
+        angles = np.mod(0.5 + np.arange(1, fill + 1)[:, None] * steps, 1.0) * (math.pi / 2.0)
+        sweep = np.ones((fill, k))
+        for j in range(k - 1):
+            sweep[:, j] *= np.cos(angles[:, j])
+            sweep[:, j + 1 :] *= np.sin(angles[:, j : j + 1])
+        rows.extend(sweep.tolist())
+    return np.array(rows)
 
 
 def cloud_cases(count: int) -> list[tuple[int, list[tuple[float, ...]]]]:

@@ -1,12 +1,18 @@
 """Convexification, degeneracy detection and support functions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wumetric
+from helpers import absolute_directions_loop
 from wumetric.busemann import (
     Indicatrix,
     UnknownBoundednessError,
@@ -72,6 +78,30 @@ def test_absolute_directions_are_deterministic():
     assert np.allclose(np.linalg.norm(d1, axis=1), 1.0, atol=1e-12)
     # coordinate axes lead the sequence so extreme points are always sampled
     assert np.allclose(d1[:3], np.eye(3))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_absolute_directions_match_the_loop_reference(k):
+    for count in (1, 2**k + 40):
+        got = absolute_directions(k, count)
+        want = absolute_directions_loop(k, count)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the hull LP needs scipy.optimize, and it imports it when called
+    src = str(Path(wumetric.__file__).resolve().parents[1])
+    code = "import sys, wumetric; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_convexify_fixpoint_on_ball():

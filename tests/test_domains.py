@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import kronecker_sequence
+from helpers import kronecker_sequence, sphere_directions
 from wumetric import domains
-from wumetric.busemann import degeneracy
+from wumetric.busemann import convexify, degeneracy
 from wumetric.domains import (
     DomainSpec,
     UnsupportedBasePointError,
@@ -28,6 +28,7 @@ from wumetric.domains import (
     truncated_gn,
     truncation_intercepts,
 )
+from wumetric.metrics import MultiIndex, elem_reinhardt_metric
 from wumetric.wu import wu_metric
 
 
@@ -151,6 +152,9 @@ def test_gn_indicatrix_wu_values():
     assert res.m == 2
     assert res.w_tilde((1.0, 0.0, 0.0)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-10)
     assert res.w((1.0, 0.0, 0.0)) == pytest.approx(1.0, rel=1e-10)
+    # the axis-point outer ball divides by zero off the first two axes
+    outer = wu_metric(indicatrix_at(gn(3), (0.3, 0.0, 0.0)).outer)
+    assert outer.m == 3 and outer.gap <= 1e-10
 
 
 def test_truncated_indicatrix_certificate_points():
@@ -226,3 +230,70 @@ def test_config_rejects_garbage():
         spec_from_config({"domain": "dodecahedron"})
     with pytest.raises((ValueError, KeyError)):
         spec_from_config({"domain": "polydisc"})  # radii missing
+
+
+def test_metric_indicatrix_honours_declared_type():
+    # (1, 2) is detected rational; declared irrational, gamma^(k) vanishes
+    # at (0.5, 0), while the detected type gives 1 / rho(0.6, 0.8) = 0.5657
+    a = (0.5, 0.0)
+    declared = elem_reinhardt((1.0, 2.0), 0.0, "irrational")
+    mi = MultiIndex(declared.alpha, declared.declared_type)
+    for kind, k in (("gamma", None), ("gamma_k", 2), ("azukawa", None), ("kappa", None)):
+        ind, _ = metric_indicatrix(kind, declared, a, k)
+        for X in [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.28, -0.96j)]:
+            want = elem_reinhardt_metric(kind, mi, 0.0, a, X, k).value
+            assert ind.eta(X) == pytest.approx(want, rel=1e-12, abs=1e-15), (kind, X)
+    detected, _ = metric_indicatrix("gamma_k", elem_reinhardt((1.0, 2.0)), a, 2)
+    assert detected.eta((0.6, 0.8)) == pytest.approx(0.5657, rel=1e-4)
+    ind, _ = metric_indicatrix("gamma_k", declared, a, 2)
+    assert ind.eta((0.6, 0.8)) == 0.0
+
+
+def _evaluator_families():
+    """One radial indicatrix per evaluator family, by name."""
+    g2_origin = indicatrix_at(g2(), (0.0, 0.0))
+    gn_origin = indicatrix_at(gn(4), (0.0,) * 4)
+    aligned, u = metric_indicatrix("kappa", elem_reinhardt((1.0, 2.0)), (0.5, 1.0 / 3.0))
+    assert u is not None
+    moduli, u = metric_indicatrix("kappa", elem_reinhardt((1.0, 2.0, 1.0)), (0.5, 0.0, 0.3))
+    assert u is None
+    full, _ = metric_indicatrix(
+        "gamma", elem_reinhardt((1.0, math.sqrt(2.0)), declared_type="irrational"), (0.5, 0.25)
+    )
+    return {
+        "polydisc cylinder": indicatrix_at(polydisc(1.0, 2.0, 0.5), (0.0,) * 3).outer,
+        "g2": g2_origin.inner,
+        "disc x plane": g2_origin.outer,
+        "gn": gn_origin.inner,
+        "gn cylinder": gn_origin.outer,
+        "g2 axis point": indicatrix_at(g2(), (0.3, 0.0)).outer,
+        "gn axis point": indicatrix_at(gn(4), (0.3, 0.0, 0.0, 0.0)).outer,
+        "truncated ellipsoid": indicatrix_at(truncated_gn(3, 4.0), (0.0,) * 3).outer,
+        "aligned rank one": aligned,
+        "moduli loop": moduli,
+        "full space": full,
+        "hull": convexify(g2_origin.inner, resolution=32),
+    }
+
+
+def _batch(n):
+    """Complex, negative and zero-modulus rows, the all-zero row included."""
+    rows = [tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n)]
+    rows += [(0.0,) * n, (-0.6, 0.8j) + (0.0,) * (n - 2), (0.0, -1.0) + (0.5j,) * (n - 2)]
+    rows += sphere_directions(n, 6)
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("name", sorted(_evaluator_families()))
+def test_batch_and_row_radii_agree(name):
+    ind = _evaluator_families()[name]
+    batch = _batch(ind.dim)
+    radii = ind.radial(batch)
+    assert radii.shape == (len(batch),)
+    for i, row in enumerate(batch):
+        assert radii[i] == ind.radial(row), (name, row)
+        assert radii[i] == ind.radial(tuple(row)), (name, row)
+    # only the moduli matter, and leading batch axes are kept
+    assert np.array_equal(ind.radial(np.abs(batch)), radii)
+    assert np.array_equal(ind.radial(batch.reshape(1, len(batch), ind.dim)), radii[None])
+    assert ind.radial(np.zeros(ind.dim)) == math.inf
