@@ -21,8 +21,11 @@ does not distinguish a set from its hull, so cloud indicatrices are never
 materialized as hulls; ``convexify`` only marks them.  For radial Reinhardt
 indicatrices the hull is realized numerically on the moduli diagram: the
 hull of a balanced Reinhardt set is complete Reinhardt and its moduli
-diagram is the downward-closed convex hull of the sampled diagram, so hull
-radii reduce to small linear programs over sampled boundary points.
+diagram is the downward-closed convex hull of the sampled diagram.  Its
+facets on the bounded axes are computed once, one axis subset at a time
+from the maximal samples (Quickhull, through ``scipy.spatial.ConvexHull``),
+and a hull radius is the reciprocal of the facet gauge max_f <n_f, d> / b_f,
+one array expression per batch.
 
 Degeneracy (directions where the hull metric vanishes) is decided per
 coordinate axis only, from the boundedness metadata; non-Reinhardt inputs
@@ -40,6 +43,10 @@ import numpy as np
 from .geometry import PsiPoint
 
 RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
+# hull facets are computed on at most this many axes: a curved boundary
+# sampled on 7 axes already gives about 450 000 facets
+MAX_HULL_AXES = 7
+_GAUGE_BLOCK_ENTRIES = 1 << 20  # directions x facets per hull-gauge block
 
 
 class UnsupportedIndicatrixError(ValueError):
@@ -220,6 +227,11 @@ def kronecker_points(d: int, count: int) -> np.ndarray:
     return np.mod(0.5 + idx * alpha, 1.0)
 
 
+def _subset_masks(k: int) -> np.ndarray:
+    """The 2^k rows of 0/1 flags over k axes, in ascending bit-mask order."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
 def absolute_directions(k: int, count: int) -> np.ndarray:
     """Unit directions in the closed positive orthant of R^k.
 
@@ -233,7 +245,7 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
     if k == 1:
         return np.array([[1.0]])
     # subset diagonals in ascending bit-mask order, singletons left out
-    bits = (np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1
+    bits = _subset_masks(k)[1:]
     sizes = bits.sum(axis=1)
     multi = sizes >= 2
     dirs = [np.eye(k), bits[multi] / np.sqrt(sizes[multi])[:, None]]
@@ -248,12 +260,9 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
     return np.concatenate(dirs)
 
 
-def _sample_moduli_boundary(
-    ind: Indicatrix, resolution: int
-) -> tuple[np.ndarray, list[int]]:
-    """Sampled moduli-space boundary points and the unbounded axes."""
+def _sample_moduli_boundary(ind: Indicatrix, resolution: int) -> np.ndarray:
+    """Sampled moduli-space boundary points."""
     bounded = ind.boundedness()
-    unbounded = [j for j, b in enumerate(bounded) if not b]
     dirs = absolute_directions(ind.dim, resolution)
     rho = ind.radii(dirs)
     far = rho > RADIUS_CAP
@@ -266,44 +275,69 @@ def _sample_moduli_boundary(
     keep = ~far & (rho > 0.0)
     if not keep.any():
         raise ValueError("no finite boundary samples")
-    return rho[keep, None] * dirs[keep], unbounded
+    return rho[keep, None] * dirs[keep]
 
 
-def _hull_radius(
-    points: np.ndarray, unbounded: Sequence[int], direction: np.ndarray
-) -> float:
-    """sup{t : t * direction in downward-closed conv(points) + recession}."""
-    # imported here: scipy.optimize dominates the package's import time
-    from scipy.optimize import linprog
+def _maximal_rows(p: np.ndarray) -> np.ndarray:
+    """The rows of ``p`` that no other row dominates componentwise."""
+    keep = np.empty(len(p), dtype=bool)
+    step = max(1, _GAUGE_BLOCK_ENTRIES // len(p))
+    for lo in range(0, len(p), step):
+        rows = p[lo : lo + step]
+        # [i, j]: row j of p is >= block row i everywhere, > somewhere
+        ge = np.ones((len(rows), len(p)), dtype=bool)
+        gt = np.zeros((len(rows), len(p)), dtype=bool)
+        for a, b in zip(rows.T, p.T):
+            ge &= b >= a[:, None]
+            gt |= b > a[:, None]
+        keep[lo : lo + step] = ~(ge & gt).any(axis=1)
+    return p[keep]
 
-    k = points.shape[1]
-    support_axes = [j for j in range(k) if direction[j] > 0.0]
-    if all(j in unbounded for j in support_axes):
-        return math.inf
-    m = points.shape[0]
-    nu = len(unbounded)
-    # variables: [t, lambda_1..m, mu_1..nu]; maximize t
-    c = np.zeros(1 + m + nu)
-    c[0] = -1.0
-    a_ub = np.zeros((k, 1 + m + nu))
-    a_ub[:, 0] = direction
-    a_ub[:, 1 : 1 + m] = -points.T
-    for col, j in enumerate(unbounded):
-        a_ub[j, 1 + m + col] = -1.0
-    a_eq = np.zeros((1, 1 + m + nu))
-    a_eq[0, 1 : 1 + m] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(k),
-        A_eq=a_eq,
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * (1 + m + nu),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"hull LP failed: {res.message}")
-    return float(res.x[0])
+
+def _hull_gauge(points: np.ndarray, bounded: np.ndarray) -> np.ndarray:
+    """Facet normals n_f / b_f of the downward-closed hull D of ``points``
+    projected onto the bounded axes, one row per facet <n_f, x> <= b_f
+    with b_f > 0.  The unbounded axes are recession directions: they drop
+    out of every such facet, whose normal is nonnegative.
+
+    A facet of D whose normal is positive exactly on the axes S has its
+    vertices among the maximal points projected onto S, so it is a facet
+    of the hull of those projections and the origin with a positive
+    normal, and each such facet is one of D.  D's facets are therefore
+    gathered axis subset by axis subset, from hulls of at most m + 1
+    points, never from the 2^k corners of every box [0, p].  A subset
+    whose projections span less than its axes has no such facet, so no
+    hull is built on more axes than the maximal points span."""
+    p = points[:, bounded]
+    k = p.shape[1]
+    if k == 0:
+        # every axis recedes: the hull is the whole space, and one facet
+        # with a zero normal gives every direction an infinite radius
+        return np.zeros((1, 0))
+    # one facet x_j <= max p_j per axis
+    gauge = [np.diag(1.0 / p.max(axis=0))]
+    if k == 1:
+        return gauge[0]
+    top = _maximal_rows(p)
+    span = int(np.linalg.matrix_rank(top))
+    if span > MAX_HULL_AXES:
+        raise UnsupportedIndicatrixError(
+            f"the hull's maximal boundary points span {span} axes; hull "
+            f"facets are computed on at most {MAX_HULL_AXES}"
+        )
+    for axes in (np.flatnonzero(mask) for mask in _subset_masks(k)[1:]):
+        q = top[:, axes]
+        if len(axes) == 1 or np.linalg.matrix_rank(q) < len(axes):
+            continue
+        # imported here: qhull is only needed for hulls
+        from scipy.spatial import ConvexHull
+
+        eq = ConvexHull(np.vstack([np.zeros(len(axes)), q])).equations
+        keep = (eq[:, :-1] > 0.0).all(axis=1) & (eq[:, -1] < 0.0)
+        rows = np.zeros((keep.sum(), k))
+        rows[:, axes] = eq[keep, :-1] / -eq[keep, -1:]
+        gauge.append(rows)
+    return np.concatenate(gauge)
 
 
 def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
@@ -312,7 +346,11 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     Cloud indicatrices are returned unchanged apart from the hull marker:
     enclosing-body minimization treats a point set and its hull alike.
     Radial Reinhardt indicatrices get a hull radial evaluator backed by
-    sampled boundary points (resolution defaults to 256 * dim).
+    sampled boundary points (resolution defaults to 256 * dim): the
+    facets of their downward-closed hull are computed once, and a radius
+    is the reciprocal of the gauge max_f <n_f, d> / b_f.  A hull whose
+    maximal boundary samples span more than ``MAX_HULL_AXES`` axes raises
+    ``UnsupportedIndicatrixError``: its facets run into the millions.
     """
     if not ind.balanced:
         raise UnsupportedIndicatrixError("hulls are computed for balanced indicatrices")
@@ -324,13 +362,30 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
         raise UnsupportedIndicatrixError(
             "radial convexification is implemented for Reinhardt indicatrices"
         )
-    pts, unbounded = _sample_moduli_boundary(ind, resolution or 256 * ind.dim)
-    unbounded_t = tuple(unbounded)
+    pts = _sample_moduli_boundary(ind, resolution or 256 * ind.dim)
+    bounded = np.flatnonzero(ind.boundedness())
+    gauge = _hull_gauge(pts, bounded)
+
+    def radius(m: np.ndarray) -> np.ndarray:
+        # in blocks of rows, so a (rows, facets) temporary stays small, and
+        # summed axis by axis in one fixed order, so a batch and its rows
+        # agree exactly
+        flat = m.reshape(-1, m.shape[-1])
+        out = np.empty(len(flat))
+        step = max(1, _GAUGE_BLOCK_ENTRIES // len(gauge))
+        for lo in range(0, len(flat), step):
+            rows = flat[lo : lo + step]
+            dots = np.zeros((len(rows), len(gauge)))
+            for j, g in zip(bounded, gauge.T):
+                dots += rows[:, j, None] * g
+            out[lo : lo + step] = 1.0 / np.maximum(dots.max(axis=1), 0.0)
+        return out.reshape(m.shape[:-1])
+
     return Indicatrix(
         dim=ind.dim,
         balanced=True,
         reinhardt=ind.reinhardt,
-        radial=rowwise_radial(lambda m: _hull_radius(pts, unbounded_t, m)),
+        radial=batch_radial(radius),
         bounded_axes=ind.bounded_axes,
         hulled=True,
         hull_points=tuple(tuple(float(c) for c in p) for p in pts),

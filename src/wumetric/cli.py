@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import sys
@@ -234,7 +235,10 @@ def _columns_help() -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="wumetric",
         description="Wu pseudometrics of Reinhardt indicatrices: experiment "

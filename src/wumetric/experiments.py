@@ -72,6 +72,11 @@ class Experiment:
     columns: tuple[str, ...]
 
 
+def _row(cfg: ExperimentConfig, ok: bool, tol: float, **data: object) -> ResultRow:
+    """A row of ``cfg``'s experiment; the keywords are its columns."""
+    return ResultRow(experiment=cfg.experiment, data=data, ok=ok, tolerance=tol)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
@@ -142,21 +147,17 @@ def _run_polydisc_formula(cfg: ExperimentConfig) -> list[ResultRow]:
             )
         ok = rel <= tol and (oracle_rel is None or oracle_rel <= 1e-3)
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "case": idx,
-                    "n": n,
-                    "r": r,
-                    "a": res.w_tilde.axes,
-                    "a_expected": expected,
-                    "rel_err": rel,
-                    "oracle_rel": oracle_rel,
-                    "w_tilde_e1": res.w_tilde((1.0,) + (0.0,) * (n - 1)),
-                    "m": res.m,
-                },
-                ok=ok,
-                tolerance=tol,
+            _row(
+                cfg, ok, tol,
+                case=idx,
+                n=n,
+                r=r,
+                a=res.w_tilde.axes,
+                a_expected=expected,
+                rel_err=rel,
+                oracle_rel=oracle_rel,
+                w_tilde_e1=res.w_tilde((1.0,) + (0.0,) * (n - 1)),
+                m=res.m,
             )
         )
     return rows
@@ -174,17 +175,13 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
     origin = wu_metric(indicatrix_at(g2(), (0.0, 0.0)).inner, tolerance=cfg.tolerance)
     w0 = origin.w(_e1(2))
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "origin",
-                "w_tilde_e1": origin.w_tilde(_e1(2)),
-                "w_e1": w0,
-                "expected": 1.0,
-                "m": origin.m,
-            },
-            ok=(w0 == 1.0 and origin.m == 1),
-            tolerance=0.0,
+        _row(
+            cfg, w0 == 1.0 and origin.m == 1, 0.0,
+            kind="origin",
+            w_tilde_e1=origin.w_tilde(_e1(2)),
+            w_e1=w0,
+            expected=1.0,
+            m=origin.m,
         )
     )
     for x in sorted(cfg.x_grid, reverse=True):
@@ -192,54 +189,43 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         w_e1 = res.w(_e1(2))
         expected = math.sqrt(2.0 / mu(x))
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "kind": "usc",
-                    "x": x,
-                    "w_tilde_e1": res.w_tilde(_e1(2)),
-                    "w_e1": w_e1,
-                    "expected": expected,
-                    "m": res.m,
-                },
-                ok=(abs(w_e1 - expected) <= cfg.tolerance * expected and w_e1 > 1.0),
-                tolerance=cfg.tolerance,
+            _row(
+                cfg, abs(w_e1 - expected) <= cfg.tolerance * expected and w_e1 > 1.0, cfg.tolerance,
+                kind="usc",
+                x=x,
+                w_tilde_e1=res.w_tilde(_e1(2)),
+                w_e1=w_e1,
+                expected=expected,
+                m=res.m,
             )
         )
     for x in sorted(cfg.x_grid, reverse=True):
         rep = certify_contradiction_g2(x, cfg.t)
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "kind": "certificate",
-                    "x": x,
-                    "t": cfg.t,
-                    "ratio": rep.ratio,
-                    "ratio_bound": rep.ratio_bound,
-                    "certified": rep.certified,
-                },
-                ok=abs(rep.ratio - rep.ratio_bound)
-                <= cfg.tolerance * max(1.0, rep.ratio_bound),
-                tolerance=cfg.tolerance,
+            _row(
+                cfg,
+                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound),
+                cfg.tolerance,
+                kind="certificate",
+                x=x,
+                t=cfg.t,
+                ratio=rep.ratio,
+                ratio_bound=rep.ratio_bound,
+                certified=rep.certified,
             )
         )
     # x -> 0: the certificate ratio tends to t^2 and W((x,0); e1) to sqrt(2)
     limit_w = math.sqrt(2.0)
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "limit",
-                "t": cfg.t,
-                "w_e1": limit_w,
-                "expected": 1.0,
-                "ratio": cfg.t * cfg.t,
-                "ratio_bound": cfg.t * cfg.t,
-                "certified": cfg.t * cfg.t > 1.0,
-            },
-            ok=(limit_w > 1.0 and cfg.t * cfg.t > 1.0),
-            tolerance=0.0,
+        _row(
+            cfg, limit_w > 1.0 and cfg.t * cfg.t > 1.0, 0.0,
+            kind="limit",
+            t=cfg.t,
+            w_e1=limit_w,
+            expected=1.0,
+            ratio=cfg.t * cfg.t,
+            ratio_bound=cfg.t * cfg.t,
+            certified=cfg.t * cfg.t > 1.0,
         )
     )
     return rows
@@ -254,22 +240,18 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
     wt0 = origin.w_tilde(_e1(n))
     expected0 = 1.0 / math.sqrt(n - 1)
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "origin",
-                "n": n,
-                "w_tilde_e1": wt0,
-                "w_e1": origin.w(_e1(n)),
-                "expected": expected0,
-                "m": origin.m,
-            },
-            ok=(
-                abs(wt0 - expected0) <= cfg.tolerance
-                and abs(origin.w(_e1(n)) - 1.0) <= cfg.tolerance
-                and origin.m == n - 1
-            ),
-            tolerance=cfg.tolerance,
+        _row(
+            cfg,
+            abs(wt0 - expected0) <= cfg.tolerance
+            and abs(origin.w(_e1(n)) - 1.0) <= cfg.tolerance
+            and origin.m == n - 1,
+            cfg.tolerance,
+            kind="origin",
+            n=n,
+            w_tilde_e1=wt0,
+            w_e1=origin.w(_e1(n)),
+            expected=expected0,
+            m=origin.m,
         )
     )
     for x in sorted(cfg.x_grid, reverse=True):
@@ -280,58 +262,46 @@ def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         wt = res.w_tilde(_e1(n))
         expected = math.sqrt(2.0 / (n * mu(x)))
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "kind": "usc",
-                    "n": n,
-                    "x": x,
-                    "w_tilde_e1": wt,
-                    "w_e1": res.w(_e1(n)),
-                    "expected": expected,
-                    "m": res.m,
-                },
-                ok=abs(wt - expected) <= cfg.tolerance * expected,
-                tolerance=cfg.tolerance,
+            _row(
+                cfg, abs(wt - expected) <= cfg.tolerance * expected, cfg.tolerance,
+                kind="usc",
+                n=n,
+                x=x,
+                w_tilde_e1=wt,
+                w_e1=res.w(_e1(n)),
+                expected=expected,
+                m=res.m,
             )
         )
     for x in sorted(cfg.x_grid, reverse=True):
         rep = certify_contradiction_gn(n, x, t)
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "kind": "certificate",
-                    "n": n,
-                    "x": x,
-                    "t": t,
-                    "ratio": rep.ratio,
-                    "ratio_bound": rep.ratio_bound,
-                    "regime": "active" if t <= (n - 1) * mu(x) else "slack",
-                    "certified": rep.certified,
-                },
-                ok=rep.ratio <= rep.ratio_bound * (1.0 + 1e-9),
-                tolerance=cfg.tolerance,
+            _row(
+                cfg, rep.ratio <= rep.ratio_bound * (1.0 + 1e-9), cfg.tolerance,
+                kind="certificate",
+                n=n,
+                x=x,
+                t=t,
+                ratio=rep.ratio,
+                ratio_bound=rep.ratio_bound,
+                regime="active" if t <= (n - 1) * mu(x) else "slack",
+                certified=rep.certified,
             )
         )
     limit = gn_ratio_limit(n, t)
     limit_wt = math.sqrt(2.0 / n)
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "limit",
-                "n": n,
-                "t": t,
-                "w_tilde_e1": limit_wt,
-                "w_e1": math.sqrt(2.0),
-                "expected": expected0,
-                "ratio": limit,
-                "ratio_bound": limit,
-                "certified": limit > 1.0,
-            },
-            ok=(limit > 1.0 and limit_wt > expected0),
-            tolerance=0.0,
+        _row(
+            cfg, limit > 1.0 and limit_wt > expected0, 0.0,
+            kind="limit",
+            n=n,
+            t=t,
+            w_tilde_e1=limit_wt,
+            w_e1=math.sqrt(2.0),
+            expected=expected0,
+            ratio=limit,
+            ratio_bound=limit,
+            certified=limit > 1.0,
         )
     )
     return rows
@@ -352,35 +322,27 @@ def _run_monotone(cfg: ExperimentConfig) -> list[ResultRow]:
         wt = res.w_tilde(_e1(n))
         rel = abs(wt - expected) / expected
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "kind": "truncation",
-                    "n": n,
-                    "m_trunc": m,
-                    "a": res.w_tilde.axes,
-                    "w_tilde_e1": wt,
-                    "expected": expected,
-                    "rel_err": rel,
-                    "margin": wt - limit_value,
-                },
-                ok=rel <= tol,
-                tolerance=tol,
+            _row(
+                cfg, rel <= tol, tol,
+                kind="truncation",
+                n=n,
+                m_trunc=m,
+                a=res.w_tilde.axes,
+                w_tilde_e1=wt,
+                expected=expected,
+                rel_err=rel,
+                margin=wt - limit_value,
             )
         )
     margin = expected - limit_value
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "limit",
-                "n": n,
-                "w_tilde_e1": limit_value,
-                "expected": expected,
-                "margin": margin,
-            },
-            ok=margin >= 0.10 if n == 3 else margin > 0.0,
-            tolerance=tol,
+        _row(
+            cfg, margin >= 0.10 if n == 3 else margin > 0.0, tol,
+            kind="limit",
+            n=n,
+            w_tilde_e1=limit_value,
+            expected=expected,
+            margin=margin,
         )
     )
     return rows
@@ -396,42 +358,30 @@ def _run_rem_one(cfg: ExperimentConfig) -> list[ResultRow]:
     w_g = res_g.w(_e1(2))
     w_s = res_s.w(_e1(2))
     rows = [
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "generic",
-                "a": res_g.w_tilde.axes,
-                "w_e1": w_g,
-                "w_tilde_e1": res_g.w_tilde(_e1(2)),
-                "expected": math.sqrt(2.0),
-            },
-            ok=w_g == math.sqrt(2.0),
-            tolerance=0.0,
+        _row(
+            cfg, w_g == math.sqrt(2.0), 0.0,
+            kind="generic",
+            a=res_g.w_tilde.axes,
+            w_e1=w_g,
+            w_tilde_e1=res_g.w_tilde(_e1(2)),
+            expected=math.sqrt(2.0),
         ),
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "special",
-                "a": res_s.w_tilde.axes,
-                "w_e1": w_s,
-                "w_tilde_e1": res_s.w_tilde(_e1(2)),
-                "expected": 1.0,
-            },
-            ok=w_s == 1.0,
-            tolerance=0.0,
+        _row(
+            cfg, w_s == 1.0, 0.0,
+            kind="special",
+            a=res_s.w_tilde.axes,
+            w_e1=w_s,
+            w_tilde_e1=res_s.w_tilde(_e1(2)),
+            expected=1.0,
         ),
     ]
     rows.append(
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "gap",
-                "w_e1": w_g,
-                "expected": w_s,
-                "violation": w_g > w_s,
-            },
-            ok=w_g > w_s,
-            tolerance=0.0,
+        _row(
+            cfg, w_g > w_s, 0.0,
+            kind="gap",
+            w_e1=w_g,
+            expected=w_s,
+            violation=w_g > w_s,
         )
     )
     return rows
@@ -447,42 +397,30 @@ def _run_rem_two(cfg: ExperimentConfig) -> list[ResultRow]:
     exp_d = 1.0 / math.sqrt(n - 1)
     exp_b = 1.0 / math.sqrt(n)
     rows = [
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "degenerate",
-                "n": n,
-                "a": res_d.w_tilde.axes,
-                "w_tilde_e1": wt_d,
-                "expected": exp_d,
-                "m": res_d.m,
-            },
-            ok=(abs(wt_d - exp_d) <= cfg.tolerance and res_d.m == n - 1),
-            tolerance=cfg.tolerance,
+        _row(
+            cfg, abs(wt_d - exp_d) <= cfg.tolerance and res_d.m == n - 1, cfg.tolerance,
+            kind="degenerate",
+            n=n,
+            a=res_d.w_tilde.axes,
+            w_tilde_e1=wt_d,
+            expected=exp_d,
+            m=res_d.m,
         ),
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "bounded",
-                "n": n,
-                "a": res_b.w_tilde.axes,
-                "w_tilde_e1": wt_b,
-                "expected": exp_b,
-                "m": res_b.m,
-            },
-            ok=(abs(wt_b - exp_b) <= cfg.tolerance and res_b.m == n),
-            tolerance=cfg.tolerance,
+        _row(
+            cfg, abs(wt_b - exp_b) <= cfg.tolerance and res_b.m == n, cfg.tolerance,
+            kind="bounded",
+            n=n,
+            a=res_b.w_tilde.axes,
+            w_tilde_e1=wt_b,
+            expected=exp_b,
+            m=res_b.m,
         ),
-        ResultRow(
-            experiment=cfg.experiment,
-            data={
-                "kind": "gap",
-                "n": n,
-                "w_tilde_e1": wt_d,
-                "expected": wt_b,
-            },
-            ok=wt_d > wt_b,
-            tolerance=0.0,
+        _row(
+            cfg, wt_d > wt_b, 0.0,
+            kind="gap",
+            n=n,
+            w_tilde_e1=wt_d,
+            expected=wt_b,
         ),
     ]
     return rows
@@ -598,28 +536,24 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
         ok = abs(value.value - case.expected) <= tol * max(1.0, abs(case.expected))
         ok = ok and (wu_err <= tol if eta_hat > 0.0 else wu_val == 0.0)
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "case": case.case,
-                    "kind": case.kind,
-                    "alpha": case.alpha,
-                    "type": case.declared,
-                    "big_c": case.big_c,
-                    "k": case.k,
-                    "a": case.a,
-                    "x_vec": case.x_vec,
-                    "value": value.value,
-                    "expected": case.expected,
-                    "eta_hat": eta_hat,
-                    "wu_tilde": wu_val,
-                    "wu_err": wu_err,
-                    "branch": info.case,
-                    "s": info.s,
-                    "r": info.r,
-                },
-                ok=ok,
-                tolerance=tol,
+            _row(
+                cfg, ok, tol,
+                case=case.case,
+                kind=case.kind,
+                alpha=case.alpha,
+                type=case.declared,
+                big_c=case.big_c,
+                k=case.k,
+                a=case.a,
+                x_vec=case.x_vec,
+                value=value.value,
+                expected=case.expected,
+                eta_hat=eta_hat,
+                wu_tilde=wu_val,
+                wu_err=wu_err,
+                branch=info.case,
+                s=info.s,
+                r=info.r,
             )
         )
     if cfg.alpha is not None:
@@ -637,22 +571,18 @@ def _custom_alpha_rows(cfg: ExperimentConfig) -> list[ResultRow]:
             kind, cfg.alpha, cfg.big_c, base, x_vec
         )
         rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                data={
-                    "case": "custom",
-                    "kind": kind,
-                    "alpha": cfg.alpha,
-                    "big_c": cfg.big_c,
-                    "a": base,
-                    "x_vec": x_vec,
-                    "value": value.value,
-                    "branch": info.case,
-                    "s": info.s,
-                    "r": info.r,
-                },
-                ok=True,
-                tolerance=cfg.tolerance,
+            _row(
+                cfg, True, cfg.tolerance,
+                case="custom",
+                kind=kind,
+                alpha=cfg.alpha,
+                big_c=cfg.big_c,
+                a=base,
+                x_vec=x_vec,
+                value=value.value,
+                branch=info.case,
+                s=info.s,
+                r=info.r,
             )
         )
     return rows

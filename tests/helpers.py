@@ -104,3 +104,40 @@ def sphere_directions(n: int, count: int, skip: int = 0) -> list[tuple[complex, 
         norm = math.sqrt(sum(abs(v) ** 2 for v in vec))
         dirs.append(tuple(v / norm for v in vec))
     return dirs
+
+
+def hull_radius_lp(
+    points: np.ndarray, unbounded: list[int], direction: np.ndarray
+) -> float:
+    """Reference for convexified radii: sup{t : t * direction in the
+    downward-closed conv(points) plus the recession axes ``unbounded``},
+    as one linear program over convex weights (scipy's HiGHS)."""
+    from scipy.optimize import linprog
+
+    k = points.shape[1]
+    if all(j in unbounded for j in range(k) if direction[j] > 0.0):
+        return math.inf
+    m = points.shape[0]
+    nu = len(unbounded)
+    # variables: [t, lambda_1..m, mu_1..nu]; maximize t
+    c = np.zeros(1 + m + nu)
+    c[0] = -1.0
+    a_ub = np.zeros((k, 1 + m + nu))
+    a_ub[:, 0] = direction
+    a_ub[:, 1 : 1 + m] = -points.T
+    for col, j in enumerate(unbounded):
+        a_ub[j, 1 + m + col] = -1.0
+    a_eq = np.zeros((1, 1 + m + nu))
+    a_eq[0, 1 : 1 + m] = 1.0
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(k),
+        A_eq=a_eq,
+        b_eq=np.ones(1),
+        bounds=[(0, None)] * (1 + m + nu),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"hull LP failed: {res.message}")
+    return float(res.x[0])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from wumetric import cli
 from wumetric.cli import main
 from wumetric.experiments import EXPERIMENTS
 
@@ -41,6 +42,16 @@ def test_run_is_byte_identical(tmp_path):
     assert run_cli(["run", "g2_usc", "--out", str(a)]) == 0
     assert run_cli(["run", "g2_usc", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_repeated_runs_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert run_cli(["run", "g2_usc"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_run_header_matches_documented_columns(tmp_path):

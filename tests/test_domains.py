@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import kronecker_sequence, sphere_directions
 from wumetric import domains
-from wumetric.busemann import convexify, degeneracy
+from wumetric.busemann import batch_radial, convexify, degeneracy, radial_indicatrix
 from wumetric.domains import (
     DomainSpec,
     UnsupportedBasePointError,
@@ -260,6 +260,11 @@ def _evaluator_families():
     full, _ = metric_indicatrix(
         "gamma", elem_reinhardt((1.0, math.sqrt(2.0)), declared_type="irrational"), (0.5, 0.25)
     )
+    ellipsoid = radial_indicatrix(
+        batch_radial(lambda m: 1.0 / np.sqrt((m**2 * (1.0, 3.0, 0.5)).sum(axis=-1))),
+        3,
+        (True, True, True),
+    )
     return {
         "polydisc cylinder": indicatrix_at(polydisc(1.0, 2.0, 0.5), (0.0,) * 3).outer,
         "g2": g2_origin.inner,
@@ -273,6 +278,7 @@ def _evaluator_families():
         "moduli loop": moduli,
         "full space": full,
         "hull": convexify(g2_origin.inner, resolution=32),
+        "hull of an ellipsoid": convexify(ellipsoid, resolution=64),
     }
 
 

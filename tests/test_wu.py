@@ -408,15 +408,15 @@ def test_wu_of_cloud_equals_wu_of_hull_marker():
 
 
 def test_wu_on_convexified_gn_origin_certifies():
-    # hull radials carry about 1e-7 of LP noise, and the boundary sample
-    # must still certify at the solver's gap tolerance
+    # the hull of Delta x C x Delta is the cube on the bounded axes, and its
+    # boundary sample must certify at the solver's gap tolerance
     hull = convexify(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner)
     res = wu_metric(hull, resolution=200)
     assert res.m == 2
     assert res.v_axes == frozenset({1})
     assert res.gap <= 1e-10
     assert res.w_tilde.axes[1] == math.inf
-    assert (res.w_tilde.axes[0], res.w_tilde.axes[2]) == pytest.approx((2.0, 2.0), rel=1e-12)
+    assert (res.w_tilde.axes[0], res.w_tilde.axes[2]) == pytest.approx((2.0, 2.0), rel=1e-15)
 
 
 def test_monotonicity_failure_is_real():
