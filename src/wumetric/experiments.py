@@ -603,32 +603,30 @@ def _axes_rel(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 
 
 def _product_case(
+    cfg: ExperimentConfig,
     name: str,
     left: WuResult,
     right: WuResult,
     direct: Indicatrix,
-    tolerance: float,
 ) -> ResultRow:
     combined = wu_product(left, right)
-    res = wu_metric(direct, tolerance=tolerance)
+    res = wu_metric(direct, tolerance=cfg.tolerance)
     rel = max(
         _axes_rel(combined.w.axes, res.w.axes),
         _axes_rel(combined.w_tilde.axes, res.w_tilde.axes),
     )
-    return ResultRow(
-        experiment="product_check",
-        data={
-            "case": name,
-            "w_axes": combined.w.axes,
-            "w_axes_direct": res.w.axes,
-            "w_tilde_axes": combined.w_tilde.axes,
-            "w_tilde_axes_direct": res.w_tilde.axes,
-            "m": combined.m,
-            "m_direct": res.m,
-            "max_rel": rel,
-        },
-        ok=(rel <= 1e-10 and combined.m == res.m),
-        tolerance=1e-10,
+    return _row(
+        cfg,
+        rel <= 1e-10 and combined.m == res.m,
+        1e-10,
+        case=name,
+        w_axes=combined.w.axes,
+        w_axes_direct=res.w.axes,
+        w_tilde_axes=combined.w_tilde.axes,
+        w_tilde_axes_direct=res.w_tilde.axes,
+        m=combined.m,
+        m_direct=res.m,
+        max_rel=rel,
     )
 
 
@@ -640,36 +638,36 @@ def _run_product_check(cfg: ExperimentConfig) -> list[ResultRow]:
     tol = cfg.tolerance
     rows = [
         _product_case(
+            cfg,
             "disc_x_bidisc",
             _wu_of(polydisc(1.0), (0.0,), tol),
             _wu_of(polydisc(2.0, 0.5), (0.0, 0.0), tol),
             indicatrix_at(polydisc(1.0, 2.0, 0.5), (0.0,) * 3).inner,
-            tol,
         ),
         _product_case(
+            cfg,
             "bidisc_x_disc",
             _wu_of(polydisc(1.5, 0.7), (0.0, 0.0), tol),
             _wu_of(polydisc(0.9), (0.0,), tol),
             indicatrix_at(polydisc(1.5, 0.7, 0.9), (0.0,) * 3).inner,
-            tol,
         ),
         _product_case(
+            cfg,
             "degenerate_left",
             _wu_of(g2(), (0.0, 0.0), tol),
             _wu_of(polydisc(1.5), (0.0,), tol),
             cloud_indicatrix(
                 [(1.0, 0.0, 2.25)], bounded_axes=(True, False, True)
             ),
-            tol,
         ),
         _product_case(
+            cfg,
             "plane_left",
             wu_metric(
                 cloud_indicatrix([(1.0,)], bounded_axes=(False,)), tolerance=tol
             ),
             _wu_of(polydisc(1.0), (0.0,), tol),
             cloud_indicatrix([(1.0, 1.0)], bounded_axes=(False, True)),
-            tol,
         ),
     ]
     return rows

@@ -14,6 +14,10 @@ The solver is a primal-dual interior-point Newton method on the n_f
 primal variables, run on a working set of points that grows until the
 normalized multipliers w certify optimality over every point through the
 duality gap n_f * log(max_i score_i / n_f), score_i = sum_j u_ij / (U^T w)_j.
+Newton steps score only the working set; all m points are priced once the
+working set certifies, so a solve passes over the whole cloud a few times
+per working set, not once per step.  Points are kept column-major, which
+makes every per-axis reduction and the pricing one contiguous sweep.
 
 Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion) or
 dropped (degenerate directions removed before solving).  Fixing reduces to
@@ -75,7 +79,8 @@ class SimplexProgram:
     """Minimal-volume enclosing simplex instance.
 
     points: Psi-points to enclose, kept as a read-only (m, n) float array
-    copied from the input; fixed: axis -> pinned intercept;
+    copied from the input in column-major (Fortran) order, so ``points.T``
+    is a contiguous (n, m) view; fixed: axis -> pinned intercept;
     dropped: axes removed from the program (reported back as infinite
     intercepts); tolerance: duality-gap certificate threshold.
     """
@@ -89,7 +94,7 @@ class SimplexProgram:
         if len(self.points) == 0:
             raise ValueError("at least one point required")
         try:
-            u = np.array(self.points, dtype=float)
+            u = np.array(self.points, dtype=float, order="F")
         except ValueError as exc:  # ragged rows or non-numeric entries
             raise ValueError(f"points must be real and share a dimension ({exc})") from None
         if u.ndim != 2:
@@ -97,11 +102,12 @@ class SimplexProgram:
         n = u.shape[1]
         if np.isnan(u).any() or (u < 0.0).any():
             raise ValueError("coordinates must be nonnegative")
-        for j in np.nonzero(np.isinf(u).any(axis=0))[0]:
-            if j not in self.dropped:
-                raise DegenerateAxisError(
-                    f"infinite coordinate on axis {j}: degenerate, drop the axis first"
-                )
+        if np.isinf(u).any():
+            for j in np.nonzero(np.isinf(u).any(axis=0))[0]:
+                if j not in self.dropped:
+                    raise DegenerateAxisError(
+                        f"infinite coordinate on axis {j}: degenerate, drop the axis first"
+                    )
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         u.flags.writeable = False
@@ -138,15 +144,16 @@ def simplex_program(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveInfo:
     """Certified optimum: the duality gap, the Newton steps taken and the
-    dual weights on the points kept by the reduction."""
+    dual weights on the points kept by the reduction, a read-only float
+    array that sums to 1."""
 
     params: SimplexParams
     gap: float
     iterations: int
-    weights: tuple[float, ...]
+    weights: np.ndarray
 
     @property
     def volume(self) -> float:
@@ -155,34 +162,42 @@ class SolveInfo:
 
 
 def _reduce(prog: SimplexProgram) -> tuple[np.ndarray, list[int], dict[int, float]]:
-    """Scale out fixed axes; returns (reduced matrix, free axes, fixed map)."""
+    """Scale out fixed axes; returns (reduced matrix, free axes, fixed map).
+
+    With no fixed axis and free mass on every point the reduced matrix is
+    the points' free columns as they are, column-major like the points.
+    """
     n = prog.dim
     fixed = dict(prog.fixed)
     free = [j for j in range(n) if j not in fixed and j not in prog.dropped]
     u = prog.points
-    rho = np.ones(len(u))
-    for j, aj in fixed.items():
-        rho -= u[:, j] / aj
-    # rho >= 0 with no free mass: point already enclosed, constraint void
-    keep = u[:, free].sum(axis=1) > 0.0
-    violated = rho < -1e-12
-    bad = np.nonzero(violated | (keep & (rho <= 0.0)))[0]
-    if bad.size:
-        i = int(bad[0])
-        if violated[i]:
+    reduced = u if len(free) == n else u[:, free]
+    keep = reduced.sum(axis=1) > 0.0
+    if fixed:
+        rho = np.ones(len(u))
+        for j, aj in fixed.items():
+            rho -= u[:, j] / aj
+        # rho >= 0 with no free mass: point already enclosed, constraint void
+        violated = rho < -1e-12
+        bad = np.nonzero(violated | (keep & (rho <= 0.0)))[0]
+        if bad.size:
+            i = int(bad[0])
+            if violated[i]:
+                raise InfeasibleProgramError(
+                    f"point {i} violates the fixed intercepts (slack {rho[i]:.3e})"
+                )
             raise InfeasibleProgramError(
-                f"point {i} violates the fixed intercepts (slack {rho[i]:.3e})"
+                f"point {i} saturates the fixed intercepts with free mass left"
             )
-        raise InfeasibleProgramError(
-            f"point {i} saturates the fixed intercepts with free mass left"
-        )
-    reduced = u[np.ix_(keep, free)] / rho[keep, None]
+        reduced = reduced[keep] / rho[keep, None]
+    elif not keep.all():
+        reduced = reduced[keep]
     if free:
         if reduced.shape[0] == 0:
             raise DegenerateAxisError(
                 f"no point mass on free axes {free}: volume infimum 0 is not attained"
             )
-        dead = [free[j] for j in range(len(free)) if reduced[:, j].max() <= 0.0]
+        dead = [free[j] for j in np.nonzero(reduced.max(axis=0) <= 0.0)[0]]
         if dead:
             raise DegenerateAxisError(
                 f"no point mass on axes {dead}: volume infimum 0 is not attained"
@@ -206,11 +221,14 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
     It runs on a working set: the WORK_PER_AXIS * k points of largest
-    column-normalized mass and each column's maximum.  Once that set is
-    solved but the gap k log(max_i score_i / k) over all points is not
-    certified, where score_i = sum_j u_ij / (U^T w)_j and w = lam / sum(lam),
-    the points with score_i > k join it.  Steps continue past ``tol`` while
-    the gap halves.  Returns (b, w, gap, Newton steps).
+    column-normalized mass and each column's maximum.  Each Newton step
+    scores only the working set, score_i = sum_j u_ij / (U^T w)_j with
+    w = lam / sum(lam).  Once the working-set gap k log(max_i score_i / k)
+    is within ``tol``, all m points are priced, one pass over the (k, m)
+    transpose (contiguous for column-major u).  If that full gap is not
+    certified, the points with score_i > k join the set and the method
+    restarts; once it is, steps continue while the full gap halves.
+    Returns (b, w, gap, Newton steps), w scattered over all m points.
     """
     m, k = u.shape
     # unit column maxima make the pivoting of the solve scale-free, so
@@ -219,7 +237,13 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     v = u / scale
     heavy = np.argpartition(-v.sum(axis=1), min(WORK_PER_AXIS * k, m) - 1)
     work = np.union1d(heavy[: WORK_PER_AXIS * k], v.argmax(axis=0))
-    steps, best = 0, math.inf
+
+    def price(work: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """Scores of all m points under the weights w on ``work``, and their gap."""
+        score = (1.0 / (w @ v[work])) @ v.T
+        return score, k * math.log(max(float(score.max()), k) / k)
+
+    steps, best, near = 0, math.inf, math.inf
     while True:
         x = v[work]
         b = np.full(k, 0.5 / k)
@@ -228,19 +252,24 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
         stuck = False
         while True:
             w = lam / lam.sum()
-            mass = x.T @ w
-            score = v @ (1.0 / mass)
-            gap = k * math.log(max(float(score.max()), k) / k)
-            halved = gap < 0.5 * best
-            if gap < best:
-                best, best_w = gap, np.zeros(m)
-                best_w[work] = w
-            if best <= tol and (best == 0.0 or not halved):
-                return 1.0 / (k * (u.T @ best_w)), best_w, best, steps
-            if k * math.log(max(float(score[work].max()), k) / k) <= tol < best:
-                work = np.union1d(work, np.nonzero(score > k)[0])
-                break
+            gap = k * math.log(max(float((x @ (1.0 / (x.T @ w))).max()), k) / k)
+            if gap <= near:
+                near, near_at = gap, (work, w)
+            if gap <= tol:
+                score, gap = price(work, w)
+                halved = gap < 0.5 * best
+                if gap < best:
+                    best, best_at = gap, (work, w)
+                if best <= tol and (best == 0.0 or not halved):
+                    best_w = np.zeros(m)
+                    best_w[best_at[0]] = best_at[1]
+                    return 1.0 / (k * (u.T @ best_w)), best_w, best, steps
+                if tol < best:
+                    work = np.union1d(work, np.nonzero(score > k)[0])
+                    break
             if stuck or steps >= MAX_NEWTON_STEPS:
+                # the working-set gap only bounds the full gap from below
+                best = min(best, price(*near_at)[1])
                 raise SolverError(
                     f"no certificate for the {m} x {k} program after {steps} "
                     f"Newton steps (best gap {best:.3e})",
@@ -270,19 +299,17 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     reduced, free, fixed = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
-        return SolveInfo(params=params, gap=0.0, iterations=0, weights=())
+        w = np.zeros(0)
+        w.flags.writeable = False
+        return SolveInfo(params=params, gap=0.0, iterations=0, weights=w)
     b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
     # conservative rescale: containment of every reduced point, exactly
     top = float(np.max(reduced @ b))
     if top > 1.0:
         b = b / top
     params = _assemble(prog, free, fixed, b)
-    return SolveInfo(
-        params=params,
-        gap=gap,
-        iterations=iters,
-        weights=tuple(w.tolist()),
-    )
+    w.flags.writeable = False
+    return SolveInfo(params=params, gap=gap, iterations=iters, weights=w)
 
 
 def min_vol_simplex(prog: SimplexProgram) -> SimplexParams:
@@ -414,7 +441,7 @@ def wu_metric(
         )
     u_axes = [j for j in range(n) if j not in report.v_axes]
     if ind.cloud is not None:
-        pts = [tuple(p[j] for j in u_axes) for p in ind.cloud]
+        pts = np.asarray(ind.cloud, dtype=float)[:, u_axes]
     else:
         pts = _certificates_from_radial(ind, u_axes, resolution or 256 * len(u_axes))
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))

@@ -256,6 +256,109 @@ def test_singular_newton_system_fails_with_solver_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# large clouds: column-major points and a growing working set
+
+
+def _cloud_with_light_contacts(rng, m, k):
+    """Psi-cloud whose optimum T_a touches k points that are all lighter, in
+    column-normalized mass, than the working set the solver starts from.
+
+    The contacts a / (2k) + a_j e_j / 2 average to a / k, so T_a is optimal.
+    Axis points set every column maximum: 0.999 a_1 on the first axis and
+    just above the contacts' (1 + 1/k) a_j / 2 on the others.  The m - 2k
+    interior points sit at depth 0.96 .. 0.99 on the face spanned by axes
+    2 .. k, each share at most 0.6, which makes them heavier than every
+    contact.  The contacts come last.
+    """
+    a = np.exp(rng.uniform(math.log(0.5), math.log(2.0), k))
+    contacts = 0.5 * a / k + 0.5 * np.diag(a)
+    top = np.full(k, 1.001 * 0.5 * (1.0 + 1.0 / k))
+    top[0] = 0.999
+    shares = _unit_face(rng, 6 * m, k - 1)
+    shares = shares[shares.max(axis=1) <= 0.6][: m - 2 * k]
+    assert len(shares) == m - 2 * k
+    bulk = np.zeros((m - 2 * k, k))
+    bulk[:, 1:] = a[1:] * shares * rng.uniform(0.96, 0.99, (m - 2 * k, 1))
+    return a, np.vstack([np.diag(top * a), bulk, contacts])
+
+
+def _initial_working_set(points):
+    """The solver's starting set, recomputed: the WORK_PER_AXIS * k points of
+    largest column-normalized mass and each column's maximum."""
+    k = points.shape[1]
+    mass = (points / points.max(axis=0)).sum(axis=1)
+    heavy = np.argsort(-mass)[: wu_module.WORK_PER_AXIS * k]
+    return np.union1d(heavy, points.argmax(axis=0))
+
+
+def test_point_layouts_give_identical_solves():
+    _, pts = _cloud_with_light_contacts(np.random.default_rng(3), 3_000, 3)
+    wide = np.zeros((len(pts), 2 * pts.shape[1]))
+    wide[:, ::2] = pts
+    layouts = (pts.tolist(), np.ascontiguousarray(pts), np.asfortranarray(pts), wide[:, ::2])
+    infos = [min_vol_simplex_info(simplex_program(p)) for p in layouts]
+    for info in infos[1:]:
+        assert info.params == infos[0].params
+        assert info.gap == infos[0].gap
+        assert info.iterations == infos[0].iterations
+        assert np.array_equal(info.weights, infos[0].weights)
+
+
+def test_large_cloud_certifies_with_contacts_outside_the_working_set():
+    k = 4
+    a, pts = _cloud_with_light_contacts(np.random.default_rng(11), 50_000, k)
+    contacts = np.arange(len(pts) - k, len(pts))
+    assert not np.isin(contacts, _initial_working_set(pts)).any()
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.gap <= TOL
+    got = np.array(info.params.intercepts)
+    assert got == pytest.approx(a, rel=math.sqrt(2.0 * TOL))
+    # the certificate, recomputed in numpy from a and w alone
+    w = info.weights
+    assert w.shape == (len(pts),)
+    assert float(np.max(pts @ (1.0 / got))) <= 1.0 + 1e-12
+    assert float(-np.sum(np.log(k * (pts.T @ w) / got))) <= TOL + 1e-12
+    assert w[contacts].sum() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_weights_are_a_read_only_probability_vector():
+    src = np.asfortranarray(_cloud_with_light_contacts(np.random.default_rng(5), 2_000, 3)[1])
+    prog = simplex_program(src)
+    assert not np.shares_memory(prog.points, src)
+    assert prog.points.flags.f_contiguous
+    info = min_vol_simplex_info(prog)
+    w = info.weights
+    assert isinstance(w, np.ndarray) and w.dtype == float
+    assert (w >= 0.0).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    src[0, 0] = 100.0
+    assert prog.points[0, 0] != 100.0
+
+
+def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
+    # no Newton step: the only iterate is the uniform weight on the starting
+    # set, where axes 3 .. 5 hold only their column maxima 0.5 e_j, so the
+    # light point spread over them scores highest, outside the set
+    monkeypatch.setattr(wu_module, "MAX_NEWTON_STEPS", 0)
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.3, 0.7, (2_000, 1))
+    bulk = np.hstack([t, 1.0 - t, np.zeros((2_000, 3))]) * rng.uniform(0.9, 0.99, (2_000, 1))
+    thin = np.diag([0.0, 0.0, 0.5, 0.5, 0.5])[2:]
+    pts = np.vstack([bulk, thin, [(0.0, 0.0, 0.2, 0.2, 0.2)]])
+    k = pts.shape[1]
+    work = _initial_working_set(pts)
+    inv = 1.0 / pts[work].mean(axis=0)
+    full = k * math.log(max(float(np.max(pts @ inv)), k) / k)
+    partial = k * math.log(max(float(np.max(pts[work] @ inv)), k) / k)
+    assert full > partial + 0.5
+    with pytest.raises(SolverError, match="after 0 Newton steps") as err:
+        min_vol_simplex_info(simplex_program(pts))
+    assert err.value.gap == pytest.approx(full, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # adversarial programs with planted optima
 
 
