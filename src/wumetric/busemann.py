@@ -8,9 +8,9 @@ representations are supported:
     together with per-axis boundedness metadata, for balls known in
     functional form.  Evaluators work on batches: directions of shape
     (..., n) give radii of shape (...), so one direction gives one radius.
-    Only the moduli |d_j| matter, since the balls are Reinhardt;
-    ``batch_radial`` builds an evaluator from a closed form on the moduli
-    array and ``rowwise_radial`` from a function of one row;
+    Only the moduli |d_j| matter, since the balls are Reinhardt, and
+    ``batch_radial`` builds every evaluator from a closed form on the
+    moduli array;
   * cloud: a finite set of certificate points in Psi-coordinates
     (squared moduli) lying on the closure of B, for balls pinned down by
     explicitly constructed analytic discs.
@@ -27,9 +27,9 @@ from the maximal samples (Quickhull, through ``scipy.spatial.ConvexHull``),
 and a hull radius is the reciprocal of the facet gauge max_f <n_f, d> / b_f,
 one array expression per batch.
 
-Degeneracy (directions where the hull metric vanishes) is decided per
-coordinate axis only, from the boundedness metadata; non-Reinhardt inputs
-are rejected rather than mishandled.
+Every indicatrix is balanced and Reinhardt, so degeneracy (directions
+where the hull metric vanishes) is decided per coordinate axis only, from
+the boundedness metadata.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _GAUGE_BLOCK_ENTRIES = 1 << 20  # directions x facets per hull-gauge block
 
 
 class UnsupportedIndicatrixError(ValueError):
-    """Indicatrix lacks the symmetry required by the operation."""
+    """Indicatrix lacks the representation or the size the operation needs."""
 
 
 class UnknownBoundednessError(ValueError):
@@ -58,7 +58,7 @@ class UnknownBoundednessError(ValueError):
 
 
 # Directions of shape (..., n), complex or real, to radii of shape (...);
-# only the moduli of the entries matter.
+# only the moduli of the entries matter (see batch_radial).
 RadialEvaluator = Callable[[np.ndarray | Sequence[complex]], np.ndarray | float]
 
 
@@ -79,29 +79,16 @@ def batch_radial(radius: Callable[[np.ndarray], np.ndarray]) -> RadialEvaluator:
     return radial
 
 
-def rowwise_radial(radius: Callable[[np.ndarray], float]) -> RadialEvaluator:
-    """Radial evaluator from a function of one row of moduli, called once
-    per direction."""
-
-    def radial(d):
-        m = _moduli(d)
-        rows = [radius(row) for row in m.reshape(-1, m.shape[-1])]
-        return np.array(rows, dtype=float).reshape(m.shape[:-1])[()]
-
-    return radial
-
-
 @dataclass(frozen=True)
 class Indicatrix:
     dim: int
-    balanced: bool = True
-    reinhardt: bool = True
     radial: RadialEvaluator | None = None
     cloud: tuple[PsiPoint, ...] | None = None
     bounded_axes: tuple[bool | None, ...] | None = None
     hulled: bool = False
-    # moduli-space points backing a convexified radial indicatrix
-    hull_points: tuple[tuple[float, ...], ...] | None = field(default=None, repr=False)
+    # read-only (N, dim) moduli-space points backing a convexified radial
+    # indicatrix
+    hull_points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.radial is None) == (self.cloud is None):
@@ -168,14 +155,10 @@ def radial_indicatrix(
     dim: int,
     bounded_axes: Sequence[bool | None],
     *,
-    balanced: bool = True,
-    reinhardt: bool = True,
     hulled: bool = False,
 ) -> Indicatrix:
     return Indicatrix(
         dim=dim,
-        balanced=balanced,
-        reinhardt=reinhardt,
         radial=fn,
         bounded_axes=tuple(bounded_axes),
         hulled=hulled,
@@ -186,16 +169,12 @@ def cloud_indicatrix(
     points: Sequence[Sequence[float]],
     *,
     bounded_axes: Sequence[bool | None] | None = None,
-    balanced: bool = True,
-    reinhardt: bool = True,
 ) -> Indicatrix:
     pts = tuple(tuple(float(c) for c in p) for p in points)
     if not pts:
         raise ValueError("cloud must be nonempty")
     return Indicatrix(
         dim=len(pts[0]),
-        balanced=balanced,
-        reinhardt=reinhardt,
         cloud=pts,
         bounded_axes=None if bounded_axes is None else tuple(bounded_axes),
     )
@@ -352,17 +331,12 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     maximal boundary samples span more than ``MAX_HULL_AXES`` axes raises
     ``UnsupportedIndicatrixError``: its facets run into the millions.
     """
-    if not ind.balanced:
-        raise UnsupportedIndicatrixError("hulls are computed for balanced indicatrices")
     if ind.hulled:
         return ind
     if ind.cloud is not None:
         return replace(ind, hulled=True)
-    if not ind.reinhardt:
-        raise UnsupportedIndicatrixError(
-            "radial convexification is implemented for Reinhardt indicatrices"
-        )
     pts = _sample_moduli_boundary(ind, resolution or 256 * ind.dim)
+    pts.setflags(write=False)
     bounded = np.flatnonzero(ind.boundedness())
     gauge = _hull_gauge(pts, bounded)
 
@@ -383,25 +357,20 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
 
     return Indicatrix(
         dim=ind.dim,
-        balanced=True,
-        reinhardt=ind.reinhardt,
         radial=batch_radial(radius),
         bounded_axes=ind.bounded_axes,
         hulled=True,
-        hull_points=tuple(tuple(float(c) for c in p) for p in pts),
+        hull_points=pts,
     )
 
 
 def degeneracy(ind: Indicatrix) -> DegeneracyReport:
     """Axes spanning V = {X : hull metric vanishes}, and m = dim - |V|.
 
-    For a balanced Reinhardt indicatrix the hull is unbounded exactly along
-    the axes where the set is unbounded, so V is read off the metadata.
+    The indicatrix is balanced Reinhardt, so its hull is unbounded exactly
+    along the axes where the set is unbounded, and V is read off the
+    metadata.
     """
-    if not (ind.balanced and ind.reinhardt):
-        raise UnsupportedIndicatrixError(
-            "degeneracy is decided per axis and needs a balanced Reinhardt indicatrix"
-        )
     bounded = ind.boundedness()
     v = frozenset(j for j, b in enumerate(bounded) if not b)
     return DegeneracyReport(v_axes=v, m=ind.dim - len(v))
@@ -443,8 +412,6 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     indicatrices evaluate exactly over their stored points; raw radial
     indicatrices sample and polish.
     """
-    if not (ind.balanced and ind.reinhardt):
-        raise UnsupportedIndicatrixError("support assumes a balanced Reinhardt ball")
     ay = np.array([abs(c) for c in y])
     if len(ay) != ind.dim:
         raise ValueError("dimension mismatch")
@@ -452,10 +419,9 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     if any(ay[j] > 0.0 and not bounded[j] for j in range(ind.dim)):
         return math.inf
     if ind.cloud is not None:
-        return float(max(np.sqrt(np.array(p)) @ ay for p in ind.cloud))
+        return float(np.max(np.sqrt(np.array(ind.cloud)) @ ay))
     if ind.hull_points is not None:
-        pts = np.array(ind.hull_points)
-        return float(np.max(pts @ ay))
+        return float(np.max(ind.hull_points @ ay))
     dirs = absolute_directions(ind.dim, resolution or 256 * ind.dim)
 
     def obj(d: np.ndarray) -> float:

@@ -36,7 +36,6 @@ from .busemann import (
     batch_radial,
     cloud_indicatrix,
     radial_indicatrix,
-    rowwise_radial,
 )
 from .metrics import (
     MultiIndex,
@@ -212,23 +211,23 @@ def metric_indicatrix(
     At base points with all coordinates nonzero the metric is a rank-one
     seminorm |<c, X>|; the returned indicatrix is stated in the unitary
     frame aligning c with the first axis (second return value).  With zero
-    coordinates present the metric depends only on the moduli of X, so the
-    ball is Reinhardt as-is and no alignment is needed.
+    coordinates Z present, r = sum of alpha_j over Z, every formula reduces
+    to the product form eta(X) = K prod_{j in Z} |X_j|^(alpha_j / r), K the
+    metric at the indicator vector of Z (K = 0 where the metric vanishes).
+    The ball is then Reinhardt as-is, no alignment is needed, and the
+    closed form takes one metric evaluation, for K.
     """
     n = spec.dim
     at = tuple(complex(c) for c in a)
     mi = MultiIndex(spec.alpha, spec.declared_type)
 
-    def metric(X: Sequence[complex]) -> float:
-        value, _ = elem_reinhardt_metric_info(kind, mi, spec.big_c, at, X, k)
-        return value.value
+    def metric_info(X: Sequence[float]):
+        value, info = elem_reinhardt_metric_info(kind, mi, spec.big_c, at, X, k)
+        return value.value, info
 
-    s = sum(1 for c in at if c != 0)
-    if s == n:
-        _, info = elem_reinhardt_metric_info(
-            kind, mi, spec.big_c, at, (1.0,) + (0.0,) * (n - 1), k
-        )
-        val0 = metric((1.0,) + (0.0,) * (n - 1))
+    zero = [j for j, c in enumerate(at) if c == 0]
+    if not zero:
+        val0, info = metric_info((1.0,) + (0.0,) * (n - 1))
         if val0 == 0.0:
             return _full_space_indicatrix(n), None
         alpha_n = np.array(info.alpha_normalized)
@@ -240,15 +239,14 @@ def metric_indicatrix(
         bounded = (True,) + (False,) * (n - 1)
         return radial_indicatrix(batch_radial(lambda m: radius / m[..., 0]), n, bounded), u
 
-    bounded = tuple(
-        metric(tuple(1.0 if i == j else 0.0 for i in range(n))) > 0.0 for j in range(n)
+    big_k, info = metric_info(tuple(0.0 if c else 1.0 for c in at))
+    expo = np.array(info.alpha_normalized)[zero] / info.r
+    # only the single zero axis of a positive K is bounded
+    bounded = tuple(big_k > 0.0 and zero == [j] for j in range(n))
+    product = batch_radial(
+        lambda m: 1.0 / (big_k * np.prod(m[..., zero] ** expo, axis=-1))
     )
-
-    def moduli_radius(row: np.ndarray) -> float:
-        v = metric(row)
-        return math.inf if v == 0.0 else 1.0 / v
-
-    return radial_indicatrix(rowwise_radial(moduli_radius), n, bounded), None
+    return radial_indicatrix(product, n, bounded), None
 
 
 # Closed-form radii below map moduli of shape (..., n) to radii of shape

@@ -430,8 +430,6 @@ def wu_metric(
     cloud itself, or a boundary sample of the radial evaluator along
     ``resolution`` directions (default 256 per non-degenerate axis).
     """
-    if not (ind.balanced and ind.reinhardt):
-        raise UnsupportedIndicatrixError("wu_metric needs a balanced Reinhardt indicatrix")
     report = degeneracy(ind)
     n = ind.dim
     if report.m == 0:

@@ -239,11 +239,19 @@ def test_convexify_cloud_is_marker_only():
     assert hull.hulled and hull.cloud == cloud.cloud
 
 
+def test_hull_points_are_the_read_only_sample():
+    hull = convexify(unit_ball(2), resolution=64)
+    pts = hull.hull_points
+    assert isinstance(pts, np.ndarray) and pts.dtype == float
+    assert pts.shape == (64, 2) and not pts.flags.writeable
+    # the unit ball's sample lies on the unit sphere
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=1e-15, atol=0.0)
+    # compared by the other fields only, so a hull stays hashable
+    assert "hull_points" not in repr(hull)
+    hash(hull)
+
+
 def test_convexify_rejects_unusable_inputs():
-    with pytest.raises(UnsupportedIndicatrixError):
-        convexify(cloud_indicatrix([(1.0,)], balanced=False))
-    with pytest.raises(UnsupportedIndicatrixError):
-        convexify(radial_indicatrix(lambda d: 1.0, 2, (True, True), reinhardt=False))
     # declared bounded but the evaluator escapes: must refuse, not guess
     with pytest.raises(UnknownBoundednessError):
         convexify(radial_indicatrix(lambda d: math.inf, 2, (True, True)))
@@ -323,8 +331,6 @@ def test_degeneracy_reports():
 def test_degeneracy_requires_metadata_and_symmetry():
     with pytest.raises(UnknownBoundednessError):
         degeneracy(radial_indicatrix(lambda d: 1.0, 2, (True, None)))
-    with pytest.raises(UnsupportedIndicatrixError):
-        degeneracy(radial_indicatrix(lambda d: 1.0, 2, (True, True), reinhardt=False))
 
 
 def test_bounded_inclusions_share_full_rank():

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import kronecker_sequence, sphere_directions
 from wumetric import domains
-from wumetric.busemann import batch_radial, convexify, degeneracy, radial_indicatrix
+from wumetric.busemann import (
+    absolute_directions,
+    batch_radial,
+    convexify,
+    degeneracy,
+    radial_indicatrix,
+)
 from wumetric.domains import (
     DomainSpec,
     UnsupportedBasePointError,
@@ -249,6 +255,92 @@ def test_metric_indicatrix_honours_declared_type():
     assert ind.eta((0.6, 0.8)) == 0.0
 
 
+# zero-coordinate base points: (alpha, declared type, base point), with
+# negative exponents on nonzero coordinates and one or two zero coordinates
+ZERO_COORDINATE_CASES = [
+    ((1.0, 2.0), None, (0.5, 0.0)),
+    ((1.0, 2.0, -1.0), None, (0.0, 0.5, 0.7)),
+    ((2.0, 1.0, -1.0), None, (0.0, 0.0, 0.6)),
+    ((1.0, -2.0, 3.0), None, (0.0, 0.4j, 0.0)),
+    ((1.0, 1.0, 2.0), None, (0.3, 0.0, 0.0)),
+    ((1.0, math.sqrt(2.0), -0.5), "irrational", (0.0, 0.4, 0.8)),
+    ((math.sqrt(2.0), 1.0, 1.0), "irrational", (0.0, 0.0, -0.3)),
+    ((1.0, 2.0), "irrational", (0.0, 0.6)),
+]
+METRIC_KINDS = [
+    ("gamma", None),
+    ("gamma_k", 1),
+    ("gamma_k", 2),
+    ("gamma_k", 3),
+    ("azukawa", None),
+    ("kappa", None),
+]
+
+
+def _zero_coordinate_inputs():
+    for alpha, declared, a in ZERO_COORDINATE_CASES:
+        for big_c in (0.0, 0.7):
+            spec = elem_reinhardt(alpha, big_c, declared)
+            mi = MultiIndex(spec.alpha, declared)
+            for kind, k in METRIC_KINDS:
+                if kind == "gamma_k" and k > 1 and mi.l > 0:
+                    continue  # no closed form with negative exponents
+                yield spec, mi, a, kind, k
+
+
+def test_zero_coordinate_radii_are_the_product_closed_form():
+    """rho(X) = 1 / eta(X) on unit X, eta evaluated directly per direction."""
+    vanishing = positive = 0
+    for spec, mi, a, kind, k in _zero_coordinate_inputs():
+        n = spec.dim
+        ind, u = metric_indicatrix(kind, spec, a, k)
+        assert u is None
+
+        def metric(X):
+            return elem_reinhardt_metric(kind, mi, spec.big_c, a, X, k).value
+
+        axes = [tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n)]
+        assert ind.bounded_axes == tuple(metric(e) > 0.0 for e in axes), (spec, kind, k)
+        dirs = axes + sphere_directions(n, 40)
+        got = ind.radii(np.array(dirs))
+        want = np.array([metric(X) for X in dirs])
+        indicator = tuple(0.0 if c else 1.0 for c in a)
+        if metric(indicator) == 0.0:
+            vanishing += 1
+            assert np.all(want == 0.0) and np.all(got == math.inf), (spec, kind, k)
+            continue
+        positive += 1
+        assert np.array_equal(got == math.inf, want == 0.0), (spec, kind, k)
+        nz = want > 0.0
+        err = np.abs(got[nz] * want[nz] - 1.0)
+        assert err.max() <= 1e-13, (spec, kind, k, err.max())
+    # both sides of K = 0 are exercised
+    assert vanishing >= 10 and positive >= 20
+
+
+def test_zero_coordinate_indicatrix_makes_constant_metric_calls(monkeypatch):
+    """One closed form per indicatrix: the metric is not called per direction."""
+    calls = 0
+    evaluate = domains.elem_reinhardt_metric_info
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "elem_reinhardt_metric_info", counted)
+    spec = elem_reinhardt((1.0, 2.0, -1.0), 0.7)
+    counts = []
+    for count in (16, 512):
+        calls = 0
+        ind, _ = metric_indicatrix("kappa", spec, (0.0, 0.5, 0.7))
+        dirs = absolute_directions(3, count)
+        assert len(dirs) == count
+        assert np.isfinite(ind.radii(dirs)).any()
+        counts.append(calls)
+    assert counts[0] == counts[1] <= 2, counts
+
+
 def _evaluator_families():
     """One radial indicatrix per evaluator family, by name."""
     g2_origin = indicatrix_at(g2(), (0.0, 0.0))
@@ -275,7 +367,7 @@ def _evaluator_families():
         "gn axis point": indicatrix_at(gn(4), (0.3, 0.0, 0.0, 0.0)).outer,
         "truncated ellipsoid": indicatrix_at(truncated_gn(3, 4.0), (0.0,) * 3).outer,
         "aligned rank one": aligned,
-        "moduli loop": moduli,
+        "zero-coordinate product": moduli,
         "full space": full,
         "hull": convexify(g2_origin.inner, resolution=32),
         "hull of an ellipsoid": convexify(ellipsoid, resolution=64),
