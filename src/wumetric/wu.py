@@ -14,10 +14,11 @@ The solver is a primal-dual interior-point Newton method on the n_f
 primal variables, run on a working set of points that grows until the
 normalized multipliers w certify optimality over every point through the
 duality gap n_f * log(max_i score_i / n_f), score_i = sum_j u_ij / (U^T w)_j.
-Newton steps score only the working set; all m points are priced once the
-working set certifies, so a solve passes over the whole cloud a few times
-per working set, not once per step.  Points are kept column-major, which
-makes every per-axis reduction and the pricing one contiguous sweep.
+Newton steps score only the working set.  All m points are priced when the
+working-set gap certifies, and once more when that gap stops halving, so a
+solve passes over the whole cloud at most twice per working set, not once
+per step.  Points are kept column-major, which makes every per-axis
+reduction and the pricing one contiguous sweep.
 
 Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion) or
 dropped (degenerate directions removed before solving).  Fixing reduces to
@@ -58,6 +59,9 @@ CENTERING = 0.1
 TO_BOUNDARY = 0.99
 WORK_PER_AXIS = 20
 MAX_NEWTON_STEPS = 200
+# Rows per block of the column-major copy of the points: a block of source
+# and copy stays in cache, where one C-to-F copy strides through memory.
+COPY_BLOCK_ROWS = 4096
 
 
 class InfeasibleProgramError(ValueError):
@@ -94,16 +98,20 @@ class SimplexProgram:
         if len(self.points) == 0:
             raise ValueError("at least one point required")
         try:
-            u = np.array(self.points, dtype=float, order="F")
+            src = np.asarray(self.points, dtype=float)
         except ValueError as exc:  # ragged rows or non-numeric entries
             raise ValueError(f"points must be real and share a dimension ({exc})") from None
-        if u.ndim != 2:
+        if src.ndim != 2:
             raise ValueError("points must share a dimension")
-        n = u.shape[1]
-        if np.isnan(u).any() or (u < 0.0).any():
+        m, n = src.shape
+        u = np.empty((m, n), order="F")
+        for start in range(0, m, COPY_BLOCK_ROWS):
+            u[start : start + COPY_BLOCK_ROWS] = src[start : start + COPY_BLOCK_ROWS]
+        # NaN fails every comparison, so one minimum rejects NaN and negatives
+        if not u.min(initial=0.0) >= 0.0:
             raise ValueError("coordinates must be nonnegative")
-        if np.isinf(u).any():
-            for j in np.nonzero(np.isinf(u).any(axis=0))[0]:
+        if u.max(initial=0.0) == math.inf:
+            for j in np.nonzero(u.max(axis=0) == math.inf)[0]:
                 if j not in self.dropped:
                     raise DegenerateAxisError(
                         f"infinite coordinate on axis {j}: degenerate, drop the axis first"
@@ -147,8 +155,9 @@ def simplex_program(
 @dataclass(frozen=True, eq=False)
 class SolveInfo:
     """Certified optimum: the duality gap, the Newton steps taken and the
-    dual weights on the points kept by the reduction, a read-only float
-    array that sums to 1."""
+    dual weights, a read-only float array with one entry per input point.
+    Points with no mass on the free axes weigh 0; the weights sum to 1
+    unless no axis is free."""
 
     params: SimplexParams
     gap: float
@@ -161,11 +170,15 @@ class SolveInfo:
         return math.prod(finite) / math.factorial(len(finite))
 
 
-def _reduce(prog: SimplexProgram) -> tuple[np.ndarray, list[int], dict[int, float]]:
-    """Scale out fixed axes; returns (reduced matrix, free axes, fixed map).
+def _reduce(
+    prog: SimplexProgram,
+) -> tuple[np.ndarray, list[int], dict[int, float], np.ndarray]:
+    """Scale out fixed axes; returns (reduced matrix, free axes, fixed map,
+    mask of the points kept as rows of the reduced matrix).
 
-    With no fixed axis and free mass on every point the reduced matrix is
-    the points' free columns as they are, column-major like the points.
+    Points with no mass on the free axes are dropped.  With no fixed axis
+    and free mass on every point the reduced matrix is the points' free
+    columns as they are, column-major like the points.
     """
     n = prog.dim
     fixed = dict(prog.fixed)
@@ -202,7 +215,7 @@ def _reduce(prog: SimplexProgram) -> tuple[np.ndarray, list[int], dict[int, floa
             raise DegenerateAxisError(
                 f"no point mass on axes {dead}: volume infimum 0 is not attained"
             )
-    return reduced, free, fixed
+    return reduced, free, fixed, keep
 
 
 def _assemble(
@@ -227,46 +240,67 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     is within ``tol``, all m points are priced, one pass over the (k, m)
     transpose (contiguous for column-major u).  If that full gap is not
     certified, the points with score_i > k join the set and the method
-    restarts; once it is, steps continue while the full gap halves.
+    restarts.  Once it is, steps continue while the working-set gap
+    halves.  When it stops halving, the iterate with the smallest
+    working-set gap since certification is priced once more, and of the
+    two priced iterates the one with the smaller full gap is returned.
     Returns (b, w, gap, Newton steps), w scattered over all m points.
     """
     m, k = u.shape
     # unit column maxima make the pivoting of the solve scale-free, so
     # power-of-two column scalings of u give bitwise-scaled results
-    scale = u.max(axis=0)
-    v = u / scale
-    heavy = np.argpartition(-v.sum(axis=1), min(WORK_PER_AXIS * k, m) - 1)
-    work = np.union1d(heavy[: WORK_PER_AXIS * k], v.argmax(axis=0))
+    tops = u.argmax(axis=0)
+    v = u / u[tops, np.arange(k)]
+    if m <= WORK_PER_AXIS * k:
+        work = np.arange(m)
+    else:
+        heavy = np.argpartition(-v.sum(axis=1), WORK_PER_AXIS * k - 1)
+        work = np.union1d(heavy[: WORK_PER_AXIS * k], tops)
 
     def price(work: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
         """Scores of all m points under the weights w on ``work``, and their gap."""
         score = (1.0 / (w @ v[work])) @ v.T
         return score, k * math.log(max(float(score.max()), k) / k)
 
-    steps, best, near = 0, math.inf, math.inf
+    steps, best, near, certified = 0, math.inf, math.inf, None
     while True:
         x = v[work]
-        b = np.full(k, 0.5 / k)
-        s = 1.0 - x @ b
-        lam = np.ones(len(work))
+        mw = len(work)
+        # (b, s, lam) and (db, ds, dlam) are views of y and dy, so one
+        # fraction-to-boundary scan and one update serve all three
+        y, dy = np.ones(k + 2 * mw), np.empty(k + 2 * mw)
+        b, s, lam = y[:k], y[k : k + mw], y[k + mw :]
+        db, ds, dlam = dy[:k], dy[k : k + mw], dy[k + mw :]
+        b[:] = 0.5 / k
+        s -= x @ b
         stuck = False
         while True:
             w = lam / lam.sum()
             gap = k * math.log(max(float((x @ (1.0 / (x.T @ w))).max()), k) / k)
             if gap <= near:
                 near, near_at = gap, (work, w)
-            if gap <= tol:
-                score, gap = price(work, w)
-                halved = gap < 0.5 * best
-                if gap < best:
-                    best, best_at = gap, (work, w)
-                if best <= tol and (best == 0.0 or not halved):
-                    best_w = np.zeros(m)
-                    best_w[best_at[0]] = best_at[1]
-                    return 1.0 / (k * (u.T @ best_w)), best_w, best, steps
-                if tol < best:
+            if certified is None and gap <= tol:
+                score, full = price(work, w)
+                if full > tol:
+                    best = min(best, full)
                     work = np.union1d(work, np.nonzero(score > k)[0])
                     break
+                certified, lowest, lowest_w = (full, w), gap, None
+                done = full == 0.0
+            elif certified is not None:
+                # a halving run only ever lowers the smallest gap so far
+                done = gap == 0.0 or not gap < 0.5 * lowest
+                if gap < lowest:
+                    lowest, lowest_w = gap, w
+            if certified is not None and (done or stuck or steps >= MAX_NEWTON_STEPS):
+                best, best_w = certified
+                if lowest_w is not None:
+                    again = price(work, lowest_w)[1]
+                    if again < best:
+                        best, best_w = again, lowest_w
+                full_w = np.zeros(m)
+                full_w[work] = best_w
+                return 1.0 / (k * (u.T @ full_w)), full_w, best, steps
             if stuck or steps >= MAX_NEWTON_STEPS:
                 # the working-set gap only bounds the full gap from below
                 best = min(best, price(*near_at)[1])
@@ -277,29 +311,27 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
                 )
             steps += 1
             d = lam / s
-            tau = CENTERING * float(s @ lam) / len(s)
-            hess = (x.T * d) @ x + np.diag(1.0 / b**2)
+            tau = CENTERING * float(s @ lam) / mw
+            hess = (x.T * d) @ x  # a fresh C-contiguous product: ravel() is a view
+            hess.ravel()[:: k + 1] += 1.0 / b**2
             try:
-                db = np.linalg.solve(hess, 1.0 / b - tau * (x.T @ (1.0 / s)))
+                db[:] = np.linalg.solve(hess, 1.0 / b - tau * (x.T @ (1.0 / s)))
             except np.linalg.LinAlgError:  # the multipliers swamp the 1 / b^2 term
                 stuck = True
                 continue
-            ds = -(x @ db)
-            dlam = tau / s - lam - d * ds
-            alpha = 1.0
-            for z, dz in ((b, db), (s, ds), (lam, dlam)):
-                neg = dz < 0.0
-                if neg.any():
-                    alpha = min(alpha, TO_BOUNDARY * float(np.min(z[neg] / -dz[neg])))
-            b, s, lam = b + alpha * db, s + alpha * ds, lam + alpha * dlam
+            np.negative(x @ db, out=ds)
+            dlam[:] = tau / s - lam - d * ds
+            neg = dy < 0.0
+            step = float((y[neg] / -dy[neg]).min(initial=math.inf))
+            y += min(1.0, TO_BOUNDARY * step) * dy
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate."""
-    reduced, free, fixed = _reduce(prog)
+    reduced, free, fixed, keep = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
-        w = np.zeros(0)
+        w = np.zeros(len(keep))
         w.flags.writeable = False
         return SolveInfo(params=params, gap=0.0, iterations=0, weights=w)
     b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
@@ -308,6 +340,9 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     if top > 1.0:
         b = b / top
     params = _assemble(prog, free, fixed, b)
+    if not keep.all():
+        w, kept = np.zeros(len(keep)), w
+        w[keep] = kept
     w.flags.writeable = False
     return SolveInfo(params=params, gap=gap, iterations=iters, weights=w)
 
@@ -324,7 +359,7 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     max_i u_i,last / (1 - sum_{j<last} u_ij / a_j); three shrinking local
     refinement passes follow the coarse scan.
     """
-    reduced, free, fixed = _reduce(prog)
+    reduced, free, fixed, _ = _reduce(prog)
     k = len(free)
     if k == 0:
         return _assemble(prog, free, fixed, np.zeros(0))

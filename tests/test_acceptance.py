@@ -33,6 +33,7 @@ from wumetric.metrics import MultiIndex, elem_reinhardt_metric
 from wumetric.wu import (
     certify_contradiction_g2,
     certify_contradiction_gn,
+    gn_constrained_optimum,
     gn_ratio_limit,
     min_vol_simplex,
     min_vol_simplex_bruteforce,
@@ -80,8 +81,10 @@ def test_criterion_1_polydisc_formula():
 
 
 def test_criterion_2_constrained_closed_form():
-    # pinned two-point program versus the fully active stationary point
-    # (a1, nu a1 / mu, (n-2) a1 / (a1 - mu)); grid oracle alongside
+    # pinned two-point program versus its exact optimum in both regimes:
+    # the fully active stationary point (a1, nu a1 / mu, (n-2) a1 / (a1 - mu))
+    # while a1 <= (n-1) mu, and (a1, (n-1) nu, n-1) with the first
+    # constraint slack beyond; grid oracle alongside
     n = 3
     worst_closed = 0.0
     worst_oracle = 0.0
@@ -90,7 +93,7 @@ def test_criterion_2_constrained_closed_form():
         mu = (1.0 - x * x) ** 2
         nu = (1.0 / x - 1.0) ** 2
         points = [(mu, 0.0, 1.0), (0.0, nu, 1.0)]
-        closed = (a1, nu * a1 / mu, (n - 2) * a1 / (a1 - mu))
+        closed = gn_constrained_optimum(n, x, a1)
         prog = simplex_program(points, fixed={0: a1})
         solved = min_vol_simplex(prog)
         for got, want in zip(solved.intercepts, closed):
@@ -104,13 +107,8 @@ def test_criterion_2_constrained_closed_form():
         2,
         "constrained closed form",
         ok,
-        f"max rel err vs stationary point {worst_closed:.2e} (tol 1e-8), "
-        f"grid oracle {worst_oracle:.2e} (tol 1e-3); "
-        f"pin regimes {regimes} - the stationary point is the optimum only "
-        "while a1 <= (n-1) mu, and every (x, a1) combination here pins past "
-        "that threshold, so the first constraint goes slack and the solver "
-        "(confirmed by the grid oracle) finds the strictly smaller simplex "
-        "(a1, (n-1) nu, n-1)",
+        f"max rel err vs exact optimum {worst_closed:.2e} (tol 1e-8), "
+        f"grid oracle {worst_oracle:.2e} (tol 1e-3); pin regimes {regimes}",
     )
 
 

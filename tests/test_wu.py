@@ -292,16 +292,45 @@ def _initial_working_set(points):
 
 
 def test_point_layouts_give_identical_solves():
-    _, pts = _cloud_with_light_contacts(np.random.default_rng(3), 3_000, 3)
-    wide = np.zeros((len(pts), 2 * pts.shape[1]))
-    wide[:, ::2] = pts
-    layouts = (pts.tolist(), np.ascontiguousarray(pts), np.asfortranarray(pts), wide[:, ::2])
-    infos = [min_vol_simplex_info(simplex_program(p)) for p in layouts]
-    for info in infos[1:]:
-        assert info.params == infos[0].params
-        assert info.gap == infos[0].gap
-        assert info.iterations == infos[0].iterations
-        assert np.array_equal(info.weights, infos[0].weights)
+    # 3 000 points fit in one block of the column-major copy; the second
+    # cloud spans three full blocks and ends in a ragged one
+    for m in (3_000, 3 * wu_module.COPY_BLOCK_ROWS + 123):
+        _, pts = _cloud_with_light_contacts(np.random.default_rng(3), m, 3)
+        wide = np.zeros((len(pts), 2 * pts.shape[1]))
+        wide[:, ::2] = pts
+        layouts = (pts.tolist(), np.ascontiguousarray(pts), np.asfortranarray(pts), wide[:, ::2])
+        progs = [simplex_program(p) for p in layouts]
+        for prog in progs:
+            assert prog.points.flags.f_contiguous
+            assert np.array_equal(prog.points, pts)
+        infos = [min_vol_simplex_info(prog) for prog in progs]
+        for info in infos[1:]:
+            assert info.params == infos[0].params
+            assert info.gap == infos[0].gap
+            assert info.iterations == infos[0].iterations
+            assert np.array_equal(info.weights, infos[0].weights)
+
+
+def test_validation_reaches_the_last_copy_block():
+    # two full copy blocks and a ragged one; the entry under test sits in
+    # the last row
+    base = np.random.default_rng(13).uniform(0.1, 1.0, (2 * wu_module.COPY_BLOCK_ROWS + 37, 3))
+
+    def last_row(axis, value):
+        pts = base.copy()
+        pts[-1, axis] = value
+        return pts
+
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simplex_program(last_row(1, bad))
+    with pytest.raises(DegenerateAxisError, match="axis 2"):
+        simplex_program(last_row(2, math.inf), dropped=[0])
+    info = min_vol_simplex_info(simplex_program(last_row(2, math.inf), dropped=[2]))
+    assert math.isinf(info.params.intercepts[2]) and info.gap <= TOL
+    prog = simplex_program(last_row(1, -0.0))
+    assert math.copysign(1.0, prog.points[-1, 1]) == -1.0
+    assert min_vol_simplex_info(prog).gap <= TOL
 
 
 def test_large_cloud_certifies_with_contacts_outside_the_working_set():
@@ -335,6 +364,39 @@ def test_weights_are_a_read_only_probability_vector():
         w[0] = 1.0
     src[0, 0] = 100.0
     assert prog.points[0, 0] != 100.0
+
+
+def test_weights_cover_every_input_point():
+    # the zero point has no mass: the reduction drops it, and it weighs 0
+    pts = np.array([(0.0, 0.0), (1.0, 0.5), (0.5, 1.0)])
+    info = min_vol_simplex_info(simplex_program(pts.tolist()))
+    w = info.weights
+    assert w.shape == (3,) and w[0] == 0.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    # the certificate, recomputed against the caller's own points
+    a = np.array(info.params.intercepts)
+    assert float(-np.sum(np.log(2 * (pts.T @ w) / a))) <= TOL
+    # with axis 0 pinned, the first point has no free mass left
+    info = min_vol_simplex_info(
+        simplex_program([(0.5, 0.0), (0.2, 1.0), (0.1, 0.5)], fixed={0: 1.0})
+    )
+    assert info.weights.shape == (3,) and info.weights[0] == 0.0
+    assert info.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+    # no free axis: nothing to weigh
+    info = min_vol_simplex_info(simplex_program([(0.5, 0.0), (0.2, 0.3)], fixed={0: 1.0}, dropped=[1]))
+    assert info.weights.tolist() == [0.0, 0.0]
+
+
+def test_reported_gap_is_the_gap_of_the_returned_weights():
+    # a certified solve prices two iterates, here with full gaps near 1e-11
+    # and 1e-15; the gap recomputed from the returned weights over all
+    # points must be the reported one
+    k = 5
+    _, pts = _cloud_with_light_contacts(np.random.default_rng(17), 50_000, k)
+    info = min_vol_simplex_info(simplex_program(pts))
+    score = pts @ (1.0 / (pts.T @ info.weights))
+    assert info.gap <= TOL
+    assert abs(info.gap - k * math.log(max(float(score.max()), k) / k)) <= 1e-14
 
 
 def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
