@@ -63,14 +63,11 @@ from .geometry import (
 )
 from .metrics import (
     BranchInfo,
-    MetricValue,
     MultiIndex,
     OutsideDomainError,
     UnsupportedCaseError,
     elem_reinhardt_metric,
     elem_reinhardt_metric_info,
-    g2_gamma_lower,
-    g2_kappa_upper_points,
     gamma_disc,
     kappa_punctured_disc,
     membership_elem_reinhardt,

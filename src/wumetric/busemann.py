@@ -40,8 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import PsiPoint
-
 RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
 # hull facets are computed on at most this many axes: a curved boundary
 # sampled on 7 axes already gives about 450 000 facets
@@ -79,27 +77,42 @@ def batch_radial(radius: Callable[[np.ndarray], np.ndarray]) -> RadialEvaluator:
     return radial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Indicatrix:
+    """Indicatrix in one of the two representations (module docstring).
+
+    ``cloud`` is kept as a read-only (m, dim) float array copied from the
+    input; ``hull_points`` are the read-only (N, dim) moduli-space points
+    backing a convexified radial indicatrix.  Indicatrices compare and
+    hash by identity.
+    """
+
     dim: int
     radial: RadialEvaluator | None = None
-    cloud: tuple[PsiPoint, ...] | None = None
+    cloud: np.ndarray | None = None
     bounded_axes: tuple[bool | None, ...] | None = None
     hulled: bool = False
-    # read-only (N, dim) moduli-space points backing a convexified radial
-    # indicatrix
-    hull_points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    hull_points: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (self.radial is None) == (self.cloud is None):
             raise ValueError("exactly one of radial/cloud must be given")
         if self.cloud is not None:
-            pts = tuple(tuple(float(c) for c in p) for p in self.cloud)
-            for p in pts:
-                if len(p) != self.dim:
-                    raise ValueError("cloud point dimension mismatch")
-                if any(c < 0 or not math.isfinite(c) for c in p):
-                    raise ValueError("cloud points are finite nonnegative Psi-points")
+            try:
+                pts = np.array(self.cloud, dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged, complex or non-numeric
+                raise ValueError(
+                    f"cloud points must be real and share a dimension ({exc})"
+                ) from None
+            if pts.ndim != 2 or 0 in pts.shape or pts.shape[1] != self.dim:
+                raise ValueError(
+                    f"cloud must be a nonempty (m, {self.dim}) array of points with "
+                    f"at least one coordinate, got shape {pts.shape}"
+                )
+            # NaN fails every comparison, so one minimum rejects NaN and negatives
+            if not (pts.min() >= 0.0 and pts.max() < math.inf):
+                raise ValueError("cloud points are finite nonnegative Psi-points")
+            pts.flags.writeable = False
             object.__setattr__(self, "cloud", pts)
         if self.bounded_axes is not None and len(self.bounded_axes) != self.dim:
             raise ValueError("bounded_axes length mismatch")
@@ -166,16 +179,16 @@ def radial_indicatrix(
 
 
 def cloud_indicatrix(
-    points: Sequence[Sequence[float]],
+    points: Sequence[Sequence[float]] | np.ndarray,
     *,
     bounded_axes: Sequence[bool | None] | None = None,
 ) -> Indicatrix:
-    pts = tuple(tuple(float(c) for c in p) for p in points)
-    if not pts:
+    """Cloud indicatrix of the dimension of the first point."""
+    if len(points) == 0:
         raise ValueError("cloud must be nonempty")
     return Indicatrix(
-        dim=len(pts[0]),
-        cloud=pts,
+        dim=len(points[0]),
+        cloud=points,
         bounded_axes=None if bounded_axes is None else tuple(bounded_axes),
     )
 
@@ -419,7 +432,7 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     if any(ay[j] > 0.0 and not bounded[j] for j in range(ind.dim)):
         return math.inf
     if ind.cloud is not None:
-        return float(np.max(np.sqrt(np.array(ind.cloud)) @ ay))
+        return float(np.max(np.sqrt(ind.cloud) @ ay))
     if ind.hull_points is not None:
         return float(np.max(ind.hull_points @ ay))
     dirs = absolute_directions(ind.dim, resolution or 256 * ind.dim)

@@ -131,7 +131,7 @@ def eval_metric(
         mi = MultiIndex(spec.alpha, spec.declared_type)
         value, info = elem_reinhardt_metric_info(kind, mi, spec.big_c, at, xv, k)
         data.update(
-            value=value.value,
+            value=value,
             branch=info.case,
             l=info.l,
             s=info.s,
@@ -197,31 +197,42 @@ def _scalar(text: str, field: str, cast) -> object:
         raise ConfigError(f"{field}: cannot parse {text!r}") from exc
 
 
+def _setting(section: dict[str, str], key: str, flag, parse=lambda text, key: text):
+    """The flag's value if it was given, else the config value under key
+    (or key spelled with dashes) through parse, else None."""
+    if flag is not None:
+        return flag
+    for spelling in (key, key.replace("_", "-")):
+        if spelling in section:
+            return parse(section[spelling], key)
+    return None
+
+
 def _merge_run_config(
     experiment: str, section: dict[str, str], args: argparse.Namespace
 ) -> ExperimentConfig:
+    def floats(flag: str | None, name: str):
+        return _floats(flag, name) if flag else None
+
+    def scalar(cast):
+        return lambda text, key: _scalar(text, key, cast)
+
+    settings = (
+        ("n", "n", args.n, scalar(int)),
+        ("x_grid", "x_grid", floats(args.x_grid, "x-grid"), _floats),
+        ("t", "t", args.t, scalar(float)),
+        ("m_list", "m_list", floats(args.m_list, "m-list"), _floats),
+        ("alpha", "alpha", floats(args.alpha, "alpha"), _floats),
+        ("big_c", "big_c", args.big_c, scalar(float)),
+        ("resolution", "resolution", args.resolution, scalar(int)),
+        ("tolerance", "tol", args.tolerance, scalar(float)),
+        ("out", "out", args.out, lambda text, key: text),
+    )
     kwargs: dict[str, object] = {"experiment": experiment}
-
-    def pick(field: str, key: str, flag_value, parse):
-        if flag_value is not None:
-            kwargs[field] = flag_value
-            return
-        for spelling in (key, key.replace("_", "-")):
-            if spelling in section:
-                kwargs[field] = parse(section[spelling], key)
-                return
-        # otherwise the dataclass default stands
-
-    pick("n", "n", args.n, lambda s, f: _scalar(s, f, int))
-    pick("x", "x", args.x, lambda s, f: _scalar(s, f, float))
-    pick("x_grid", "x_grid", _floats(args.x_grid, "x-grid") if args.x_grid else None, _floats)
-    pick("t", "t", args.t, lambda s, f: _scalar(s, f, float))
-    pick("m_list", "m_list", _floats(args.m_list, "m-list") if args.m_list else None, _floats)
-    pick("alpha", "alpha", _floats(args.alpha, "alpha") if args.alpha else None, _floats)
-    pick("big_c", "big_c", args.big_c, lambda s, f: _scalar(s, f, float))
-    pick("resolution", "resolution", args.resolution, lambda s, f: _scalar(s, f, int))
-    pick("tolerance", "tol", args.tolerance, lambda s, f: _scalar(s, f, float))
-    pick("out", "out", args.out, lambda s, f: s)
+    for field, key, flag, parse in settings:
+        value = _setting(section, key, flag, parse)
+        if value is not None:  # otherwise the dataclass default stands
+            kwargs[field] = value
     return ExperimentConfig(**kwargs)
 
 
@@ -255,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("experiment", help="experiment id; see `wumetric list`")
     run_p.add_argument("--config", help="INI file, section [<experiment>]")
     run_p.add_argument("--n", type=int, help="dimension parameter")
-    run_p.add_argument("--x", type=float, help="base-point coordinate in (0, 1)")
     run_p.add_argument("--x-grid", dest="x_grid", help="comma-separated x values")
     run_p.add_argument("--t", type=float, help="pinned first intercept")
     run_p.add_argument("--m-list", dest="m_list", help="comma-separated truncation levels")
@@ -288,11 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment: unknown id {args.experiment!r}; choose from "
-            + ", ".join(sorted(EXPERIMENTS))
-        )
     section = _config_section(args.config, args.experiment)
     cfg = _merge_run_config(args.experiment, section, args)
     rows = run_experiment(cfg)
@@ -305,15 +310,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    section = _config_section(args.config, "eval")
-
-    def setting(key: str, flag):
-        if flag is not None:
-            return flag
-        for spelling in (key, key.replace("_", "-")):
-            if spelling in section:
-                return section[spelling]
-        return None
+    setting = functools.partial(_setting, _config_section(args.config, "eval"))
 
     domain = setting("domain", args.domain)
     kind = setting("kind", args.kind)

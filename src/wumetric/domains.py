@@ -165,7 +165,7 @@ class SandwichIndicatrix:
     def sandwich_ok(self, tol: float = 1e-12, samples: int = 64) -> bool:
         """Closed containment inner subset-of outer on certificates/samples."""
         if self.inner.cloud is not None:
-            pts = np.sqrt(np.array(self.inner.cloud))
+            pts = np.sqrt(self.inner.cloud)
         else:
             dirs = absolute_directions(self.inner.dim, samples)
             rho = self.inner.radii(dirs)
@@ -222,8 +222,7 @@ def metric_indicatrix(
     mi = MultiIndex(spec.alpha, spec.declared_type)
 
     def metric_info(X: Sequence[float]):
-        value, info = elem_reinhardt_metric_info(kind, mi, spec.big_c, at, X, k)
-        return value.value, info
+        return elem_reinhardt_metric_info(kind, mi, spec.big_c, at, X, k)
 
     zero = [j for j, c in enumerate(at) if c == 0]
     if not zero:

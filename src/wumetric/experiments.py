@@ -46,7 +46,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     experiment: str
     n: int = 3
-    x: float = 0.01
     x_grid: tuple[float, ...] = (0.1, 0.05, 0.01)
     t: float = 1.6
     m_list: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
@@ -531,9 +530,9 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
         value, info = elem_reinhardt_metric_info(
             case.kind, mi, case.big_c, case.a, case.x_vec, case.k
         )
-        eta_hat = golden_eta_hat(case, value.value)
+        eta_hat = golden_eta_hat(case, value)
         wu_val, wu_err = _wu_against_eta(case, eta_hat, cfg.resolution, cfg.tolerance)
-        ok = abs(value.value - case.expected) <= tol * max(1.0, abs(case.expected))
+        ok = abs(value - case.expected) <= tol * max(1.0, abs(case.expected))
         ok = ok and (wu_err <= tol if eta_hat > 0.0 else wu_val == 0.0)
         rows.append(
             _row(
@@ -546,7 +545,7 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
                 k=case.k,
                 a=case.a,
                 x_vec=case.x_vec,
-                value=value.value,
+                value=value,
                 expected=case.expected,
                 eta_hat=eta_hat,
                 wu_tilde=wu_val,
@@ -579,7 +578,7 @@ def _custom_alpha_rows(cfg: ExperimentConfig) -> list[ResultRow]:
                 big_c=cfg.big_c,
                 a=base,
                 x_vec=x_vec,
-                value=value.value,
+                value=value,
                 branch=info.case,
                 s=info.s,
                 r=info.r,

@@ -20,9 +20,6 @@ from typing import Sequence
 
 DEFAULT_TOL = 1e-12
 
-CVector = tuple[complex, ...]
-PsiPoint = tuple[float, ...]
-
 
 class UnboundedSimplexError(ValueError):
     """Volume requested for a simplex with an infinite intercept."""
@@ -77,7 +74,7 @@ class SimplexParams:
         return len(self.intercepts)
 
 
-def psi(z: Sequence[complex]) -> PsiPoint:
+def psi(z: Sequence[complex]) -> tuple[float, ...]:
     """Coordinatewise squared modulus, Psi(z)_j = |z_j|^2."""
     return tuple(abs(w) ** 2 for w in z)
 

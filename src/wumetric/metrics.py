@@ -45,15 +45,6 @@ class UnsupportedCaseError(ValueError):
 
 
 @dataclass(frozen=True)
-class MetricValue:
-    value: float
-    kind: Kind
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class MultiIndex:
     """Exponent vector of a monomial z^alpha with nonzero real entries.
 
@@ -129,16 +120,6 @@ class MultiIndex:
 
 
 @dataclass(frozen=True)
-class ElemReinhardtPoint:
-    """Base-point classification: a with s nonzero coordinates and
-    r = sum of exponents over the zero coordinates (1 when s = n)."""
-
-    a: tuple[complex, ...]
-    s: int
-    r: float
-
-
-@dataclass(frozen=True)
 class BranchInfo:
     """Diagnostics describing which displayed formula was used."""
 
@@ -152,14 +133,14 @@ class BranchInfo:
     dilation: tuple[float, ...]  # coordinate factors removing C
 
 
-def gamma_disc(z: complex, X: complex) -> MetricValue:
+def gamma_disc(z: complex, X: complex) -> float:
     """Poincare-type metric of the unit disc, |X| / (1 - |z|^2)."""
     if abs(z) >= 1:
         raise OutsideDomainError(f"|z| = {abs(z)} >= 1")
-    return MetricValue(abs(X) / (1.0 - abs(z) ** 2), "gamma")
+    return abs(X) / (1.0 - abs(z) ** 2)
 
 
-def kappa_punctured_disc(z: complex, X: complex) -> MetricValue:
+def kappa_punctured_disc(z: complex, X: complex) -> float:
     """Kobayashi metric of the punctured disc, |X| / (2 |z| log(1/|z|)).
 
     Obtained by pushing gamma_disc forward through the universal covering
@@ -168,7 +149,7 @@ def kappa_punctured_disc(z: complex, X: complex) -> MetricValue:
     r = abs(z)
     if r <= 0 or r >= 1:
         raise OutsideDomainError(f"|z| = {r} outside (0, 1)")
-    return MetricValue(abs(X) / (2.0 * r * math.log(1.0 / r)), "kappa")
+    return abs(X) / (2.0 * r * math.log(1.0 / r))
 
 
 def _falling(x: float, k: int) -> float:
@@ -232,14 +213,16 @@ def phi_r(
     return total
 
 
-def _classify_point(alpha: Sequence[float], a: Sequence[complex]) -> ElemReinhardtPoint:
+def _classify_point(alpha: Sequence[float], a: Sequence[complex]) -> tuple[int, float]:
+    """(s, r): the number s of nonzero coordinates of a, and the sum r of
+    the exponents over its zero coordinates (1 when there are none)."""
     zero = [j for j, aj in enumerate(a) if aj == 0]
     for j in zero:
         if alpha[j] < 0:
             raise OutsideDomainError("zero coordinate where alpha_j < 0")
     s = len(a) - len(zero)
     r = sum(alpha[j] for j in zero) if zero else 1.0
-    return ElemReinhardtPoint(tuple(complex(x) for x in a), s, float(r))
+    return s, float(r)
 
 
 def _log_abs_monomial(alpha: Sequence[float], a: Sequence[complex]) -> float:
@@ -268,7 +251,7 @@ def elem_reinhardt_metric_info(
     a: Sequence[complex],
     X: Sequence[complex],
     k: int | None = None,
-) -> tuple[MetricValue, BranchInfo]:
+) -> tuple[float, BranchInfo]:
     """Evaluate gamma^(k), the Azukawa metric or the Kobayashi metric of
     D = {|z^alpha| < e^C} at a in direction X, with branch diagnostics.
 
@@ -281,15 +264,11 @@ def elem_reinhardt_metric_info(
         raise ValueError("dimension mismatch")
     if kind == "gamma":
         k = 1
-        kind_out = "gamma"
     elif kind == "gamma_k":
         if k is None or k < 1 or k != int(k):
             raise ValueError("kind 'gamma_k' needs an integer k >= 1")
         k = int(k)
-        kind_out = "gamma_k"
-    elif kind in ("azukawa", "kappa"):
-        kind_out = kind
-    else:
+    elif kind not in ("azukawa", "kappa"):
         raise ValueError(f"unknown kind {kind!r}")
 
     rational = mi.is_rational
@@ -320,8 +299,7 @@ def elem_reinhardt_metric_info(
         a = tuple(complex(aj) for aj in a)
         X = tuple(complex(xj) for xj in X)
 
-    pt = _classify_point(alpha_n, a)
-    s, r = pt.s, pt.r
+    s, r = _classify_point(alpha_n, a)
     log_u = _log_abs_monomial(alpha_n, a)
     if not log_u < 0:
         raise OutsideDomainError("base point not inside the domain")
@@ -351,7 +329,7 @@ def elem_reinhardt_metric_info(
 
     if rational and l < n:
         alpha_i = tuple(int(x) for x in alpha_n)
-        if kind_out in ("gamma", "gamma_k"):
+        if kind in ("gamma", "gamma_k"):
             if l > 0 and k > 1:
                 raise UnsupportedCaseError(
                     "gamma^(k) with k >= 2 has no closed form when negative "
@@ -360,51 +338,49 @@ def elem_reinhardt_metric_info(
             if l == 0:
                 r_int = int(r)
                 if k % r_int != 0:
-                    return MetricValue(0.0, kind_out), info
+                    return 0.0, info
                 phi = phi_r(alpha_i, a, X, r_int)
                 base = abs(phi) / (1.0 - u * u)
-                return MetricValue(base ** (1.0 / r_int), kind_out), info
+                return base ** (1.0 / r_int), info
             phi = phi_r(alpha_i, a, X, 1)
-            return MetricValue(abs(phi) / (1.0 - u * u), kind_out), info
-        if kind_out == "azukawa":
+            return abs(phi) / (1.0 - u * u), info
+        if kind == "azukawa":
             r_int = int(r)
             phi = phi_r(alpha_i, a, X, r_int)
             base = abs(phi) / (1.0 - u * u)
-            return MetricValue(base ** (1.0 / r_int), kind_out), info
+            return base ** (1.0 / r_int), info
         # kappa
         if s == n:
             ur = u ** (1.0 / t_l)
             _, sig = disc_pair()
-            return MetricValue(ur * (sig / t_l) / (1.0 - ur * ur), kind_out), info
-        return MetricValue(product_branch(), kind_out), info
+            return ur * (sig / t_l) / (1.0 - ur * ur), info
+        return product_branch(), info
 
     if not rational and l < n:
-        if kind_out in ("gamma", "gamma_k"):
-            return MetricValue(0.0, kind_out), info
-        if kind_out == "azukawa":
+        if kind in ("gamma", "gamma_k"):
+            return 0.0, info
+        if kind == "azukawa":
             if s == n:
-                return MetricValue(0.0, kind_out), info
-            return MetricValue(product_branch(), kind_out), info
+                return 0.0, info
+            return product_branch(), info
         if s == n:
             us, _ = disc_pair()
-            return MetricValue(us / (1.0 - u * u), kind_out), info
-        return MetricValue(product_branch(), kind_out), info
+            return us / (1.0 - u * u), info
+        return product_branch(), info
 
     if rational:  # l = n
         alpha_i = tuple(int(x) for x in alpha_n)
         za = _complex_monomial(alpha_i, a)
         sigma = sum(x * xj / aj for x, aj, xj in zip(alpha_n, a, X))
-        if kind_out in ("gamma", "gamma_k", "azukawa"):
-            g = gamma_disc(za, za * sigma)
-            return MetricValue(g.value, kind_out), info
-        kp = kappa_punctured_disc(za, za * sigma)
-        return MetricValue(kp.value, kind_out), info
+        if kind in ("gamma", "gamma_k", "azukawa"):
+            return gamma_disc(za, za * sigma), info
+        return kappa_punctured_disc(za, za * sigma), info
 
     # irrational, l = n
-    if kind_out in ("gamma", "gamma_k", "azukawa"):
-        return MetricValue(0.0, kind_out), info
+    if kind in ("gamma", "gamma_k", "azukawa"):
+        return 0.0, info
     us, _ = disc_pair()
-    return MetricValue(us / (2.0 * u * math.log(1.0 / u)), kind_out), info
+    return us / (2.0 * u * math.log(1.0 / u)), info
 
 
 def elem_reinhardt_metric(
@@ -414,7 +390,7 @@ def elem_reinhardt_metric(
     a: Sequence[complex],
     X: Sequence[complex],
     k: int | None = None,
-) -> MetricValue:
+) -> float:
     value, _ = elem_reinhardt_metric_info(kind, alpha, C, a, X, k)
     return value
 
@@ -429,25 +405,6 @@ def membership_elem_reinhardt(
     return _log_abs_monomial(alpha, z) < C
 
 
-def g2_gamma_lower(x: float, X: Sequence[complex]) -> MetricValue:
-    """Lower bound (|X_1| + x |X_2|) / (1 - x^2) for the Caratheodory
-    metric of {|z_1|(1+|z_2|) < 1} at the base point (x, 0)."""
-    if not 0.0 < x < 1.0:
-        raise OutsideDomainError("x must lie in (0, 1)")
-    if len(X) != 2:
-        raise ValueError("dimension mismatch")
-    return MetricValue((abs(X[0]) + x * abs(X[1])) / (1.0 - x * x), "gamma_lower")
-
-
-def g2_kappa_upper_points(x: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Vectors on the closure of the Kobayashi indicatrix of
-    {|z_1|(1+|z_2|) < 1} at (x, 0): tangents of the analytic discs
-    lambda -> (x, (1-x)/x * lambda) and lambda -> ((lambda+x)/(1+x lambda), 0)."""
-    if not 0.0 < x < 1.0:
-        raise OutsideDomainError("x must lie in (0, 1)")
-    return ((0.0, (1.0 - x) / x), (1.0 - x * x, 0.0))
-
-
 def mu(x: float) -> float:
     """First g2 certificate coordinate (1 - x^2)^2 at the base point (x, 0)."""
     return (1.0 - x * x) ** 2
@@ -458,11 +415,11 @@ def nu(x: float) -> float:
     return (1.0 / x - 1.0) ** 2
 
 
-def product_metric(values: Sequence[float]) -> MetricValue:
+def product_metric(values: Sequence[float]) -> float:
     """Invariant metric of a product domain: max over the factors."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("need at least one factor")
     if any(v < 0 for v in vals):
         raise ValueError("metric values are nonnegative")
-    return MetricValue(max(vals), "product")
+    return max(vals)

@@ -104,6 +104,8 @@ class SimplexProgram:
         if src.ndim != 2:
             raise ValueError("points must share a dimension")
         m, n = src.shape
+        if n == 0:
+            raise ValueError(f"points need at least one coordinate, got shape {src.shape}")
         u = np.empty((m, n), order="F")
         for start in range(0, m, COPY_BLOCK_ROWS):
             u[start : start + COPY_BLOCK_ROWS] = src[start : start + COPY_BLOCK_ROWS]
@@ -474,7 +476,7 @@ def wu_metric(
         )
     u_axes = [j for j in range(n) if j not in report.v_axes]
     if ind.cloud is not None:
-        pts = np.asarray(ind.cloud, dtype=float)[:, u_axes]
+        pts = ind.cloud[:, u_axes]
     else:
         pts = _certificates_from_radial(ind, u_axes, resolution or 256 * len(u_axes))
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))

@@ -233,10 +233,41 @@ def test_convexify_idempotence():
         assert once.radial(unit) == again.radial(unit)
 
 
+def test_cloud_is_a_read_only_float_array():
+    points = np.array([[1.0, 0.0], [0.0, 4.0], [0.5, 0.5]])
+    ind = cloud_indicatrix(points)
+    assert isinstance(ind.cloud, np.ndarray) and ind.cloud.dtype == float
+    assert ind.cloud.shape == (3, 2) and ind.dim == 2
+    with pytest.raises(ValueError, match="read-only"):
+        ind.cloud[0, 0] = 9.0
+    points[0, 0] = 9.0  # the cloud is a copy, not a view of its input
+    assert ind.cloud.tolist() == [[1.0, 0.0], [0.0, 4.0], [0.5, 0.5]]
+    # integer and tuple inputs become float arrays too
+    assert Indicatrix(dim=1, cloud=((1,), (2,))).cloud.dtype == float
+    # compared and hashed by identity
+    again = cloud_indicatrix(points)
+    assert ind == ind and ind != again and len({ind, again}) == 2
+    # rejected when built, not by an IndexError inside wu_metric
+    with pytest.raises(ValueError, match="nonempty"):
+        Indicatrix(dim=2, cloud=())
+    for bad in ([()], np.zeros((0, 2)), [(1.0, 0.0), (1.0,)], [1.0, 2.0], [(1.0j, 0.0)]):
+        with pytest.raises(ValueError):
+            Indicatrix(dim=2, cloud=bad)
+    for bad in (math.nan, -1.0, -0.5e-300, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            cloud_indicatrix([(1.0, 0.0), (0.5, bad)])
+    with pytest.raises(ValueError, match="nonempty"):
+        cloud_indicatrix([])
+    with pytest.raises(ValueError, match=r"shape \(1, 0\)"):
+        cloud_indicatrix([()])
+    with pytest.raises(ValueError, match=r"\(m, 3\)"):
+        Indicatrix(dim=3, cloud=[(1.0, 1.0)])
+
+
 def test_convexify_cloud_is_marker_only():
     cloud = cloud_indicatrix([(1.0, 0.0), (0.0, 1.0)])
     hull = convexify(cloud)
-    assert hull.hulled and hull.cloud == cloud.cloud
+    assert hull.hulled and np.array_equal(hull.cloud, cloud.cloud)
 
 
 def test_hull_points_are_the_read_only_sample():

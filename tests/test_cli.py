@@ -64,6 +64,19 @@ def test_run_header_matches_documented_columns(tmp_path):
 def test_unknown_experiment_is_usage_error(capsys):
     assert run_cli(["run", "warp_drive"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert run_cli(["run", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "experiment: unknown id 'nope'; choose from " + ", ".join(sorted(EXPERIMENTS)) in err
+
+
+def test_x_is_a_prefix_of_x_grid(capsys):
+    # there is no --x option: argparse reads the prefix as --x-grid
+    outputs = []
+    for flag in ("--x", "--x-grid"):
+        assert run_cli(["run", "g2_usc", flag, "0.2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 5 and ",0.20000000000000001," in outputs[0]
 
 
 def test_invalid_parameter_is_usage_error(capsys):

@@ -9,20 +9,20 @@ branch against hand arithmetic written straight from the displayed formulas.
 import cmath
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import covering_kappa_punctured, kronecker_sequence
+from wumetric.domains import UnsupportedBasePointError, g2, indicatrix_at
 from wumetric.metrics import (
     MultiIndex,
     OutsideDomainError,
     UnsupportedCaseError,
     elem_reinhardt_metric,
     elem_reinhardt_metric_info,
-    g2_gamma_lower,
-    g2_kappa_upper_points,
     gamma_disc,
     kappa_punctured_disc,
     membership_elem_reinhardt,
@@ -35,7 +35,7 @@ SQ2 = math.sqrt(2.0)
 
 def ev(kind, alpha, C, a, X, k=None, declared=None):
     mi = MultiIndex(tuple(alpha), declared_type=declared)
-    return float(elem_reinhardt_metric(kind, mi, C, a, X, k))
+    return elem_reinhardt_metric(kind, mi, C, a, X, k)
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +43,16 @@ def ev(kind, alpha, C, a, X, k=None, declared=None):
 
 
 def test_gamma_disc_values():
-    assert float(gamma_disc(0.0, 1.0)) == 1.0
-    assert float(gamma_disc(0.5, 1.0)) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert float(gamma_disc(0.3j, 0.0)) == 0.0
+    assert gamma_disc(0.0, 1.0) == 1.0
+    assert gamma_disc(0.5, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert gamma_disc(0.3j, 0.0) == 0.0
     with pytest.raises(OutsideDomainError):
         gamma_disc(1.0, 1.0)
 
 
 def test_kappa_punctured_explicit_point():
     # p(0) = 1/e, |p'(0)| = 2/e for the covering p(lam) = exp((lam+1)/(lam-1))
-    assert float(kappa_punctured_disc(math.exp(-1.0), 1.0)) == pytest.approx(
+    assert kappa_punctured_disc(math.exp(-1.0), 1.0) == pytest.approx(
         math.e / 2.0, rel=1e-15
     )
 
@@ -60,20 +60,32 @@ def test_kappa_punctured_explicit_point():
 def test_kappa_punctured_covering_oracle():
     for z in [0.05, 0.1, math.exp(-1.0), 0.5, 0.9, 0.99, 0.3 * cmath.exp(2.1j)]:
         for X in [1.0, 2.5, 0.7 - 0.4j]:
-            got = float(kappa_punctured_disc(z, X))
+            got = kappa_punctured_disc(z, X)
             want = covering_kappa_punctured(z, X)
             assert got == pytest.approx(want, rel=1e-12), (z, X)
 
 
 def test_kappa_punctured_edges():
-    assert float(kappa_punctured_disc(0.5, 0.0)) == 0.0
+    assert kappa_punctured_disc(0.5, 0.0) == 0.0
     with pytest.raises(OutsideDomainError):
         kappa_punctured_disc(0.0, 1.0)
     with pytest.raises(OutsideDomainError):
         kappa_punctured_disc(1.0, 1.0)
     # blows up toward the outer boundary
-    vals = [float(kappa_punctured_disc(r, 1.0)) for r in (0.9, 0.99, 0.999)]
+    vals = [kappa_punctured_disc(r, 1.0) for r in (0.9, 0.99, 0.999)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_metric_values_are_plain_floats():
+    mi = MultiIndex((1.0, 2.0))
+    values = [
+        gamma_disc(0.5, 1.0),
+        kappa_punctured_disc(0.5, 1.0),
+        product_metric([1, 2]),
+        elem_reinhardt_metric("kappa", mi, 0.0, (0.5, 0.5), (1.0, 0.0)),
+        elem_reinhardt_metric_info("gamma", mi, 0.0, (0.0, 0.5), (1.0, 1.0))[0],
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -339,41 +351,50 @@ def test_absolute_homogeneity(row, mod, arg):
 
 
 # ---------------------------------------------------------------------------
-# bounds used by the two-variable Hartogs-type example
+# bounds of the two-variable Hartogs-type example, as domains builds them:
+# the gamma lower bound is the outer ball of g2 at (x, 0), the kappa upper
+# bound the inner cloud of its two analytic-disc tangents
 
 
 def test_g2_gamma_lower_values():
-    assert float(g2_gamma_lower(0.5, (1.0, 0.0))) == pytest.approx(4.0 / 3.0)
-    assert float(g2_gamma_lower(0.1, (1.0, 1.0))) == pytest.approx(10.0 / 9.0)
-    assert float(g2_gamma_lower(1e-9, (0.0, 1.0))) == pytest.approx(1e-9, rel=1e-6)
-    with pytest.raises(OutsideDomainError):
-        g2_gamma_lower(1.0, (1.0, 0.0))
+    def bound(x, X):
+        return indicatrix_at(g2(), (x, 0.0)).outer.eta(X)
+
+    # (|X_1| + x |X_2|) / (1 - x^2)
+    assert bound(0.5, (1.0, 0.0)) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert bound(0.1, (1.0, 1.0)) == pytest.approx(10.0 / 9.0, rel=1e-15)
+    assert bound(1e-9, (0.0, 1.0)) == pytest.approx(1e-9, rel=1e-15)
+    with pytest.raises(UnsupportedBasePointError):
+        indicatrix_at(g2(), (1.0, 0.0))
 
 
 def test_g2_gamma_lower_pushforward_consistency():
     # F(z) = z1 (1 + z2) maps the domain to the disc; along nonnegative X the
     # bound coincides with gamma_disc(F(x,0); dF(x,0) X)
     for x in (0.1, 0.5, 0.9):
+        outer = indicatrix_at(g2(), (x, 0.0)).outer
         for X in [(1.0, 0.0), (0.0, 1.0), (2.0, 3.0)]:
-            push = float(gamma_disc(x, X[0] + x * X[1]))
-            assert float(g2_gamma_lower(x, X)) == pytest.approx(push, rel=1e-14)
+            push = gamma_disc(x, X[0] + x * X[1])
+            assert outer.eta(X) == pytest.approx(push, rel=1e-14)
     # complex directions only lose mass: |X1 + x X2| <= |X1| + x |X2|
-    assert float(gamma_disc(0.3, 1.0 - 0.3j)) <= float(
-        g2_gamma_lower(0.3, (1.0, -1.0j))
-    )
+    outer = indicatrix_at(g2(), (0.3, 0.0)).outer
+    assert gamma_disc(0.3, 1.0 - 0.3j) <= outer.eta((1.0, -1.0j))
 
 
 def test_g2_kappa_upper_points_values():
-    assert g2_kappa_upper_points(0.5) == ((0.0, 1.0), (0.75, 0.0))
-    p1, p2 = g2_kappa_upper_points(0.1)
-    assert p1 == (0.0, pytest.approx(9.0))
-    assert p2 == (pytest.approx(0.99), 0.0)
+    # tangents (1 - x^2, 0) of lambda -> ((lambda+x)/(1+x lambda), 0) and
+    # (0, (1-x)/x) of lambda -> (x, (1-x)/x * lambda), squared componentwise
+    for x in (1e-3, 0.1, 0.5, 0.999):
+        cloud = indicatrix_at(g2(), (x, 0.0)).inner.cloud
+        want = np.array([(1.0 - x * x, 0.0), (0.0, (1.0 - x) / x)]) ** 2
+        assert cloud.shape == (2, 2)
+        np.testing.assert_allclose(cloud, want, rtol=1e-12, atol=0.0)
 
 
 def test_product_metric_rules():
-    assert float(product_metric([0.5, 0.2])) == 0.5
-    assert float(product_metric([0.0, 0.0])) == 0.0
-    assert float(product_metric([1.0, 2.0])) == 2.0
+    assert product_metric([0.5, 0.2]) == 0.5
+    assert product_metric([0.0, 0.0]) == 0.0
+    assert product_metric([1.0, 2.0]) == 2.0
     with pytest.raises(ValueError):
         product_metric([])
     with pytest.raises(ValueError):
@@ -382,7 +403,7 @@ def test_product_metric_rules():
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=4))
 def test_product_metric_is_max(vals):
-    m = float(product_metric(vals))
+    m = product_metric(vals)
     assert m == max(vals)
-    assert float(product_metric(vals + vals)) == m  # idempotent
-    assert float(product_metric(list(reversed(vals)))) == m  # commutative
+    assert product_metric(vals + vals) == m  # idempotent
+    assert product_metric(list(reversed(vals))) == m  # commutative

@@ -207,6 +207,10 @@ def test_scaling_equivariance_generic():
 def test_program_validation_messages():
     with pytest.raises(ValueError, match="share a dimension"):
         simplex_program([(1.0, 1.0), (1.0,)])
+    # rejected when built, not inside the solve
+    for points in ([()], np.zeros((3, 0))):
+        with pytest.raises(ValueError, match=r"points need at least one coordinate"):
+            simplex_program(points)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             simplex_program([(1.0, 1.0), (0.5, bad)])
