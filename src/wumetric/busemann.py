@@ -15,14 +15,22 @@ representations are supported:
     (squared moduli) lying on the closure of B, for balls pinned down by
     explicitly constructed analytic discs.
 
+Every radial sample becomes a boundary point rho(d) d in one place,
+``Indicatrix.boundary_points``, which also holds the one recession rule:
+zero radii are dropped, and so is a radius beyond ``RADIUS_CAP`` along a
+direction with mass only on unbounded axes; such a radius on a direction
+with mass on a declared-bounded axis raises ``UnknownBoundednessError``.
+``convexify``, ``support``, ``wu.wu_metric`` and
+``domains.SandwichIndicatrix.sandwich_ok`` all sample through it.
+
 The largest seminorm below eta has the convex hull conv(B) as its ball.
 Downstream minimization (minimal enclosing ellipsoid respectively simplex)
 does not distinguish a set from its hull, so cloud indicatrices are never
-materialized as hulls; ``convexify`` only marks them.  For radial Reinhardt
-indicatrices the hull is realized numerically on the moduli diagram: the
-hull of a balanced Reinhardt set is complete Reinhardt and its moduli
-diagram is the downward-closed convex hull of the sampled diagram.  Its
-facets on the bounded axes are computed once, one axis subset at a time
+materialized as hulls; ``convexify`` returns them as they are.  For radial
+Reinhardt indicatrices the hull is realized numerically on the moduli
+diagram: the hull of a balanced Reinhardt set is complete Reinhardt and its
+moduli diagram is the downward-closed convex hull of the sampled diagram.
+Its facets on the bounded axes are computed once, one axis subset at a time
 from the maximal samples (Quickhull, through ``scipy.spatial.ConvexHull``),
 and a hull radius is the reciprocal of the facet gauge max_f <n_f, d> / b_f,
 one array expression per batch.
@@ -35,7 +43,7 @@ the boundedness metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +53,11 @@ RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
 # sampled on 7 axes already gives about 450 000 facets
 MAX_HULL_AXES = 7
 _GAUGE_BLOCK_ENTRIES = 1 << 20  # directions x facets per hull-gauge block
+# support's polish of a raw radial ball: seeds, rounds per seed, and
+# multi-coordinate steps per round
+POLISH_SEEDS = 3
+POLISH_ROUNDS = 160
+POLISH_STEPS = 16
 
 
 class UnsupportedIndicatrixError(ValueError):
@@ -91,7 +104,6 @@ class Indicatrix:
     radial: RadialEvaluator | None = None
     cloud: np.ndarray | None = None
     bounded_axes: tuple[bool | None, ...] | None = None
-    hulled: bool = False
     hull_points: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,6 +154,23 @@ class Indicatrix:
         rho = np.asarray(self.radial(d), dtype=float)
         return rho if rho.shape == d.shape[:-1] else np.broadcast_to(rho, d.shape[:-1])
 
+    def boundary_points(self, directions: np.ndarray) -> np.ndarray:
+        """Boundary points rho(d) d along unit directions of shape (N, dim)
+        with nonnegative entries, from one radial call, one row per kept
+        direction in order.  Zero radii are dropped, and so are radii
+        beyond ``RADIUS_CAP`` on directions with mass only on unbounded
+        axes; beyond it on a declared-bounded axis they raise
+        ``UnknownBoundednessError``."""
+        d = np.asarray(directions)
+        rho = self.radii(d)
+        far = rho > RADIUS_CAP
+        if far.any() and (d[far][:, np.array(self.boundedness())] != 0.0).any():
+            raise UnknownBoundednessError(
+                "radial evaluator unbounded on a declared-bounded direction"
+            )
+        keep = ~far & (rho > 0.0)
+        return rho[keep, None] * d[keep]
+
     def eta(self, X: Sequence[complex]) -> float:
         """Metric value eta(X) = |X| / rho(X/|X|) (radial representation)."""
         if self.radial is None:
@@ -167,15 +196,8 @@ def radial_indicatrix(
     fn: RadialEvaluator,
     dim: int,
     bounded_axes: Sequence[bool | None],
-    *,
-    hulled: bool = False,
 ) -> Indicatrix:
-    return Indicatrix(
-        dim=dim,
-        radial=fn,
-        bounded_axes=tuple(bounded_axes),
-        hulled=hulled,
-    )
+    return Indicatrix(dim=dim, radial=fn, bounded_axes=tuple(bounded_axes))
 
 
 def cloud_indicatrix(
@@ -252,24 +274,6 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
     return np.concatenate(dirs)
 
 
-def _sample_moduli_boundary(ind: Indicatrix, resolution: int) -> np.ndarray:
-    """Sampled moduli-space boundary points."""
-    bounded = ind.boundedness()
-    dirs = absolute_directions(ind.dim, resolution)
-    rho = ind.radii(dirs)
-    far = rho > RADIUS_CAP
-    # a far direction is a recession direction, carried by the metadata,
-    # unless it has mass on a bounded axis
-    if (far & (dirs[:, np.array(bounded)] != 0.0).any(axis=1)).any():
-        raise UnknownBoundednessError(
-            "radial evaluator unbounded on a declared-bounded direction"
-        )
-    keep = ~far & (rho > 0.0)
-    if not keep.any():
-        raise ValueError("no finite boundary samples")
-    return rho[keep, None] * dirs[keep]
-
-
 def _maximal_rows(p: np.ndarray) -> np.ndarray:
     """The rows of ``p`` that no other row dominates componentwise."""
     keep = np.empty(len(p), dtype=bool)
@@ -335,22 +339,24 @@ def _hull_gauge(points: np.ndarray, bounded: np.ndarray) -> np.ndarray:
 def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     """Indicatrix of the largest seminorm below eta (ball = conv B).
 
-    Cloud indicatrices are returned unchanged apart from the hull marker:
-    enclosing-body minimization treats a point set and its hull alike.
-    Radial Reinhardt indicatrices get a hull radial evaluator backed by
-    sampled boundary points (resolution defaults to 256 * dim): the
-    facets of their downward-closed hull are computed once, and a radius
-    is the reciprocal of the gauge max_f <n_f, d> / b_f.  A hull whose
-    maximal boundary samples span more than ``MAX_HULL_AXES`` axes raises
-    ``UnsupportedIndicatrixError``: its facets run into the millions.
+    A cloud, and an indicatrix that is already a hull (it has
+    ``hull_points``), is returned as the same object: enclosing-body
+    minimization treats a point set and its hull alike.  Other radial
+    Reinhardt indicatrices get a hull radial evaluator backed by the
+    ``boundary_points`` along ``resolution`` directions (default
+    256 * dim): the facets of their downward-closed hull are computed
+    once, and a radius is the reciprocal of the gauge max_f <n_f, d> / b_f.
+    A hull whose maximal boundary samples span more than ``MAX_HULL_AXES``
+    axes raises ``UnsupportedIndicatrixError``: its facets run into the
+    millions.
     """
-    if ind.hulled:
+    if ind.cloud is not None or ind.hull_points is not None:
         return ind
-    if ind.cloud is not None:
-        return replace(ind, hulled=True)
-    pts = _sample_moduli_boundary(ind, resolution or 256 * ind.dim)
-    pts.setflags(write=False)
     bounded = np.flatnonzero(ind.boundedness())
+    pts = ind.boundary_points(absolute_directions(ind.dim, resolution or 256 * ind.dim))
+    if len(pts) == 0:
+        raise ValueError("no boundary samples with a positive finite radius")
+    pts.setflags(write=False)
     gauge = _hull_gauge(pts, bounded)
 
     def radius(m: np.ndarray) -> np.ndarray:
@@ -372,7 +378,6 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
         dim=ind.dim,
         radial=batch_radial(radius),
         bounded_axes=ind.bounded_axes,
-        hulled=True,
         hull_points=pts,
     )
 
@@ -389,41 +394,19 @@ def degeneracy(ind: Indicatrix) -> DegeneracyReport:
     return DegeneracyReport(v_axes=v, m=ind.dim - len(v))
 
 
-def _polish_direction(
-    objective: Callable[[np.ndarray], float], start: np.ndarray, rounds: int = 64
-) -> tuple[np.ndarray, float]:
-    """Deterministic coordinate hill-climb on the positive unit sphere."""
-    d = start / np.linalg.norm(start)
-    best = objective(d)
-    h = 0.25
-    k = d.shape[0]
-    for _ in range(rounds):
-        improved = False
-        for j in range(k):
-            for sign in (1.0, -1.0):
-                cand = d.copy()
-                cand[j] = max(0.0, cand[j] + sign * h)
-                norm = np.linalg.norm(cand)
-                if norm == 0.0:
-                    continue
-                cand /= norm
-                val = objective(cand)
-                if val > best + 1e-18:
-                    d, best, improved = cand, val, True
-        if not improved:
-            h *= 0.5
-            if h < 1e-13:
-                break
-    return d, best
-
-
 def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None) -> float:
     """Support function sup{Re <X, y> : X in ball}; inf on recession.
 
     For Reinhardt balls the phases align, so this is the moduli-space
     support sup over the diagram of sum_j x_j |y_j|.  Cloud and convexified
-    indicatrices evaluate exactly over their stored points; raw radial
-    indicatrices sample and polish.
+    indicatrices evaluate exactly over their stored points.  A raw radial
+    indicatrix is sampled through ``boundary_points`` along ``resolution``
+    directions (default 256 * dim), and the ``POLISH_SEEDS`` best samples
+    are polished by a batched pattern search on the unit sphere: each
+    round makes one ``boundary_points`` call on the steps of size h from
+    the best direction so far, along +-e_j and ``POLISH_STEPS``
+    multi-coordinate steps, and h halves when no step improves, for at
+    most ``POLISH_ROUNDS`` rounds per seed.
     """
     ay = np.array([abs(c) for c in y])
     if len(ay) != ind.dim:
@@ -435,16 +418,27 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
         return float(np.max(np.sqrt(ind.cloud) @ ay))
     if ind.hull_points is not None:
         return float(np.max(ind.hull_points @ ay))
-    dirs = absolute_directions(ind.dim, resolution or 256 * ind.dim)
-
-    def obj(d: np.ndarray) -> float:
-        rho = float(ind.radial(d))
-        if rho > RADIUS_CAP:
-            return 0.0  # recession handled above; support mass is elsewhere
-        return float(rho * (d @ ay))
-
-    # recession directions score 0, as in obj
-    rho = ind.radii(dirs)
-    vals = np.where(rho > RADIUS_CAP, 0.0, rho) * (dirs @ ay)
-    _, best = _polish_direction(obj, dirs[int(np.argmax(vals))])
-    return float(best)
+    n = ind.dim
+    pts = ind.boundary_points(absolute_directions(n, resolution or 256 * n))
+    vals = pts @ ay
+    # multi-coordinate steps cross the ridges where one coordinate alone
+    # cannot improve
+    steps = np.concatenate(
+        [np.eye(n), -np.eye(n), 2.0 * kronecker_points(n, POLISH_STEPS) - 1.0]
+    )
+    best = float(vals.max(initial=0.0))
+    for i in np.argsort(vals, kind="stable")[-POLISH_SEEDS:]:
+        p, val, h = pts[i], vals[i], 0.25
+        for _ in range(POLISH_ROUNDS):
+            cand = np.maximum(p / np.linalg.norm(p) + h * steps, 0.0)
+            norm = np.linalg.norm(cand, axis=1)
+            q = ind.boundary_points(cand[norm > 0.0] / norm[norm > 0.0, None])
+            qv = q @ ay
+            if len(qv) and qv.max() > val:
+                p, val = q[qv.argmax()], qv.max()
+            else:
+                h *= 0.5
+                if h < 1e-13:
+                    break
+        best = max(best, float(val))
+    return best

@@ -34,6 +34,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
+# [eval] config keys, one per eval flag
+EVAL_KEYS = (
+    "domain", "kind", "point", "vector", "alpha", "big_c", "type", "r", "n", "m",
+    "k", "resolution", "tol", "out",
+)
 EVAL_COLUMNS = (
     "domain", "kind", "k", "a", "x_vec", "value", "w_tilde", "w", "m",
     "branch", "l", "s", "r", "scale",
@@ -197,15 +202,30 @@ def _scalar(text: str, field: str, cast) -> object:
         raise ConfigError(f"{field}: cannot parse {text!r}") from exc
 
 
+def _spellings(key: str) -> tuple[str, str]:
+    return key, key.replace("_", "-")
+
+
 def _setting(section: dict[str, str], key: str, flag, parse=lambda text, key: text):
     """The flag's value if it was given, else the config value under key
     (or key spelled with dashes) through parse, else None."""
     if flag is not None:
         return flag
-    for spelling in (key, key.replace("_", "-")):
+    for spelling in _spellings(key):
         if spelling in section:
             return parse(section[spelling], key)
     return None
+
+
+def _reject_unknown_keys(section: dict[str, str], name: str, keys: Sequence[str]) -> None:
+    """A config key that no setting reads is a typo, not a default."""
+    known = {spelling for key in keys for spelling in _spellings(key)}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ConfigError(
+            f"{unknown[0]}: unknown key in section [{name}]; "
+            f"expected one of {', '.join(sorted(_spellings(k)[1] for k in keys))}"
+        )
 
 
 def _merge_run_config(
@@ -228,6 +248,7 @@ def _merge_run_config(
         ("tolerance", "tol", args.tolerance, scalar(float)),
         ("out", "out", args.out, lambda text, key: text),
     )
+    _reject_unknown_keys(section, experiment, [key for _, key, _, _ in settings])
     kwargs: dict[str, object] = {"experiment": experiment}
     for field, key, flag, parse in settings:
         value = _setting(section, key, flag, parse)
@@ -310,7 +331,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    setting = functools.partial(_setting, _config_section(args.config, "eval"))
+    section = _config_section(args.config, "eval")
+    _reject_unknown_keys(section, "eval", EVAL_KEYS)
+    setting = functools.partial(_setting, section)
 
     domain = setting("domain", args.domain)
     kind = setting("kind", args.kind)

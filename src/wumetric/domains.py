@@ -163,14 +163,12 @@ class SandwichIndicatrix:
         return tuple(u @ np.array([complex(c) for c in X]))
 
     def sandwich_ok(self, tol: float = 1e-12, samples: int = 64) -> bool:
-        """Closed containment inner subset-of outer on certificates/samples."""
+        """Closed containment inner subset-of outer on certificates, or on
+        the inner ``boundary_points`` along ``samples`` directions."""
         if self.inner.cloud is not None:
             pts = np.sqrt(self.inner.cloud)
         else:
-            dirs = absolute_directions(self.inner.dim, samples)
-            rho = self.inner.radii(dirs)
-            finite = np.isfinite(rho)
-            pts = rho[finite, None] * dirs[finite]
+            pts = self.inner.boundary_points(absolute_directions(self.inner.dim, samples))
         norm = np.linalg.norm(pts, axis=1)
         pts, norm = pts[norm > 0.0], norm[norm > 0.0]
         rho_out = self.outer.radii(pts / norm[:, None])
@@ -307,9 +305,7 @@ def _polydisc_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     _require_origin(at, spec.variant)
     r = spec.radii
     inner = cloud_indicatrix([tuple(x * x for x in r)])
-    outer = radial_indicatrix(
-        batch_radial(_cylinder_radius(r)), len(r), (True,) * len(r), hulled=True
-    )
+    outer = radial_indicatrix(batch_radial(_cylinder_radius(r)), len(r), (True,) * len(r))
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 
@@ -322,13 +318,13 @@ def _gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
         bounded = (True, False) + (True,) * (n - 2)
         inner = radial_indicatrix(batch_radial(_times_unit_discs(_g2_radius)), n, bounded)
         outer = radial_indicatrix(
-            batch_radial(_cylinder_radius((1.0, None) + discs)), n, bounded, hulled=True
+            batch_radial(_cylinder_radius((1.0, None) + discs)), n, bounded
         )
         return SandwichIndicatrix(inner=inner, outer=outer)
     x = _require_axis_point(at, spec.variant)
     inner = cloud_indicatrix([(mu(x), 0.0) + discs, (0.0, nu(x)) + discs])
     axis_ball = _times_unit_discs(lambda m: (1.0 - x * x) / (m[..., 0] + x * m[..., 1]))
-    outer = radial_indicatrix(batch_radial(axis_ball), n, (True,) * n, hulled=True)
+    outer = radial_indicatrix(batch_radial(axis_ball), n, (True,) * n)
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 
@@ -343,7 +339,7 @@ def _truncated_gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     ellipsoid = batch_radial(
         lambda m: 1.0 / np.sqrt(sum(m[..., j] ** 2 / tj for j, tj in enumerate(t)))
     )
-    outer = radial_indicatrix(ellipsoid, n, (True,) * n, hulled=True)
+    outer = radial_indicatrix(ellipsoid, n, (True,) * n)
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 

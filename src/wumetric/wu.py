@@ -39,12 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .busemann import (
-    Indicatrix,
-    UnsupportedIndicatrixError,
-    absolute_directions,
-    degeneracy,
-)
+from .busemann import Indicatrix, absolute_directions, degeneracy
 from .geometry import (
     DiagonalHermitianForm,
     SimplexParams,
@@ -436,23 +431,6 @@ class WuResult:
         return SimplexParams(intercepts=self.w_tilde.axes)
 
 
-def _certificates_from_radial(
-    ind: Indicatrix, u_axes: list[int], resolution: int
-) -> np.ndarray:
-    """Psi-images of the boundary points along ``resolution`` directions
-    spanning u_axes, one row per positive radius, from one radial call."""
-    dirs = absolute_directions(len(u_axes), resolution)
-    full = np.zeros((len(dirs), ind.dim))
-    full[:, u_axes] = dirs
-    rho = ind.radii(full)
-    if not np.isfinite(rho).all():
-        raise UnsupportedIndicatrixError(
-            "radial evaluator unbounded along a declared-bounded axis set"
-        )
-    keep = rho > 0.0
-    return (rho[keep, None] * dirs[keep]) ** 2
-
-
 def wu_metric(
     ind: Indicatrix,
     *,
@@ -478,7 +456,10 @@ def wu_metric(
     if ind.cloud is not None:
         pts = ind.cloud[:, u_axes]
     else:
-        pts = _certificates_from_radial(ind, u_axes, resolution or 256 * len(u_axes))
+        sub = absolute_directions(len(u_axes), resolution or 256 * len(u_axes))
+        dirs = np.zeros((len(sub), n))
+        dirs[:, u_axes] = sub
+        pts = ind.boundary_points(dirs)[:, u_axes] ** 2
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):

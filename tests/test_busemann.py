@@ -28,6 +28,7 @@ from wumetric.busemann import (
     support,
 )
 from wumetric.domains import (
+    SandwichIndicatrix,
     elem_reinhardt,
     g2,
     gn,
@@ -35,6 +36,7 @@ from wumetric.domains import (
     metric_indicatrix,
     polydisc,
 )
+from wumetric.wu import wu_metric
 
 DIRS_2D = [
     (1.0, 0.0),
@@ -197,7 +199,7 @@ def test_gn_origin_hull_is_the_cube_cylinder_in_ten_variables():
 
 def test_convexify_fixpoint_on_ball():
     hull = convexify(unit_ball(2), resolution=128)
-    assert hull.hulled
+    assert convexify(hull) is hull
     # exact on the sampled axes, within the sampling gap elsewhere
     assert hull.radial((1.0, 0.0)) == 1.0
     assert hull.radial((0.0, 1.0)) == 1.0
@@ -224,7 +226,7 @@ def test_convexify_idempotence():
     inner = indicatrix_at(g2(), (0.0, 0.0)).inner
     once = convexify(inner, resolution=96)
     twice = convexify(once)
-    assert twice is once  # marker short-circuit
+    assert twice is once  # a hull is returned as it is
     # and rebuilding from scratch is deterministic
     again = convexify(indicatrix_at(g2(), (0.0, 0.0)).inner, resolution=96)
     for d in DIRS_2D:
@@ -264,10 +266,9 @@ def test_cloud_is_a_read_only_float_array():
         Indicatrix(dim=3, cloud=[(1.0, 1.0)])
 
 
-def test_convexify_cloud_is_marker_only():
+def test_convexify_returns_a_cloud_as_is():
     cloud = cloud_indicatrix([(1.0, 0.0), (0.0, 1.0)])
-    hull = convexify(cloud)
-    assert hull.hulled and np.array_equal(hull.cloud, cloud.cloud)
+    assert convexify(cloud) is cloud
 
 
 def test_hull_points_are_the_read_only_sample():
@@ -317,6 +318,67 @@ def test_support_examples():
     poly = indicatrix_at(polydisc(1.0, 2.0), (0.0, 0.0)).inner
     assert support(poly, (1.0, 0.0), resolution=96) == pytest.approx(1.0, rel=1e-6)
     assert support(poly, (0.0, 1.0), resolution=96) == pytest.approx(2.0, rel=1e-6)
+
+
+# The gn(4) outer ball at (x, 0, 0, 0) has the polytope
+# {p0 + x p1 <= 1 - x^2, p2 <= 1, p3 <= 1} as its moduli diagram, so its
+# support is (1 - x^2) max(y0, y1 / x) + y2 + y3, attained at a vertex
+# where three faces meet.
+SUPPORT_XS = (0.1, 0.3, 0.5, 0.8, 0.95)
+SUPPORT_YS = (
+    (1.0, 0.5, 0.2, 0.1),
+    (0.2, 1.0, 0.5, 0.5),
+    (1.0, 1.0, 1.0, 1.0),
+    (0.3, 0.05, 0.0, 1.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (1.0, 0.0, 0.7, 0.0),
+)
+
+
+def test_support_reaches_the_vertices_of_the_gn_outer_polytope():
+    misses = []
+    for x in SUPPORT_XS:
+        ball = indicatrix_at(gn(4), (x, 0.0, 0.0, 0.0)).outer
+        for y in SUPPORT_YS:
+            want = (1.0 - x * x) * max(y[0], y[1] / x) + y[2] + y[3]
+            got = support(ball, y)
+            if not abs(got - want) <= 1e-12 * want:
+                misses.append((x, y, got, want))
+    assert not misses
+
+
+def test_boundary_points_recession_rule():
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    # g2's ball at the origin recedes along the unbounded axis 1 only:
+    # that direction is dropped, the others give rho(d) d in order
+    halfplane = indicatrix_at(g2(), (0.0, 0.0)).inner
+    kept = dirs[[0, 2]]
+    want = halfplane.radii(kept)[:, None] * kept
+    assert np.array_equal(halfplane.boundary_points(dirs), want)
+    # zero radii are dropped
+    point = radial_indicatrix(lambda d: 0.0, 2, (True, True))
+    assert point.boundary_points(dirs).shape == (0, 2)
+    # a radius beyond the cap on a bounded axis is an error, not a sample
+    escaping = radial_indicatrix(batch_radial(lambda m: 1.0 / m[..., 0]), 2, (True, True))
+    with pytest.raises(UnknownBoundednessError):
+        escaping.boundary_points(dirs)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        convexify,
+        wu_metric,
+        lambda ind: support(ind, (1.0, 0.0)),
+        lambda ind: SandwichIndicatrix(inner=ind, outer=ind).sandwich_ok(),
+    ],
+    ids=["convexify", "wu_metric", "support", "sandwich_ok"],
+)
+def test_escaping_evaluator_on_a_bounded_ball_is_refused(entry):
+    # declared bounded on both axes, but every radius is infinite
+    ball = radial_indicatrix(lambda d: math.inf, 2, (True, True))
+    with pytest.raises(UnknownBoundednessError):
+        entry(ball)
 
 
 @given(

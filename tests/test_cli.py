@@ -110,6 +110,15 @@ def test_config_file_supplies_parameters(tmp_path):
     assert all(float(r["t"]) == 1.3 for r in cert)
 
 
+def test_unknown_run_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[g2_usc]\nx-gird = 0.2\n")
+    assert run_cli(["run", "g2_usc", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x-gird: unknown key in section [g2_usc]" in captured.err
+
+
 def test_flag_overrides_config(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[g2_usc]\nt = 1.3\n")
@@ -221,6 +230,15 @@ def test_eval_bad_domain_value_is_usage_error(tmp_path, capsys):
     cfg.write_text("[eval]\ndomain = gn\nn = three\nkind = wu\npoint = 0,0,0\nvector = 1,0,0\n")
     assert run_cli(["eval", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_eval_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text("[eval]\ndomain = g2\nkind = wu\npoint = 0.3,0\nvectr = 1,0\n")
+    assert run_cli(["eval", "--config", str(cfg), "--vector", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vectr: unknown key in section [eval]" in captured.err
 
 
 def test_eval_from_config_section(tmp_path):
