@@ -25,6 +25,7 @@ from .experiments import (
     ExperimentConfig,
     ResultRow,
     run_experiment,
+    validate_solver_settings,
 )
 from .metrics import MultiIndex, elem_reinhardt_metric_info
 from .wu import SolverError, wu_metric
@@ -111,6 +112,7 @@ def eval_metric(
     the W-tilde/W values in direction X; the other kinds evaluate the
     displayed closed forms (elem_reinhardt domains only).
     """
+    validate_solver_settings(tolerance, resolution)
     at = tuple(complex(c) for c in a)
     xv = tuple(complex(c) for c in X)
     data: dict[str, object] = {

@@ -76,16 +76,21 @@ def _row(cfg: ExperimentConfig, ok: bool, tol: float, **data: object) -> ResultR
     return ResultRow(experiment=cfg.experiment, data=data, ok=ok, tolerance=tol)
 
 
+def validate_solver_settings(tolerance: float, resolution: int | None) -> None:
+    """The checks ``run`` and ``eval`` share; ``None`` is the default resolution."""
+    if resolution is not None and resolution < 8:
+        raise ConfigError("resolution: must be >= 8")
+    if not 0.0 < tolerance < 1.0:
+        raise ConfigError("tol: must lie in (0, 1)")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment: unknown id {cfg.experiment!r}; choose from "
             + ", ".join(sorted(EXPERIMENTS))
         )
-    if cfg.resolution < 8:
-        raise ConfigError("resolution: must be >= 8")
-    if not 0.0 < cfg.tolerance < 1.0:
-        raise ConfigError("tol: must lie in (0, 1)")
+    validate_solver_settings(cfg.tolerance, cfg.resolution)
     if cfg.experiment in ("g2_usc", "gn_usc"):
         if any(not 0.0 < x < 1.0 for x in cfg.x_grid) or not cfg.x_grid:
             raise ConfigError("x-grid: entries must lie in (0, 1)")

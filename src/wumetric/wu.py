@@ -14,6 +14,9 @@ The solver is a primal-dual interior-point Newton method on the n_f
 primal variables, run on a working set of points that grows until the
 normalized multipliers w certify optimality over every point through the
 duality gap n_f * log(max_i score_i / n_f), score_i = sum_j u_ij / (U^T w)_j.
+Each step aims at the centring target sigma * s.lam / m_w, with sigma =
+CENTERING after a damped step and CENTERING**2 after a full one, so a solve
+that takes full steps closes the gap by about two decades a step, not one.
 Newton steps score only the working set.  All m points are priced when the
 working-set gap certifies, and once more when that gap stops halving, so a
 solve passes over the whole cloud at most twice per working set, not once
@@ -230,8 +233,17 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     """Primal-dual interior-point Newton method (Boyd and Vandenberghe,
     Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
+    Each step targets s_i lam_i = sigma * s.lam / m_w.  The centring sigma
+    is CENTERING on the first step of a working set and after a step cut
+    short by the fraction-to-boundary rule, and CENTERING**2 after a full
+    step (Wright, Primal-Dual Interior-Point Methods, 1997, on adaptive
+    centring).  The step length is the largest alpha <= 1 with
+    y + alpha dy >= (1 - TO_BOUNDARY) y for y = (b, s, lam).
+
     It runs on a working set: the WORK_PER_AXIS * k points of largest
-    column-normalized mass and each column's maximum.  Each Newton step
+    column-normalized mass and each column's maximum.  Only the working
+    set is scaled to unit column maxima: scores do not change when a
+    column is scaled, so pricing reads u as it is.  Each Newton step
     scores only the working set, score_i = sum_j u_ij / (U^T w)_j with
     w = lam / sum(lam).  Once the working-set gap k log(max_i score_i / k)
     is within ``tol``, all m points are priced, one pass over the (k, m)
@@ -247,21 +259,21 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     # unit column maxima make the pivoting of the solve scale-free, so
     # power-of-two column scalings of u give bitwise-scaled results
     tops = u.argmax(axis=0)
-    v = u / u[tops, np.arange(k)]
+    top = u[tops, np.arange(k)]
     if m <= WORK_PER_AXIS * k:
         work = np.arange(m)
     else:
-        heavy = np.argpartition(-v.sum(axis=1), WORK_PER_AXIS * k - 1)
+        heavy = np.argpartition(-(u @ (1.0 / top)), WORK_PER_AXIS * k - 1)
         work = np.union1d(heavy[: WORK_PER_AXIS * k], tops)
 
     def price(work: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
         """Scores of all m points under the weights w on ``work``, and their gap."""
-        score = (1.0 / (w @ v[work])) @ v.T
+        score = (1.0 / (w @ u[work])) @ u.T
         return score, k * math.log(max(float(score.max()), k) / k)
 
     steps, best, near, certified = 0, math.inf, math.inf, None
     while True:
-        x = v[work]
+        x = u[work] / top
         mw = len(work)
         # (b, s, lam) and (db, ds, dlam) are views of y and dy, so one
         # fraction-to-boundary scan and one update serve all three
@@ -270,7 +282,7 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
         db, ds, dlam = dy[:k], dy[k : k + mw], dy[k + mw :]
         b[:] = 0.5 / k
         s -= x @ b
-        stuck = False
+        sigma, stuck = CENTERING, False
         while True:
             w = lam / lam.sum()
             gap = k * math.log(max(float((x @ (1.0 / (x.T @ w))).max()), k) / k)
@@ -297,7 +309,7 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
                         best, best_w = again, lowest_w
                 full_w = np.zeros(m)
                 full_w[work] = best_w
-                return 1.0 / (k * (u.T @ full_w)), full_w, best, steps
+                return 1.0 / (k * (best_w @ u[work])), full_w, best, steps
             if stuck or steps >= MAX_NEWTON_STEPS:
                 # the working-set gap only bounds the full gap from below
                 best = min(best, price(*near_at)[1])
@@ -307,20 +319,24 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
                     best,
                 )
             steps += 1
-            d = lam / s
-            tau = CENTERING * float(s @ lam) / mw
+            inv_s = 1.0 / s
+            d = lam * inv_s
+            tau = sigma * float(s @ lam) / mw
             hess = (x.T * d) @ x  # a fresh C-contiguous product: ravel() is a view
             hess.ravel()[:: k + 1] += 1.0 / b**2
             try:
-                db[:] = np.linalg.solve(hess, 1.0 / b - tau * (x.T @ (1.0 / s)))
+                db[:] = np.linalg.solve(hess, 1.0 / b - tau * (x.T @ inv_s))
             except np.linalg.LinAlgError:  # the multipliers swamp the 1 / b^2 term
                 stuck = True
                 continue
             np.negative(x @ db, out=ds)
-            dlam[:] = tau / s - lam - d * ds
-            neg = dy < 0.0
-            step = float((y[neg] / -dy[neg]).min(initial=math.inf))
-            y += min(1.0, TO_BOUNDARY * step) * dy
+            dlam[:] = tau * inv_s - lam - d * ds
+            # y > 0, so the largest step to the boundary is -1 / min(dy / y)
+            q = float((dy / y).min())
+            alpha = 1.0 if q >= -TO_BOUNDARY else -TO_BOUNDARY / q
+            y += alpha * dy
+            # a full step means the iterate is well centred: aim lower next
+            sigma = CENTERING**2 if alpha == 1.0 else CENTERING
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
@@ -443,8 +459,12 @@ def wu_metric(
     the complement the minimal-volume enclosing diagonal ellipsoid is
     computed by one certified solve over the certificate points: the
     cloud itself, or a boundary sample of the radial evaluator along
-    ``resolution`` directions (default 256 per non-degenerate axis).
+    ``resolution`` directions (default 256 per non-degenerate axis; at
+    least 1, and any count below the axes and subset diagonals samples
+    exactly those).
     """
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
     report = degeneracy(ind)
     n = ind.dim
     if report.m == 0:
@@ -456,7 +476,8 @@ def wu_metric(
     if ind.cloud is not None:
         pts = ind.cloud[:, u_axes]
     else:
-        sub = absolute_directions(len(u_axes), resolution or 256 * len(u_axes))
+        count = 256 * len(u_axes) if resolution is None else resolution
+        sub = absolute_directions(len(u_axes), count)
         dirs = np.zeros((len(sub), n))
         dirs[:, u_axes] = sub
         pts = ind.boundary_points(dirs)[:, u_axes] ** 2

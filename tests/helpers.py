@@ -1,7 +1,9 @@
 """Shared deterministic test fixtures.
 
-Seedless by design: the cloud generator walks a generalized-golden-ratio
-Kronecker sequence, so every run sees the same "random" cases.
+The small cloud generator is seedless by design: it walks a
+generalized-golden-ratio Kronecker sequence, so every run sees the same
+"random" cases.  The hard clouds draw from a numpy generator with a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -72,6 +74,25 @@ def cloud_cases(count: int) -> list[tuple[int, list[tuple[float, ...]]]]:
             if max(p[j] for p in pts) < 0.05:
                 pts[0] = tuple(0.8 if jj == j else c for jj, c in enumerate(pts[0]))
         cases.append((n, pts))
+    return cases
+
+
+def hard_cloud_cases() -> list[tuple[int, np.ndarray]]:
+    """Seeded clouds with k = 2..9 in three families: near-duplicate pairs
+    (relative perturbations up to 1e-7), zero-heavy rows (70 % zeros plus a
+    point on every axis) and squared unit spheres |z_j|^2."""
+    rng = np.random.default_rng(20260)
+    cases = []
+    for k in range(2, 10):
+        base = rng.random((int(rng.integers(2, 16)), k)) + 0.1
+        twin = base * (1.0 + rng.uniform(-1e-7, 1e-7, base.shape))
+        cases.append((k, np.vstack([base, twin])))
+        sparse = rng.random((int(rng.integers(k, 120)), k))
+        sparse *= rng.random(sparse.shape) < 0.3
+        sparse[:k] += 0.5 * np.eye(k)
+        cases.append((k, sparse))
+        z = rng.normal(size=(int(rng.integers(k, 300)), k))
+        cases.append((k, (z / np.linalg.norm(z, axis=1, keepdims=True)) ** 2))
     return cases
 
 

@@ -272,6 +272,47 @@ def test_eval_rejects_unknown_kind(capsys):
     assert code == 2
 
 
+
+GN3_WU = ["eval", "--domain", "gn", "--n", "3", "--kind", "wu",
+          "--point", "0,0,0", "--vector", "1,0,0"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tol", "2", "tol"),
+        ("--tol", "1", "tol"),
+        ("--tol", "0", "tol"),
+        ("--tol", "-1e-10", "tol"),
+        ("--resolution", "0", "resolution"),
+        ("--resolution", "-5", "resolution"),
+        ("--resolution", "7", "resolution"),
+    ],
+)
+def test_eval_checks_tol_and_resolution_like_run(tmp_path, capsys, flag, value, field):
+    # the same bounds as ``run``: tol in (0, 1), resolution >= 8
+    out = tmp_path / "row.csv"
+    assert run_cli(GN3_WU + [f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["run", "rem_one", f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_eval_checks_tol_and_resolution_from_config(tmp_path, capsys):
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text("[eval]\ndomain = gn\nn = 3\nkind = wu\npoint = 0,0,0\n"
+                   "vector = 1,0,0\ntol = 2\n")
+    assert run_cli(["eval", "--config", str(cfg)]) == 2
+    assert "config error: tol:" in capsys.readouterr().err
+
+
+def test_eval_accepts_the_smallest_resolution(tmp_path):
+    out = tmp_path / "row.csv"
+    assert run_cli(GN3_WU + ["--resolution", "8", "--tol", "1e-10", "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert row["ok"] == "true"
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         run_cli(["run"])  # experiment argument missing
