@@ -336,6 +336,12 @@ def _hull_gauge(points: np.ndarray, bounded: np.ndarray) -> np.ndarray:
     return np.concatenate(gauge)
 
 
+def check_resolution(resolution: int | None) -> None:
+    """Reject a direction count below 1 (``None`` means the default)."""
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+
+
 def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     """Indicatrix of the largest seminorm below eta (ball = conv B).
 
@@ -344,16 +350,19 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     minimization treats a point set and its hull alike.  Other radial
     Reinhardt indicatrices get a hull radial evaluator backed by the
     ``boundary_points`` along ``resolution`` directions (default
-    256 * dim): the facets of their downward-closed hull are computed
-    once, and a radius is the reciprocal of the gauge max_f <n_f, d> / b_f.
+    256 * dim; a count below 1 raises ``ValueError``): the facets of their
+    downward-closed hull are computed once, and a radius is the reciprocal
+    of the gauge max_f <n_f, d> / b_f.
     A hull whose maximal boundary samples span more than ``MAX_HULL_AXES``
     axes raises ``UnsupportedIndicatrixError``: its facets run into the
     millions.
     """
+    check_resolution(resolution)
     if ind.cloud is not None or ind.hull_points is not None:
         return ind
     bounded = np.flatnonzero(ind.boundedness())
-    pts = ind.boundary_points(absolute_directions(ind.dim, resolution or 256 * ind.dim))
+    count = 256 * ind.dim if resolution is None else resolution
+    pts = ind.boundary_points(absolute_directions(ind.dim, count))
     if len(pts) == 0:
         raise ValueError("no boundary samples with a positive finite radius")
     pts.setflags(write=False)
@@ -401,13 +410,15 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     support sup over the diagram of sum_j x_j |y_j|.  Cloud and convexified
     indicatrices evaluate exactly over their stored points.  A raw radial
     indicatrix is sampled through ``boundary_points`` along ``resolution``
-    directions (default 256 * dim), and the ``POLISH_SEEDS`` best samples
-    are polished by a batched pattern search on the unit sphere: each
-    round makes one ``boundary_points`` call on the steps of size h from
-    the best direction so far, along +-e_j and ``POLISH_STEPS``
-    multi-coordinate steps, and h halves when no step improves, for at
-    most ``POLISH_ROUNDS`` rounds per seed.
+    directions (default 256 * dim; a count below 1 raises ``ValueError``),
+    and the ``POLISH_SEEDS`` best samples are polished by a batched
+    pattern search on the unit sphere: each round makes one
+    ``boundary_points`` call on the steps of size h from the best direction
+    so far, along +-e_j and ``POLISH_STEPS`` multi-coordinate steps, and h
+    halves when no step improves, for at most ``POLISH_ROUNDS`` rounds per
+    seed.
     """
+    check_resolution(resolution)
     ay = np.array([abs(c) for c in y])
     if len(ay) != ind.dim:
         raise ValueError("dimension mismatch")
@@ -419,7 +430,8 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
     if ind.hull_points is not None:
         return float(np.max(ind.hull_points @ ay))
     n = ind.dim
-    pts = ind.boundary_points(absolute_directions(n, resolution or 256 * n))
+    count = 256 * n if resolution is None else resolution
+    pts = ind.boundary_points(absolute_directions(n, count))
     vals = pts @ ay
     # multi-coordinate steps cross the ridges where one coordinate alone
     # cannot improve

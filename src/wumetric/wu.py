@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .busemann import Indicatrix, absolute_directions, degeneracy
+from .busemann import Indicatrix, absolute_directions, check_resolution, degeneracy
 from .geometry import (
     DiagonalHermitianForm,
     SimplexParams,
@@ -219,13 +219,13 @@ def _reduce(
 
 
 def _assemble(
-    prog: SimplexProgram, free: list[int], fixed: dict[int, float], b: np.ndarray
+    prog: SimplexProgram, free: list[int], fixed: dict[int, float], a_free: np.ndarray
 ) -> SimplexParams:
     a = [math.inf] * prog.dim
     for j, v in fixed.items():
         a[j] = v
     for col, j in enumerate(free):
-        a[j] = 1.0 / b[col]
+        a[j] = float(a_free[col])
     return SimplexParams(intercepts=tuple(a))
 
 
@@ -340,19 +340,29 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
-    """Solve the program with a duality-gap certificate."""
+    """Solve the program with a duality-gap certificate.  One free axis has
+    the closed form a = max_i u_i, with gap 0 and all weight on the argmax."""
     reduced, free, fixed, keep = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
         w = np.zeros(len(keep))
         w.flags.writeable = False
         return SolveInfo(params=params, gap=0.0, iterations=0, weights=w)
-    b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
-    # conservative rescale: containment of every reduced point, exactly
-    top = float(np.max(reduced @ b))
-    if top > 1.0:
-        b = b / top
-    params = _assemble(prog, free, fixed, b)
+    if len(free) == 1:
+        # one free axis: a = max u exactly, certified by all weight on the
+        # argmax (every score u_i / max u is at most 1, so the gap is 0)
+        i = int(np.argmax(reduced[:, 0]))
+        w = np.zeros(len(reduced))
+        w[i] = 1.0
+        a, gap, iters = reduced[i], 0.0, 0
+    else:
+        b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
+        # conservative rescale: containment of every reduced point, exactly
+        top = float(np.max(reduced @ b))
+        if top > 1.0:
+            b = b / top
+        a = 1.0 / b
+    params = _assemble(prog, free, fixed, a)
     if not keep.all():
         w, kept = np.zeros(len(keep)), w
         w[keep] = kept
@@ -370,7 +380,11 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     Scans the optimality box a_j in [max_i u_ij, n_f * max_i u_ij] over all
     free axes but the last, whose intercept has the closed form
     max_i u_i,last / (1 - sum_{j<last} u_ij / a_j); three shrinking local
-    refinement passes follow the coarse scan.
+    refinement passes of 41 cells per axis follow the coarse scan.  Each
+    scan takes the grid of leading intercepts as an open mesh (``np.ix_``)
+    and builds the slack 1 - sum_j u_ij / a_j from one broadcast term per
+    leading axis over a trailing point axis, so no meshgrid or stacked
+    copy of the grid is made.  One free axis returns a = max_i u_i.
     """
     reduced, free, fixed, _ = _reduce(prog)
     k = len(free)
@@ -380,32 +394,33 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
         raise ValueError("bruteforce reference handles at most 3 free axes")
     lo = reduced.max(axis=0)
     if k == 1:
-        return _assemble(prog, free, fixed, np.array([1.0 / lo[0]]))
+        return _assemble(prog, free, fixed, lo)
 
-    def volumes(partials: np.ndarray) -> np.ndarray:
-        """partials: (..., k-1) grids of leading intercepts -> volumes."""
-        slack = 1.0 - np.tensordot(1.0 / partials, reduced[:, :-1], axes=([-1], [1]))
-        ulast = reduced[:, -1]
-        # slack <= 0 with mass on the last axis (or negative slack at all)
-        # means no feasible last intercept
+    def volumes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k-1, cells) leading intercepts -> volumes and last intercepts
+        over their open mesh, each of shape (cells,) * (k-1)."""
+        mesh = np.ix_(*axes)
+        # sum_j<last u_ij / a_j as one broadcast term per leading axis over
+        # a trailing point axis
+        slack = 1.0 - sum((1.0 / g)[..., None] * uj for g, uj in zip(mesh, reduced.T))
+        # zero slack needs u_last / 0 = inf, or nothing where u_last = 0 too
+        # (0 / 0 = nan, which fmax skips); negative slack is infeasible
         with np.errstate(divide="ignore", invalid="ignore"):
-            req = np.where(slack > 0.0, ulast / slack, np.where(ulast > 0.0, np.inf, 0.0))
-        req = np.where(slack < 0.0, np.inf, req)
-        alast = req.max(axis=-1)
-        return np.prod(partials, axis=-1) * alast, alast
+            alast = np.fmax.reduce(reduced[:, -1] / slack, axis=-1, initial=0.0)
+        alast[slack.min(axis=-1) < 0.0] = np.inf
+        return math.prod(mesh) * alast, alast
 
     def grid_scan(center: np.ndarray, radius: np.ndarray, cells: int) -> np.ndarray:
-        axes = [
-            np.linspace(max(lo[j], center[j] - radius[j]), center[j] + radius[j], cells)
-            for j in range(k - 1)
-        ]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vol, _ = volumes(mesh)
+        # np.linspace(start, stop, cells) on every leading axis at once
+        start = np.maximum(lo[:-1], center - radius)
+        stop = center + radius
+        axes = np.arange(cells) * ((stop - start) / (cells - 1))[:, None] + start[:, None]
+        axes[:, -1] = stop
+        vol, _ = volumes(axes)
         flat = int(np.argmin(vol))
         if not math.isfinite(vol.reshape(-1)[flat]):
             raise DegenerateAxisError("no feasible grid point")
-        idx = np.unravel_index(flat, vol.shape)
-        return mesh[idx]
+        return axes[np.arange(k - 1), np.unravel_index(flat, vol.shape)]
 
     center = 0.5 * (1 + k) * lo[:-1]
     radius = 0.5 * (k - 1) * lo[:-1] + 1e-9
@@ -417,9 +432,8 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
         span = span / 5.0
     a = np.empty(k)
     a[:-1] = pt
-    _, alast = volumes(pt)
-    a[-1] = alast
-    return _assemble(prog, free, fixed, 1.0 / a)
+    a[-1] = volumes(pt[:, None])[1].item()
+    return _assemble(prog, free, fixed, a)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +477,7 @@ def wu_metric(
     least 1, and any count below the axes and subset diagonals samples
     exactly those).
     """
-    if resolution is not None and resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+    check_resolution(resolution)
     report = degeneracy(ind)
     n = ind.dim
     if report.m == 0:

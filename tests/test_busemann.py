@@ -292,6 +292,19 @@ def test_convexify_rejects_unusable_inputs():
         convexify(unit_ball(MAX_HULL_AXES + 1))
 
 
+@pytest.mark.parametrize("resolution", [0, -5])
+def test_convexify_and_support_reject_resolution_below_one(resolution):
+    # 0 and negative counts are errors, not the default 256 * dim
+    # directions or the axes and subset diagonals alone
+    ball = radial_indicatrix(lambda d: 1.0, 2, (True,) * 2)
+    with pytest.raises(ValueError, match="resolution"):
+        convexify(ball, resolution=resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        support(ball, (1.0, 1.0), resolution=resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        support(cloud_indicatrix([(1.0, 4.0)]), (1.0, 1.0), resolution=resolution)
+
+
 def test_two_discs_hull_is_l1_ball():
     """conv({|X1|<1} u {|X2|<1}) = {|X1|+|X2|<1}, support max(|y1|,|y2|)."""
     union = cloud_indicatrix([(1.0, 0.0), (0.0, 1.0)])

@@ -11,6 +11,7 @@ points, axis scales from 1e-12 to 1e12, single-axis mass).
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import cloud_cases, hard_cloud_cases
 from wumetric.busemann import cloud_indicatrix, convexify, radial_indicatrix
 from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
+from wumetric.experiments import polydisc_cases
 from wumetric.geometry import SimplexParams, simplex_contains, simplex_volume
 from wumetric import wu as wu_module
 from wumetric.wu import (
@@ -56,6 +58,30 @@ def test_box_corner_gives_n_r_squared():
         a = solve([r2])
         for got, want in zip(a, r2):
             assert got == pytest.approx(n * want, rel=1e-12)
+
+
+def test_one_free_axis_is_the_largest_coordinate_exactly():
+    # a = max u in closed form, certified by all weight on the argmax, and
+    # no point outside in exact arithmetic (1 / b can round inside max u)
+    u = np.random.default_rng(511).random((511, 1))
+    info = min_vol_simplex_info(simplex_program(u))
+    top = int(np.argmax(u))
+    assert info.params.intercepts == (u[top, 0],)
+    assert (info.iterations, info.gap) == (0, 0.0)
+    assert info.weights[top] == 1.0 and np.count_nonzero(info.weights) == 1
+    a = Fraction(info.params.intercepts[0])
+    assert all(Fraction(x) / a <= 1 for x in u[:, 0].tolist())
+
+
+def test_one_free_axis_beside_a_fixed_one():
+    # the free column is scaled by the fixed axis' slack; the point with no
+    # free mass weighs 0
+    info = min_vol_simplex_info(
+        simplex_program([(1.0, 0.5), (2.0, 0.0), (0.0, 0.25)], fixed={0: 4.0})
+    )
+    assert info.params.intercepts == (4.0, 0.5 / 0.75)
+    assert info.weights.tolist() == [1.0, 0.0, 0.0]
+    assert (info.iterations, info.gap) == (0, 0.0)
 
 
 def test_independent_axis_points():
@@ -550,6 +576,17 @@ def test_bruteforce_matches_solver_on_pinned_program():
     exact = min_vol_simplex(prog)
     ref = min_vol_simplex_bruteforce(prog, grid=601)
     assert simplex_volume(ref) == pytest.approx(simplex_volume(exact), rel=1e-3)
+
+
+def test_bruteforce_lands_on_the_am_gm_optimum_of_the_polydisc_programs():
+    # one point u: by AM-GM the minimal simplex has intercepts k * u_j; the
+    # 14 programs with k <= 3 are the polydisc_formula oracle's
+    programs = [tuple(r * r for r in case) for case in polydisc_cases() if len(case) <= 3]
+    assert len(programs) == 14
+    for u in programs:
+        got = min_vol_simplex_bruteforce(simplex_program([u]), grid=301).intercepts
+        want = tuple(len(u) * uj for uj in u)
+        assert got == pytest.approx(want, rel=2e-8, abs=0.0), u
 
 
 def test_bruteforce_refuses_high_dimensions():
