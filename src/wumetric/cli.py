@@ -18,7 +18,7 @@ import os
 import sys
 from typing import IO, Sequence
 
-from .domains import DomainSpec, indicatrix_at, spec_from_config
+from .domains import DomainSpec, indicatrix_at, spec_from_config, spec_to_config
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -35,11 +35,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
-# [eval] config keys, one per eval flag
-EVAL_KEYS = (
-    "domain", "kind", "point", "vector", "alpha", "big_c", "type", "r", "n", "m",
-    "k", "resolution", "tol", "out",
-)
 EVAL_COLUMNS = (
     "domain", "kind", "k", "a", "x_vec", "value", "w_tilde", "w", "m",
     "branch", "l", "s", "r", "scale",
@@ -115,11 +110,8 @@ def eval_metric(
     validate_solver_settings(tolerance, resolution)
     at = tuple(complex(c) for c in a)
     xv = tuple(complex(c) for c in X)
-    data: dict[str, object] = {
-        "domain": spec.variant, "kind": kind, "k": k, "a": at, "x_vec": xv,
-        "value": None, "w_tilde": None, "w": None, "m": None,
-        "branch": None, "l": None, "s": None, "r": None, "scale": None,
-    }
+    # a column that the kind leaves out is written as an empty cell
+    data: dict[str, object] = {"domain": spec.variant, "kind": kind, "k": k, "a": at, "x_vec": xv}
     if kind == "wu":
         sand = indicatrix_at(spec, at)
         res = wu_metric(sand.inner, tolerance=tolerance, resolution=resolution)
@@ -153,110 +145,100 @@ def eval_metric(
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# settings: one entry per setting gives its flag --key (dashes for
+# underscores), its INI key (either spelling) and the one parser that reads
+# the flag text and the INI text alike
 
-def _config_section(path: str | None, name: str) -> dict[str, str]:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config: file {path!r} not found")
-    parser = configparser.ConfigParser()
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    if not parser.has_section(name):
-        return {}
-    return dict(parser.items(name))
+def _list(cast):
+    def parse(text: str) -> tuple:
+        values = tuple(cast(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+    return parse
 
 
-def _floats(text: str, field: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{field}: cannot parse {text!r} as floats") from exc
-    if not values:
-        raise ConfigError(f"{field}: empty list")
-    return values
+def _checked(parse):
+    """The text itself once parse accepts it: ``spec_from_config`` reads text."""
+    def check(text: str) -> str:
+        parse(text)
+        return text
+    return check
 
 
-def _complexes(text: str, field: str) -> tuple[complex, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+def _declared_type(text: str) -> str:
+    if text not in ("rational", "irrational"):
+        raise ValueError("expected rational or irrational")
+    return text
+
+
+RUN_SETTINGS = (
+    ("n", "dimension parameter", int),
+    ("x_grid", "comma-separated x values", _list(float)),
+    ("t", "pinned first intercept", float),
+    ("m_list", "comma-separated truncation levels", _list(float)),
+    ("alpha", "comma-separated exponent vector", _list(float)),
+    ("big_c", "domain constant C", float),
+    ("resolution", "boundary sampling resolution", int),
+    ("tol", "solver/comparison tolerance", float),
+    ("out", "CSV output path (default: stdout)", str),
+)
+# the domain keys of [eval] are handed to spec_from_config
+_DOMAIN_KEYS = ("domain", "alpha", "big_c", "type", "r", "n", "m")
+EVAL_SETTINGS = (
+    ("domain", "elem_reinhardt|polydisc|g2|gn|truncated_gn", str),
+    ("kind", "gamma|gamma_k|azukawa|kappa|wu", str),
+    ("point", "comma-separated complex coordinates", _list(complex)),
+    ("vector", "comma-separated complex direction", _list(complex)),
+    ("alpha", "exponent vector (elem_reinhardt)", _checked(_list(float))),
+    ("big_c", "domain constant C", _checked(float)),
+    ("type", "rational|irrational: override exponent type detection", _declared_type),
+    ("r", "polydisc radii, comma-separated", _checked(_list(float))),
+    ("n", "dimension (gn, truncated_gn)", _checked(int)),
+    ("m", "truncation level (truncated_gn)", _checked(float)),
+    ("k", "order for kind gamma_k", int),
+    ("resolution", "boundary sampling resolution", int),
+    ("tol", "solver tolerance", float),
+    ("out", "CSV output path (default: stdout)", str),
+)
+
+
+def _dashed(key: str) -> str:
+    return key.replace("_", "-")
+
+
+def _read_settings(args: argparse.Namespace, name: str, table) -> dict[str, object]:
+    """Each setting of table that is given, by its flag or else by its key in
+    section [name] of the --config file, through the setting's parser."""
+    section: dict[str, str] = {}
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise ConfigError(f"config: file {args.config!r} not found")
+        ini = configparser.ConfigParser()
         try:
-            out.append(complex(part))
-        except ValueError as exc:
-            raise ConfigError(
-                f"{field}: cannot parse {part!r} as a complex number"
-            ) from exc
-    if not out:
-        raise ConfigError(f"{field}: empty list")
-    return tuple(out)
-
-
-def _scalar(text: str, field: str, cast) -> object:
-    try:
-        return cast(text)
-    except ValueError as exc:
-        raise ConfigError(f"{field}: cannot parse {text!r}") from exc
-
-
-def _spellings(key: str) -> tuple[str, str]:
-    return key, key.replace("_", "-")
-
-
-def _setting(section: dict[str, str], key: str, flag, parse=lambda text, key: text):
-    """The flag's value if it was given, else the config value under key
-    (or key spelled with dashes) through parse, else None."""
-    if flag is not None:
-        return flag
-    for spelling in _spellings(key):
-        if spelling in section:
-            return parse(section[spelling], key)
-    return None
-
-
-def _reject_unknown_keys(section: dict[str, str], name: str, keys: Sequence[str]) -> None:
-    """A config key that no setting reads is a typo, not a default."""
-    known = {spelling for key in keys for spelling in _spellings(key)}
-    unknown = sorted(set(section) - known)
+            ini.read(args.config)
+            if ini.has_section(name):
+                section = dict(ini.items(name))
+        except configparser.Error as exc:
+            raise ConfigError(f"config: {exc}") from exc
+    # a config key that no setting reads is a typo, not a default
+    unknown = sorted(set(section) - {s for key, _, _ in table for s in (key, _dashed(key))})
     if unknown:
         raise ConfigError(
             f"{unknown[0]}: unknown key in section [{name}]; "
-            f"expected one of {', '.join(sorted(_spellings(k)[1] for k in keys))}"
+            f"expected one of {', '.join(sorted(_dashed(key) for key, _, _ in table))}"
         )
-
-
-def _merge_run_config(
-    experiment: str, section: dict[str, str], args: argparse.Namespace
-) -> ExperimentConfig:
-    def floats(flag: str | None, name: str):
-        return _floats(flag, name) if flag else None
-
-    def scalar(cast):
-        return lambda text, key: _scalar(text, key, cast)
-
-    settings = (
-        ("n", "n", args.n, scalar(int)),
-        ("x_grid", "x_grid", floats(args.x_grid, "x-grid"), _floats),
-        ("t", "t", args.t, scalar(float)),
-        ("m_list", "m_list", floats(args.m_list, "m-list"), _floats),
-        ("alpha", "alpha", floats(args.alpha, "alpha"), _floats),
-        ("big_c", "big_c", args.big_c, scalar(float)),
-        ("resolution", "resolution", args.resolution, scalar(int)),
-        ("tolerance", "tol", args.tolerance, scalar(float)),
-        ("out", "out", args.out, lambda text, key: text),
-    )
-    _reject_unknown_keys(section, experiment, [key for _, key, _, _ in settings])
-    kwargs: dict[str, object] = {"experiment": experiment}
-    for field, key, flag, parse in settings:
-        value = _setting(section, key, flag, parse)
-        if value is not None:  # otherwise the dataclass default stands
-            kwargs[field] = value
-    return ExperimentConfig(**kwargs)
+    values: dict[str, object] = {}
+    for key, _, parse in table:
+        text = getattr(args, key)
+        if text is None:
+            text = section.get(key, section.get(_dashed(key)))
+        if text is not None:
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{_dashed(key)}: cannot parse {text!r}: {exc}") from exc
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -288,41 +270,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("experiment", help="experiment id; see `wumetric list`")
     run_p.add_argument("--config", help="INI file, section [<experiment>]")
-    run_p.add_argument("--n", type=int, help="dimension parameter")
-    run_p.add_argument("--x-grid", dest="x_grid", help="comma-separated x values")
-    run_p.add_argument("--t", type=float, help="pinned first intercept")
-    run_p.add_argument("--m-list", dest="m_list", help="comma-separated truncation levels")
-    run_p.add_argument("--alpha", help="comma-separated exponent vector")
-    run_p.add_argument("--big-c", dest="big_c", type=float, help="domain constant C")
-    run_p.add_argument("--resolution", type=int, help="boundary sampling resolution")
-    run_p.add_argument("--tol", dest="tolerance", type=float, help="solver/comparison tolerance")
-    run_p.add_argument("--out", help="CSV output path (default: stdout)")
-
     eval_p = sub.add_parser("eval", help="evaluate one metric at one point")
     eval_p.add_argument("--config", help="INI file, section [eval]")
-    eval_p.add_argument("--domain", help="elem_reinhardt|polydisc|g2|gn|truncated_gn")
-    eval_p.add_argument("--kind", help="gamma|gamma_k|azukawa|kappa|wu")
-    eval_p.add_argument("--point", help="comma-separated complex coordinates")
-    eval_p.add_argument("--vector", help="comma-separated complex direction")
-    eval_p.add_argument("--alpha", help="exponent vector (elem_reinhardt)")
-    eval_p.add_argument("--big-c", dest="big_c", type=float, help="domain constant C")
-    eval_p.add_argument("--type", dest="declared", choices=("rational", "irrational"),
-                        help="override exponent type detection")
-    eval_p.add_argument("--r", help="polydisc radii, comma-separated")
-    eval_p.add_argument("--n", type=int, help="dimension (gn, truncated_gn)")
-    eval_p.add_argument("--m", type=float, help="truncation level (truncated_gn)")
-    eval_p.add_argument("--k", type=int, help="order for kind gamma_k")
-    eval_p.add_argument("--resolution", type=int)
-    eval_p.add_argument("--tol", dest="tolerance", type=float)
-    eval_p.add_argument("--out", help="CSV output path (default: stdout)")
+    for sub_p, table in ((run_p, RUN_SETTINGS), (eval_p, EVAL_SETTINGS)):
+        for key, help_text, _ in table:
+            sub_p.add_argument(f"--{_dashed(key)}", help=help_text)
 
     sub.add_parser("list", help="enumerate experiments")
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    section = _config_section(args.config, args.experiment)
-    cfg = _merge_run_config(args.experiment, section, args)
+    settings = _read_settings(args, args.experiment, RUN_SETTINGS)
+    if "tol" in settings:
+        settings["tolerance"] = settings.pop("tol")
+    cfg = ExperimentConfig(experiment=args.experiment, **settings)
     rows = run_experiment(cfg)
     columns = EXPERIMENTS[cfg.experiment].columns + ("ok", "tolerance")
     _emit(rows, columns, cfg.out)
@@ -333,44 +295,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    section = _config_section(args.config, "eval")
-    _reject_unknown_keys(section, "eval", EVAL_KEYS)
-    setting = functools.partial(_setting, section)
-
-    domain = setting("domain", args.domain)
-    kind = setting("kind", args.kind)
-    point = setting("point", args.point)
-    vector = setting("vector", args.vector)
-    for name, value in (("domain", domain), ("kind", kind),
-                        ("point", point), ("vector", vector)):
-        if value is None:
-            raise ConfigError(f"{name}: required for eval")
-
-    spec_cfg = {"domain": domain}
-    for key, flag in (("alpha", args.alpha), ("big_c", args.big_c), ("type", args.declared),
-                      ("r", args.r), ("n", args.n), ("m", args.m)):
-        value = setting(key, flag)
-        if value is not None:
-            spec_cfg[key] = str(value)
+    settings = _read_settings(args, "eval", EVAL_SETTINGS)
+    for key in ("domain", "kind", "point", "vector"):
+        if key not in settings:
+            raise ConfigError(f"{key}: required for eval")
+    domain_cfg = {key: settings[key] for key in _DOMAIN_KEYS if key in settings}
     try:
-        spec = spec_from_config(spec_cfg)
+        spec = spec_from_config(domain_cfg)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
-
-    k = setting("k", args.k)
-    tol = setting("tol", args.tolerance)
-    resolution = setting("resolution", args.resolution)
+    stray = sorted(set(domain_cfg) - set(spec_to_config(spec)))
+    if stray:
+        raise ConfigError(f"{_dashed(stray[0])}: not a setting of domain {spec.variant!r}")
     row = eval_metric(
         spec,
-        str(kind),
-        _complexes(str(point), "point"),
-        _complexes(str(vector), "vector"),
-        k=int(k) if k is not None else None,
-        tolerance=float(tol) if tol is not None else 1e-10,
-        resolution=int(resolution) if resolution is not None else None,
+        settings["kind"],
+        settings["point"],
+        settings["vector"],
+        k=settings.get("k"),
+        tolerance=settings.get("tol", 1e-10),
+        resolution=settings.get("resolution"),
     )
-    _emit([row], EVAL_COLUMNS + ("ok", "tolerance"), setting("out", args.out))
-    print(f"eval {domain} {kind}: value = {_fmt(row.data['value'])}", file=sys.stderr)
+    _emit([row], EVAL_COLUMNS + ("ok", "tolerance"), settings.get("out"))
+    print(f"eval {settings['domain']} {settings['kind']}: value = {_fmt(row.data['value'])}",
+          file=sys.stderr)
     return EXIT_PASS
 
 

@@ -51,7 +51,9 @@ class ExperimentConfig:
     m_list: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
     alpha: tuple[float, ...] | None = None
     big_c: float = 0.0
-    resolution: int = 1024
+    # None: each experiment's own sample size (1024 directions for the
+    # elementary-Reinhardt table, wu_metric's default elsewhere)
+    resolution: int | None = None
     tolerance: float = 1e-10
     out: str | None = None
 
@@ -175,9 +177,15 @@ def _e1(n: int) -> tuple[float, ...]:
     return (1.0,) + (0.0,) * (n - 1)
 
 
+def _wu_of(spec: DomainSpec, at: tuple[float, ...], cfg: ExperimentConfig) -> WuResult:
+    return wu_metric(
+        indicatrix_at(spec, at).inner, resolution=cfg.resolution, tolerance=cfg.tolerance
+    )
+
+
 def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
-    origin = wu_metric(indicatrix_at(g2(), (0.0, 0.0)).inner, tolerance=cfg.tolerance)
+    origin = _wu_of(g2(), (0.0, 0.0), cfg)
     w0 = origin.w(_e1(2))
     rows.append(
         _row(
@@ -239,9 +247,7 @@ def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
 def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
     n, t = cfg.n, cfg.t
     rows = []
-    origin = wu_metric(
-        indicatrix_at(gn(n), (0.0,) * n).inner, tolerance=cfg.tolerance
-    )
+    origin = _wu_of(gn(n), (0.0,) * n, cfg)
     wt0 = origin.w_tilde(_e1(n))
     expected0 = 1.0 / math.sqrt(n - 1)
     rows.append(
@@ -537,7 +543,9 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
             case.kind, mi, case.big_c, case.a, case.x_vec, case.k
         )
         eta_hat = golden_eta_hat(case, value)
-        wu_val, wu_err = _wu_against_eta(case, eta_hat, cfg.resolution, cfg.tolerance)
+        wu_val, wu_err = _wu_against_eta(
+            case, eta_hat, 1024 if cfg.resolution is None else cfg.resolution, cfg.tolerance
+        )
         ok = abs(value - case.expected) <= tol * max(1.0, abs(case.expected))
         ok = ok and (wu_err <= tol if eta_hat > 0.0 else wu_val == 0.0)
         rows.append(
@@ -635,32 +643,27 @@ def _product_case(
     )
 
 
-def _wu_of(spec: DomainSpec, at: tuple[float, ...], tolerance: float) -> WuResult:
-    return wu_metric(indicatrix_at(spec, at).inner, tolerance=tolerance)
-
-
 def _run_product_check(cfg: ExperimentConfig) -> list[ResultRow]:
-    tol = cfg.tolerance
     rows = [
         _product_case(
             cfg,
             "disc_x_bidisc",
-            _wu_of(polydisc(1.0), (0.0,), tol),
-            _wu_of(polydisc(2.0, 0.5), (0.0, 0.0), tol),
+            _wu_of(polydisc(1.0), (0.0,), cfg),
+            _wu_of(polydisc(2.0, 0.5), (0.0, 0.0), cfg),
             indicatrix_at(polydisc(1.0, 2.0, 0.5), (0.0,) * 3).inner,
         ),
         _product_case(
             cfg,
             "bidisc_x_disc",
-            _wu_of(polydisc(1.5, 0.7), (0.0, 0.0), tol),
-            _wu_of(polydisc(0.9), (0.0,), tol),
+            _wu_of(polydisc(1.5, 0.7), (0.0, 0.0), cfg),
+            _wu_of(polydisc(0.9), (0.0,), cfg),
             indicatrix_at(polydisc(1.5, 0.7, 0.9), (0.0,) * 3).inner,
         ),
         _product_case(
             cfg,
             "degenerate_left",
-            _wu_of(g2(), (0.0, 0.0), tol),
-            _wu_of(polydisc(1.5), (0.0,), tol),
+            _wu_of(g2(), (0.0, 0.0), cfg),
+            _wu_of(polydisc(1.5), (0.0,), cfg),
             cloud_indicatrix(
                 [(1.0, 0.0, 2.25)], bounded_axes=(True, False, True)
             ),
@@ -669,9 +672,9 @@ def _run_product_check(cfg: ExperimentConfig) -> list[ResultRow]:
             cfg,
             "plane_left",
             wu_metric(
-                cloud_indicatrix([(1.0,)], bounded_axes=(False,)), tolerance=tol
+                cloud_indicatrix([(1.0,)], bounded_axes=(False,)), tolerance=cfg.tolerance
             ),
-            _wu_of(polydisc(1.0), (0.0,), tol),
+            _wu_of(polydisc(1.0), (0.0,), cfg),
             cloud_indicatrix([(1.0, 1.0)], bounded_axes=(False, True)),
         ),
     ]

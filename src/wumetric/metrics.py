@@ -75,14 +75,10 @@ class MultiIndex:
         """Number of negative entries."""
         return sum(1 for x in self.alpha if x < 0)
 
-    def rational_fractions(self) -> tuple[Fraction, ...] | None:
-        """Fractions f_j with alpha ~ alpha_1 * f, or None if some ratio
-        has no small-denominator rational representation.  Computed once
-        per instance, like ``primitive``."""
-        return self._fractions
-
     @cached_property
     def _fractions(self) -> tuple[Fraction, ...] | None:
+        """Fractions f_j with alpha ~ alpha_1 * f, or None if some ratio
+        has no small-denominator rational representation."""
         out = []
         for x in self.alpha:
             ratio = x / self.alpha[0]

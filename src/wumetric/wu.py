@@ -457,9 +457,6 @@ class WuResult:
     gap: float
     certificate_points: int
 
-    def simplex(self) -> SimplexParams:
-        return SimplexParams(intercepts=self.w_tilde.axes)
-
 
 def wu_metric(
     ind: Indicatrix,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wumetric import cli
+from wumetric import cli, experiments
 from wumetric.cli import main
 from wumetric.experiments import EXPERIMENTS
 
@@ -149,6 +149,7 @@ def test_eval_reports_closed_form_value(tmp_path, capsys):
     assert code == 0
     (row,) = read_csv(out)
     assert row["value"] == "0.53333333333333333"  # 8/15
+    assert [row[c] for c in ("w_tilde", "w", "m")] == [""] * 3
     assert "value" in capsys.readouterr().err
 
 
@@ -192,6 +193,19 @@ def test_eval_wu_on_polydisc(tmp_path):
     assert row["w_tilde"] == "0.70710678118654757"
     assert row["m"] == "2"
     assert float(row["w"]) == pytest.approx(1.0, rel=1e-10)
+    # the closed-form columns stay empty for kind wu
+    assert [row[c] for c in ("branch", "l", "s", "r", "scale")] == [""] * 5
+
+
+def eval_argv(tmp_path, source, settings):
+    """eval with every setting given by flags, or by an [eval] section."""
+    if source == "flags":
+        return ["eval"] + [
+            arg for k, v in settings.items() for arg in (f"--{k.replace('_', '-')}", v)
+        ]
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text("[eval]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return ["eval", "--config", str(cfg)]
 
 
 WU_EVAL_CASES = [
@@ -212,13 +226,7 @@ WU_EVAL_CASES = [
 def test_eval_wu_on_g2_family(tmp_path, source, settings, w_tilde, m):
     settings = dict(settings, kind="wu")
     out = tmp_path / "row.csv"
-    if source == "flags":
-        argv = ["eval"] + [arg for k, v in settings.items() for arg in (f"--{k}", v)]
-    else:
-        cfg = tmp_path / "eval.ini"
-        cfg.write_text("[eval]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
-        argv = ["eval", "--config", str(cfg)]
-    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert run_cli(eval_argv(tmp_path, source, settings) + ["--out", str(out)]) == 0
     (row,) = read_csv(out)
     assert row["domain"] == settings["domain"]
     assert float(row["w_tilde"]) == pytest.approx(w_tilde, rel=1e-10)
@@ -324,3 +332,111 @@ def test_descriptions_are_self_contained(capsys):
     out = capsys.readouterr().out
     for token in ("Prop", "Lemma", "Remark", "§", "arxiv", "paper"):
         assert token not in out
+
+
+@pytest.mark.parametrize(
+    "experiment, default",
+    [("g2_usc", None), ("gn_usc", None), ("product_check", None),
+     ("elem_reinhardt_table", 1024)],
+)
+def test_run_resolution_reaches_every_radial_sample(monkeypatch, capsys, experiment, default):
+    # every wu_metric call that samples a radial ball gets --resolution;
+    # without it each call keeps the experiment's own sample size
+    seen = []
+    real = experiments.wu_metric
+
+    def spy(ind, **kwargs):
+        if ind.cloud is None:
+            seen.append(kwargs.get("resolution"))
+        return real(ind, **kwargs)
+
+    monkeypatch.setattr(experiments, "wu_metric", spy)
+    assert run_cli(["run", experiment]) == 0
+    assert seen and set(seen) == {default}
+    seen.clear()
+    assert run_cli(["run", experiment, "--resolution", "64"]) in (0, 1)
+    assert seen and set(seen) == {64}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "settings, stray",
+    [
+        ({"domain": "polydisc", "r": "1,2", "big_c": "1"}, "big-c"),
+        ({"domain": "gn", "n": "3", "alpha": "1,2", "point": "0,0,0", "vector": "1,0,0"},
+         "alpha"),
+        ({"domain": "g2", "n": "2"}, "n"),
+        ({"domain": "g2", "type": "rational"}, "type"),
+        ({"domain": "elem_reinhardt", "alpha": "1,1", "m": "4"}, "m"),
+    ],
+)
+def test_eval_rejects_a_setting_the_domain_does_not_read(tmp_path, capsys, source, settings, stray):
+    settings = {"kind": "wu", "point": "0,0", "vector": "1,0", **settings}
+    out = tmp_path / "row.csv"
+    assert run_cli(eval_argv(tmp_path, source, settings) + ["--out", str(out)]) == 2
+    domain = settings["domain"]
+    assert f"config error: {stray}: not a setting of domain {domain!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each setting runs in the first context that gives it (any context for out)
+RUN_CONTEXTS = (
+    ("rem_two", {"n": "4"}),
+    ("g2_usc", {"x_grid": "0.2,0.1", "t": "1.3"}),
+    ("monotone", {"m_list": "1,4"}),
+    ("rem_one", {"alpha": "1,2", "big_c": "0.5", "tol": "1e-9"}),
+    ("gn_usc", {"resolution": "64", "x_grid": "0.2"}),
+)
+EVAL_CONTEXTS = (
+    ("eval", {"domain": "elem_reinhardt", "alpha": "1,2", "big_c": "0.5", "type": "rational",
+              "kind": "gamma_k", "k": "2", "point": "0.3,0.2", "vector": "1,0", "tol": "1e-9"}),
+    ("eval", {"domain": "gn", "n": "3", "kind": "wu", "point": "0,0,0", "vector": "1,0,0",
+              "resolution": "64"}),
+    ("eval", {"domain": "truncated_gn", "n": "3", "m": "4", "kind": "wu", "point": "0,0,0",
+              "vector": "1,0,0"}),
+    ("eval", {"domain": "polydisc", "r": "1,2", "kind": "wu", "point": "0,0",
+              "vector": "1,0"}),
+)
+# a value that each setting rejects; None for free text
+MALFORMED = {
+    "n": "three", "x_grid": "", "t": "abc", "m_list": "1,x", "alpha": "1,a", "big_c": "zz",
+    "resolution": "8.5", "tol": "x", "out": None, "domain": "bogus", "kind": "bogus",
+    "point": "", "vector": "x,0", "type": "bogus", "r": "abc", "m": "x", "k": "x",
+}
+SETTINGS = [("run", key) for key, _, _ in cli.RUN_SETTINGS] + [
+    ("eval", key) for key, _, _ in cli.EVAL_SETTINGS
+]
+
+
+@pytest.mark.parametrize("command, key", SETTINGS)
+def test_each_setting_has_one_parser(tmp_path, capsys, command, key):
+    contexts = RUN_CONTEXTS if command == "run" else EVAL_CONTEXTS
+    section, context = next((s, c) for s, c in contexts if key in c or key == "out")
+    out = tmp_path / "rows.csv"
+    settings = dict(context, out=str(out))
+    head = ["run", section] if command == "run" else ["eval"]
+
+    def argv(value, spelling):
+        """key set to value by its flag (spelling None) or by an INI key."""
+        flags = [arg for k, v in settings.items() if k != key
+                 for arg in (f"--{k.replace('_', '-')}", v)]
+        if spelling is None:
+            return head + flags + [f"--{key.replace('_', '-')}", value]
+        cfg = tmp_path / "settings.ini"
+        cfg.write_text(f"[{section}]\n{spelling} = {value}\n")
+        return head + flags + ["--config", str(cfg)]
+
+    spellings = (None, key, key.replace("_", "-"))
+    outputs = []
+    for spelling in spellings:
+        assert run_cli(argv(settings[key], spelling)) == 0
+        outputs.append(out.read_bytes())
+        out.unlink()
+    assert outputs[0] == outputs[1] == outputs[2]
+    capsys.readouterr()
+    if MALFORMED[key] is None:
+        return
+    for spelling in spellings[:2]:
+        assert run_cli(argv(MALFORMED[key], spelling)) == 2
+        assert f"config error: {key.replace('_', '-')}:" in capsys.readouterr().err
+        assert not out.exists()
