@@ -81,6 +81,21 @@ def write_rows(rows: Sequence[ResultRow], columns: Sequence[str], stream: IO[str
         writer.writerow(cells)
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before any work if the CSV path cannot be opened for writing;
+    the check leaves no file behind."""
+    if out is None:
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out!r}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(out)
+
+
 def _emit(rows: Sequence[ResultRow], columns: Sequence[str], out: str | None) -> None:
     if out is None:
         write_rows(rows, columns, sys.stdout)
@@ -230,6 +245,10 @@ def _read_settings(args: argparse.Namespace, name: str, table) -> dict[str, obje
         )
     values: dict[str, object] = {}
     for key, _, parse in table:
+        if key != _dashed(key) and key in section and _dashed(key) in section:
+            raise ConfigError(
+                f"{_dashed(key)}: given twice in section [{name}], as {key} and {_dashed(key)}"
+            )
         text = getattr(args, key)
         if text is None:
             text = section.get(key, section.get(_dashed(key)))
@@ -285,6 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "tol" in settings:
         settings["tolerance"] = settings.pop("tol")
     cfg = ExperimentConfig(experiment=args.experiment, **settings)
+    _check_out(cfg.out)
     rows = run_experiment(cfg)
     columns = EXPERIMENTS[cfg.experiment].columns + ("ok", "tolerance")
     _emit(rows, columns, cfg.out)
@@ -302,11 +322,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     domain_cfg = {key: settings[key] for key in _DOMAIN_KEYS if key in settings}
     try:
         spec = spec_from_config(domain_cfg)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:  # a decoder indexes the config by setting
+        raise ConfigError(
+            f"{_dashed(exc.args[0])}: required for domain {settings['domain']!r}"
+        ) from exc
+    except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
     stray = sorted(set(domain_cfg) - set(spec_to_config(spec)))
     if stray:
         raise ConfigError(f"{_dashed(stray[0])}: not a setting of domain {spec.variant!r}")
+    _check_out(settings.get("out"))
     row = eval_metric(
         spec,
         settings["kind"],

@@ -23,6 +23,13 @@ solve passes over the whole cloud at most twice per working set, not once
 per step.  Points are kept column-major, which makes every per-axis
 reduction and the pricing one contiguous sweep.
 
+Each fact about a large cloud is read once and handed down: the column
+maxima come from the program's validation pass (``SimplexProgram.
+column_max``), the column-normalized masses, which say which points have
+free mass and which are heaviest, from one pass in the reduction, and the
+maximum of <u_i, b> that rescales the returned b to contain every point
+from the pricing that returned it.
+
 Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion) or
 dropped (degenerate directions removed before solving).  Fixing reduces to
 a free-axes program of the same shape via u~_i = u_i,free / rho_i with
@@ -37,7 +44,7 @@ that rule out distance decrease under particular holomorphic maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,12 +92,15 @@ class SimplexProgram:
     is a contiguous (n, m) view; fixed: axis -> pinned intercept;
     dropped: axes removed from the program (reported back as infinite
     intercepts); tolerance: duality-gap certificate threshold.
+    column_max: the read-only (n,) column maxima of the points, kept from
+    the validation pass so the reduction does not read the points again.
     """
 
     points: np.ndarray
     fixed: tuple[tuple[int, float], ...] = ()
     dropped: frozenset[int] = frozenset()
     tolerance: float = DEFAULT_SOLVER_TOL
+    column_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.points) == 0:
@@ -110,16 +120,18 @@ class SimplexProgram:
         # NaN fails every comparison, so one minimum rejects NaN and negatives
         if not u.min(initial=0.0) >= 0.0:
             raise ValueError("coordinates must be nonnegative")
-        if u.max(initial=0.0) == math.inf:
-            for j in np.nonzero(u.max(axis=0) == math.inf)[0]:
-                if j not in self.dropped:
-                    raise DegenerateAxisError(
-                        f"infinite coordinate on axis {j}: degenerate, drop the axis first"
-                    )
+        top = u.max(axis=0)
+        for j, t in enumerate(top.tolist()):
+            if t == math.inf and j not in self.dropped:
+                raise DegenerateAxisError(
+                    f"infinite coordinate on axis {j}: degenerate, drop the axis first"
+                )
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         u.flags.writeable = False
+        top.flags.writeable = False
         object.__setattr__(self, "points", u)
+        object.__setattr__(self, "column_max", top)
         fixed = tuple(sorted((int(j), float(v)) for j, v in dict(self.fixed).items()))
         for j, v in fixed:
             if not 0 <= j < n:
@@ -172,20 +184,30 @@ class SolveInfo:
 
 def _reduce(
     prog: SimplexProgram,
-) -> tuple[np.ndarray, list[int], dict[int, float], np.ndarray]:
+) -> tuple[np.ndarray, list[int], dict[int, float], np.ndarray, np.ndarray, np.ndarray]:
     """Scale out fixed axes; returns (reduced matrix, free axes, fixed map,
-    mask of the points kept as rows of the reduced matrix).
+    mask of the points kept as rows of the reduced matrix, column maxima
+    and column-normalized masses of the reduced rows).
 
     Points with no mass on the free axes are dropped.  With no fixed axis
     and free mass on every point the reduced matrix is the points' free
-    columns as they are, column-major like the points.
+    columns as they are, column-major like the points.  Dead axes come
+    from the program's column maxima; one pass over the rows gives the
+    masses sum_j u_ij / max_i u_ij, which say which points have free mass
+    and which are heaviest.  Fixed axes rescale the rows, so there the
+    maxima and masses are taken again from the reduced rows.
     """
     n = prog.dim
     fixed = dict(prog.fixed)
     free = [j for j in range(n) if j not in fixed and j not in prog.dropped]
-    u = prog.points
-    reduced = u if len(free) == n else u[:, free]
-    keep = reduced.sum(axis=1) > 0.0
+    u, top = prog.points, prog.column_max
+    reduced = u
+    if len(free) < n:
+        reduced, top = u[:, free], top[free]
+    dead = [j for j, t in zip(free, top.tolist()) if not t > 0.0]
+    # a dead column is all zeros and adds nothing to any mass
+    mass = reduced @ np.divide(1.0, top, out=np.zeros(len(free)), where=top > 0.0)
+    keep = mass > 0.0
     if fixed:
         rho = np.ones(len(u))
         for j, aj in fixed.items():
@@ -204,18 +226,21 @@ def _reduce(
             )
         reduced = reduced[keep] / rho[keep, None]
     elif not keep.all():
-        reduced = reduced[keep]
+        reduced, mass = reduced[keep], mass[keep]
     if free:
-        if reduced.shape[0] == 0:
+        # entries are nonnegative: no point has free mass iff every column is dead
+        if len(dead) == len(free):
             raise DegenerateAxisError(
                 f"no point mass on free axes {free}: volume infimum 0 is not attained"
             )
-        dead = [free[j] for j in np.nonzero(reduced.max(axis=0) <= 0.0)[0]]
         if dead:
             raise DegenerateAxisError(
                 f"no point mass on axes {dead}: volume infimum 0 is not attained"
             )
-    return reduced, free, fixed, keep
+        if fixed:
+            top = reduced.max(axis=0)
+            mass = reduced @ (1.0 / top)
+    return reduced, free, fixed, keep, top, mass
 
 
 def _assemble(
@@ -229,7 +254,9 @@ def _assemble(
     return SimplexParams(intercepts=tuple(a))
 
 
-def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _solve_reduced(
+    u: np.ndarray, tol: float, top: np.ndarray, mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """Primal-dual interior-point Newton method (Boyd and Vandenberghe,
     Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
@@ -240,39 +267,51 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
     centring).  The step length is the largest alpha <= 1 with
     y + alpha dy >= (1 - TO_BOUNDARY) y for y = (b, s, lam).
 
-    It runs on a working set: the WORK_PER_AXIS * k points of largest
-    column-normalized mass and each column's maximum.  Only the working
-    set is scaled to unit column maxima: scores do not change when a
-    column is scaled, so pricing reads u as it is.  Each Newton step
-    scores only the working set, score_i = sum_j u_ij / (U^T w)_j with
-    w = lam / sum(lam).  Once the working-set gap k log(max_i score_i / k)
-    is within ``tol``, all m points are priced, one pass over the (k, m)
-    transpose (contiguous for column-major u).  If that full gap is not
-    certified, the points with score_i > k join the set and the method
-    restarts.  Once it is, steps continue while the working-set gap
-    halves.  When it stops halving, the iterate with the smallest
+    ``top`` (u's column maxima) and ``mass`` (its row masses
+    sum_j u_ij / top_j) come from ``_reduce``, which takes the maxima from
+    the program's validation pass, or from the reduced rows when fixed
+    axes rescale them, and the masses from its one pass over the rows.
+    The method runs on a working set: the WORK_PER_AXIS * k points of
+    largest mass and each column's maximum, found by one scan of each
+    column (contiguous for column-major u).  Only the working set is
+    scaled to unit column maxima: scores do not change when a column is
+    scaled, so pricing reads u as it is.  Each Newton step scores only the
+    working set, score_i = sum_j u_ij / (U^T w)_j with w = lam / sum(lam).
+    Once the working-set gap k log(max_i score_i / k) is within ``tol``,
+    all m points are priced: one pass u @ b (contiguous for column-major
+    u) for the primal point b = 1 / (k U^T w) the iterate would return,
+    whose full gap is k log(max(k max_i <u_i, b>, k) / k).  If that gap
+    is not certified, the points with <u_i, b> > 1 join the set and the
+    method restarts.  Once it is, steps continue while the working-set
+    gap halves.  When it stops halving, the iterate with the smallest
     working-set gap since certification is priced once more, and of the
     two priced iterates the one with the smaller full gap is returned.
-    Returns (b, w, gap, Newton steps), w scattered over all m points.
+    Returns (b, w, gap, Newton steps, reach): w is scattered over all m
+    points, and reach = max_i <u_i, b> is read off the pricing of the
+    returned b, so the caller's containment rescale needs no pass.
     """
     m, k = u.shape
-    # unit column maxima make the pivoting of the solve scale-free, so
-    # power-of-two column scalings of u give bitwise-scaled results
-    tops = u.argmax(axis=0)
-    top = u[tops, np.arange(k)]
     if m <= WORK_PER_AXIS * k:
         work = np.arange(m)
     else:
-        heavy = np.argpartition(-(u @ (1.0 / top)), WORK_PER_AXIS * k - 1)
+        heavy = np.argpartition(-mass, WORK_PER_AXIS * k - 1)
+        # one argmax per contiguous column: measured faster than
+        # u.argmax(axis=0) inside a large solve
+        tops = [int(np.argmax(u[:, j])) for j in range(k)]
         work = np.union1d(heavy[: WORK_PER_AXIS * k], tops)
 
-    def price(work: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """Scores of all m points under the weights w on ``work``, and their gap."""
-        score = (1.0 / (w @ u[work])) @ u.T
-        return score, k * math.log(max(float(score.max()), k) / k)
+    def price(work: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """The weights w on ``work`` priced over all m points: their full
+        gap, their primal point b, max_i <u_i, b> and u @ b."""
+        b = 1.0 / (k * (w @ u[work]))
+        ub = u @ b
+        reach = float(ub.max())
+        return k * math.log(max(k * reach, k) / k), b, reach, ub
 
     steps, best, near, certified = 0, math.inf, math.inf, None
     while True:
+        # unit column maxima make the pivoting of the solve scale-free, so
+        # power-of-two column scalings of u give bitwise-scaled results
         x = u[work] / top
         mw = len(work)
         # (b, s, lam) and (db, ds, dlam) are views of y and dy, so one
@@ -289,12 +328,12 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
             if gap <= near:
                 near, near_at = gap, (work, w)
             if certified is None and gap <= tol:
-                score, full = price(work, w)
+                full, b_full, reach, ub = price(work, w)
                 if full > tol:
                     best = min(best, full)
-                    work = np.union1d(work, np.nonzero(score > k)[0])
+                    work = np.union1d(work, np.nonzero(ub > 1.0)[0])
                     break
-                certified, lowest, lowest_w = (full, w), gap, None
+                certified, lowest, lowest_w = (full, b_full, reach, w), gap, None
                 done = full == 0.0
             elif certified is not None:
                 # a halving run only ever lowers the smallest gap so far
@@ -302,17 +341,17 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
                 if gap < lowest:
                     lowest, lowest_w = gap, w
             if certified is not None and (done or stuck or steps >= MAX_NEWTON_STEPS):
-                best, best_w = certified
+                best, best_b, reach, best_w = certified
                 if lowest_w is not None:
-                    again = price(work, lowest_w)[1]
+                    again, b_again, reach_again, _ = price(work, lowest_w)
                     if again < best:
-                        best, best_w = again, lowest_w
+                        best, best_b, reach, best_w = again, b_again, reach_again, lowest_w
                 full_w = np.zeros(m)
                 full_w[work] = best_w
-                return 1.0 / (k * (best_w @ u[work])), full_w, best, steps
+                return best_b, full_w, best, steps, reach
             if stuck or steps >= MAX_NEWTON_STEPS:
                 # the working-set gap only bounds the full gap from below
-                best = min(best, price(*near_at)[1])
+                best = min(best, price(*near_at)[0])
                 raise SolverError(
                     f"no certificate for the {m} x {k} program after {steps} "
                     f"Newton steps (best gap {best:.3e})",
@@ -342,7 +381,7 @@ def _solve_reduced(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, f
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate.  One free axis has
     the closed form a = max_i u_i, with gap 0 and all weight on the argmax."""
-    reduced, free, fixed, keep = _reduce(prog)
+    reduced, free, fixed, keep, top, mass = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
         w = np.zeros(len(keep))
@@ -356,11 +395,11 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         w[i] = 1.0
         a, gap, iters = reduced[i], 0.0, 0
     else:
-        b, w, gap, iters = _solve_reduced(reduced, prog.tolerance)
-        # conservative rescale: containment of every reduced point, exactly
-        top = float(np.max(reduced @ b))
-        if top > 1.0:
-            b = b / top
+        b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
+        # conservative rescale: containment of every reduced point, exactly;
+        # reach is max(reduced @ b) from the pricing that returned b
+        if reach > 1.0:
+            b = b / reach
         a = 1.0 / b
     params = _assemble(prog, free, fixed, a)
     if not keep.all():
@@ -386,13 +425,12 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     leading axis over a trailing point axis, so no meshgrid or stacked
     copy of the grid is made.  One free axis returns a = max_i u_i.
     """
-    reduced, free, fixed, _ = _reduce(prog)
+    reduced, free, fixed, _, lo, _ = _reduce(prog)
     k = len(free)
     if k == 0:
         return _assemble(prog, free, fixed, np.zeros(0))
     if k > 3:
         raise ValueError("bruteforce reference handles at most 3 free axes")
-    lo = reduced.max(axis=0)
     if k == 1:
         return _assemble(prog, free, fixed, lo)
 

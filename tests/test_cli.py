@@ -440,3 +440,73 @@ def test_each_setting_has_one_parser(tmp_path, capsys, command, key):
         assert run_cli(argv(MALFORMED[key], spelling)) == 2
         assert f"config error: {key.replace('_', '-')}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "rem_one"],
+        ["eval", "--domain", "gn", "--n", "3", "--kind", "wu", "--point", "0,0,0",
+         "--vector", "1,0,0"],
+    ],
+)
+def test_unwritable_out_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed rows for an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "eval_metric", no_work)
+    for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: out: cannot write {str(out)!r}:" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_existing_out_file_is_overwritten_by_the_rows(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    out.write_text("stale\n")
+    assert run_cli(["run", "rem_one", "--out", str(out)]) == 0
+    assert run_cli(["run", "rem_one"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "settings, missing",
+    [
+        ({"domain": "gn"}, "n"),
+        ({"domain": "truncated_gn", "m": "4"}, "n"),
+        ({"domain": "truncated_gn", "n": "3"}, "m"),
+        ({"domain": "polydisc"}, "r"),
+        ({"domain": "elem_reinhardt", "big_c": "0.5"}, "alpha"),
+    ],
+)
+def test_eval_names_a_missing_domain_setting(tmp_path, capsys, settings, missing):
+    settings = {"kind": "wu", "point": "0,0,0", "vector": "1,0,0", **settings}
+    out = tmp_path / "row.csv"
+    assert run_cli(eval_argv(tmp_path, "flags", settings) + ["--out", str(out)]) == 2
+    domain = settings["domain"]
+    assert f"config error: {missing}: required for domain {domain!r}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, section, key",
+    [
+        (["run", "g2_usc"], "g2_usc", "x_grid"),
+        (["eval", "--domain", "elem_reinhardt", "--alpha", "1,1", "--kind", "gamma",
+          "--point", "0.5,0.5", "--vector", "1,0"], "eval", "big_c"),
+    ],
+)
+def test_both_spellings_of_one_key_are_a_config_error(tmp_path, capsys, argv, section, key):
+    dashed = key.replace("_", "-")
+    cfg = tmp_path / "twice.ini"
+    out = tmp_path / "rows.csv"
+    # equal values too: one setting is given once
+    for first, second in (("0.2", "0.3"), ("0.2", "0.2")):
+        cfg.write_text(f"[{section}]\n{key} = {first}\n{dashed} = {second}\n")
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {dashed}: given twice in section [{section}]" in err
+        assert not out.exists()

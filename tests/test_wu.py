@@ -429,6 +429,114 @@ def test_reported_gap_is_the_gap_of_the_returned_weights():
     assert abs(info.gap - k * math.log(max(float(score.max()), k) / k)) <= 1e-14
 
 
+def _seeded_cloud(seed, m, k):
+    """Seeded Psi-cloud: squared moduli of points in the unit ball of C^k
+    with unequal axis scales."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-1.0, 1.0, k))
+    return scale * _unit_face(rng, m, k) * rng.uniform(0.0, 1.0, (m, 1))
+
+
+def test_program_keeps_its_column_maxima_read_only():
+    pts = _seeded_cloud(29, 5_000, 4)
+    prog = simplex_program(pts)
+    assert np.array_equal(prog.column_max, pts.max(axis=0))
+    with pytest.raises(ValueError, match="read-only"):
+        prog.column_max[0] = 1.0
+    assert "column_max" not in repr(prog)
+    with pytest.raises(TypeError):
+        SimplexProgram(points=pts, column_max=pts.max(axis=0))
+
+
+@pytest.mark.parametrize("fixed", [None, {1: 4.0}])
+def test_reduction_hands_the_solver_maxima_and_masses_of_its_rows(fixed):
+    # with a fixed axis the rows are rescaled, so the program's column
+    # maxima no longer hold and both facts come from the reduced rows
+    pts = _seeded_cloud(31, 3_000, 4)
+    pts[::7] = 0.0
+    prog = simplex_program(pts, fixed=fixed)
+    reduced, free, _, keep, top, mass = wu_module._reduce(prog)
+    assert keep.tolist() == (np.arange(len(pts)) % 7 != 0).tolist()
+    rho = 1.0 if fixed is None else 1.0 - pts[:, [1]] / 4.0
+    assert np.array_equal(reduced, (pts[:, free] / rho)[keep])
+    assert np.array_equal(top, reduced.max(axis=0))
+    # one pass over all rows, or over the kept ones: the layouts differ
+    np.testing.assert_allclose(mass, reduced @ (1.0 / top), rtol=1e-15, atol=0.0)
+
+
+def test_scattered_zero_rows_weigh_nothing_in_a_large_cloud():
+    # m > WORK_PER_AXIS * k, so the working set is ranked by the masses of
+    # the kept rows only; a ranking over all rows would pick shifted rows
+    k = 5
+    zero = np.random.default_rng(41).random(33_000) < 0.1
+    zero[:3] = True
+    pts = np.zeros((len(zero), k))
+    pts[~zero] = _seeded_cloud(37, np.count_nonzero(~zero), k)
+    assert len(pts) > wu_module.WORK_PER_AXIS * k
+    info = min_vol_simplex_info(simplex_program(pts))
+    plain = min_vol_simplex_info(simplex_program(pts[~zero]))
+    w = info.weights
+    assert w.shape == (len(pts),) and (w[zero] == 0.0).all()
+    # the same working set, so the same steps to the same optimum
+    assert info.iterations == plain.iterations
+    np.testing.assert_allclose(w[~zero], plain.weights, rtol=1e-12, atol=1e-15)
+    assert info.params.intercepts == pytest.approx(plain.params.intercepts, rel=1e-12)
+    # the certificate, recomputed against every input point
+    a = np.array(info.params.intercepts)
+    assert info.gap <= TOL
+    assert float(np.max(pts @ (1.0 / a))) <= 1.0 + 1e-15
+    score = pts @ (1.0 / (pts.T @ w))
+    assert abs(info.gap - k * math.log(max(float(score.max()), k) / k)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [60, 3_000])
+def test_dead_columns_keep_their_errors(m):
+    pts = _seeded_cloud(43, m, 3)
+    pts[:, 1] = 0.0
+    with pytest.raises(DegenerateAxisError) as err:
+        min_vol_simplex_info(simplex_program(pts))
+    assert str(err.value) == "no point mass on axes [1]: volume infimum 0 is not attained"
+    with pytest.raises(DegenerateAxisError) as err:
+        min_vol_simplex_info(simplex_program(pts, fixed={0: 4.0}))
+    assert str(err.value) == "no point mass on axes [1]: volume infimum 0 is not attained"
+    with pytest.raises(DegenerateAxisError) as err:
+        min_vol_simplex_info(simplex_program(np.zeros((m, 3))))
+    assert str(err.value) == (
+        "no point mass on free axes [0, 1, 2]: volume infimum 0 is not attained"
+    )
+    with pytest.raises(DegenerateAxisError) as err:
+        min_vol_simplex_bruteforce(simplex_program(np.zeros((m, 3)), dropped=[0]))
+    assert str(err.value) == "no point mass on free axes [1, 2]: volume infimum 0 is not attained"
+    # an infeasible pin is reported before a dead column
+    with pytest.raises(InfeasibleProgramError, match="point 0 violates"):
+        min_vol_simplex_info(simplex_program(pts, fixed={0: 1e-3}))
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        lambda: _seeded_cloud(47, 90, 5),
+        lambda: _seeded_cloud(53, 40_000, 6),
+        lambda: _cloud_with_light_contacts(np.random.default_rng(17), 50_000, 5)[1],
+    ],
+    ids=["working-set-is-the-cloud", "large", "light-contacts"],
+)
+def test_containment_rescale_uses_the_pricing_of_the_returned_point(cloud):
+    # the light-contacts cloud restarts once and returns its second priced
+    # iterate, so a maximum kept from the first pricing would not match
+    pts = cloud()
+    prog = simplex_program(pts)
+    reduced, _, _, _, top, mass = wu_module._reduce(prog)
+    b, w, gap, _, reach = wu_module._solve_reduced(reduced, TOL, top, mass)
+    assert reach == float(np.max(reduced @ b))
+    k = pts.shape[1]
+    assert gap == k * math.log(max(k * reach, k) / k)
+    info = min_vol_simplex_info(prog)
+    want = 1.0 / (b / reach) if reach > 1.0 else 1.0 / b
+    assert info.params.intercepts == tuple(want.tolist())
+    assert np.array_equal(info.weights, w) and info.gap == gap
+
+
 def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
     # no Newton step: the only iterate is the uniform weight on the starting
     # set, where axes 3 .. 5 hold only their column maxima 0.5 e_j, so the
