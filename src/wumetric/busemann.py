@@ -42,6 +42,7 @@ the boundedness metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,6 +50,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
+# direction tables kept by absolute_directions, one per (k, count) shape
+DIRECTION_TABLES = 16
 # hull facets are computed on at most this many axes: a curved boundary
 # sampled on 7 axes already gives about 450 000 facets
 MAX_HULL_AXES = 7
@@ -253,25 +256,37 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
     diagonal (so polydisc-type corners are hit exactly), topped up with a
     Kronecker low-discrepancy sweep of the open orthant to ``count``
     directions in total.
+
+    The table depends only on (k, count), so it is built once per shape
+    and shared: the returned array is read-only, and the last
+    ``DIRECTION_TABLES`` shapes are kept.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
+    return _direction_table(k, count)
+
+
+@functools.lru_cache(maxsize=DIRECTION_TABLES)
+def _direction_table(k: int, count: int) -> np.ndarray:
     if k == 1:
-        return np.array([[1.0]])
-    # subset diagonals in ascending bit-mask order, singletons left out
-    bits = _subset_masks(k)[1:]
-    sizes = bits.sum(axis=1)
-    multi = sizes >= 2
-    dirs = [np.eye(k), bits[multi] / np.sqrt(sizes[multi])[:, None]]
-    fill = max(0, count - k - int(multi.sum()))
-    if fill:
-        angles = kronecker_points(k - 1, fill) * (math.pi / 2.0)
-        v = np.ones((fill, k))
-        for j in range(k - 1):
-            v[:, j] *= np.cos(angles[:, j])
-            v[:, j + 1 :] *= np.sin(angles[:, j : j + 1])
-        dirs.append(v)
-    return np.concatenate(dirs)
+        table = np.array([[1.0]])
+    else:
+        # subset diagonals in ascending bit-mask order, singletons left out
+        bits = _subset_masks(k)[1:]
+        sizes = bits.sum(axis=1)
+        multi = sizes >= 2
+        dirs = [np.eye(k), bits[multi] / np.sqrt(sizes[multi])[:, None]]
+        fill = max(0, count - k - int(multi.sum()))
+        if fill:
+            angles = kronecker_points(k - 1, fill) * (math.pi / 2.0)
+            v = np.ones((fill, k))
+            for j in range(k - 1):
+                v[:, j] *= np.cos(angles[:, j])
+                v[:, j + 1 :] *= np.sin(angles[:, j : j + 1])
+            dirs.append(v)
+        table = np.concatenate(dirs)
+    table.flags.writeable = False
+    return table
 
 
 def _maximal_rows(p: np.ndarray) -> np.ndarray:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Sequence
 
 RATIONAL_DENOMINATOR_BOUND = 10**6
 _RATIO_TOL = 1e-13
+ALPHA_ANALYSES = 256  # rational analyses kept, one per alpha tuple
 
 Kind = str  # 'gamma' | 'gamma_k' | 'azukawa' | 'kappa'
 
@@ -51,6 +52,9 @@ class MultiIndex:
     ``declared_type`` ('rational' | 'irrational') overrides numeric type
     detection, which accepts a ratio as rational when a fraction with
     denominator <= 10^6 matches it to within 1e-13 relative error.
+    That analysis depends only on alpha: it is computed once per alpha
+    tuple and shared by every MultiIndex with equal alpha, and the last
+    ``ALPHA_ANALYSES`` tuples are kept.
     """
 
     alpha: tuple[float, ...]
@@ -75,44 +79,40 @@ class MultiIndex:
         """Number of negative entries."""
         return sum(1 for x in self.alpha if x < 0)
 
-    @cached_property
-    def _fractions(self) -> tuple[Fraction, ...] | None:
-        """Fractions f_j with alpha ~ alpha_1 * f, or None if some ratio
-        has no small-denominator rational representation."""
-        out = []
-        for x in self.alpha:
-            ratio = x / self.alpha[0]
-            f = Fraction(ratio).limit_denominator(RATIONAL_DENOMINATOR_BOUND)
-            if abs(float(f) - ratio) > _RATIO_TOL * max(1.0, abs(ratio)):
-                return None
-            out.append(f)
-        return tuple(out)
-
     @property
     def is_rational(self) -> bool:
         if self.declared_type is not None:
             return self.declared_type == "rational"
-        return self._fractions is not None
+        return _primitive_vector(self.alpha) is not None
 
     def primitive(self) -> tuple[int, ...]:
         """The unique primitive integer vector that is a positive multiple
         of alpha.  Only defined for rational type."""
-        if self._primitive is None:
+        ints = _primitive_vector(self.alpha)
+        if ints is None:
             raise UnsupportedCaseError("alpha is not of rational type")
-        return self._primitive
+        return ints
 
-    @cached_property
-    def _primitive(self) -> tuple[int, ...] | None:
-        fr = self._fractions
-        if fr is None:
+
+@lru_cache(maxsize=ALPHA_ANALYSES)
+def _primitive_vector(alpha: tuple[float, ...]) -> tuple[int, ...] | None:
+    """Primitive integer vector that is a positive multiple of alpha, or
+    None if some ratio alpha_j / alpha_1 has no small-denominator rational
+    representation."""
+    fr = []
+    for x in alpha:
+        ratio = x / alpha[0]
+        f = Fraction(ratio).limit_denominator(RATIONAL_DENOMINATOR_BOUND)
+        if abs(float(f) - ratio) > _RATIO_TOL * max(1.0, abs(ratio)):
             return None
-        lcm = math.lcm(*(f.denominator for f in fr))
-        ints = [int(f * lcm) for f in fr]
-        g = math.gcd(*(abs(k) for k in ints))
-        ints = [k // g for k in ints]
-        if ints[0] * self.alpha[0] < 0:
-            ints = [-k for k in ints]
-        return tuple(ints)
+        fr.append(f)
+    lcm = math.lcm(*(f.denominator for f in fr))
+    ints = [int(f * lcm) for f in fr]
+    g = math.gcd(*(abs(k) for k in ints))
+    ints = [k // g for k in ints]
+    if ints[0] * alpha[0] < 0:
+        ints = [-k for k in ints]
+    return tuple(ints)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ that rule out distance decrease under particular holomorphic maps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -182,12 +183,29 @@ class SolveInfo:
         return math.prod(finite) / math.factorial(len(finite))
 
 
+def _column_shifts(tops: list[float]) -> list[int] | None:
+    """Exponent shifts that bring each column maximum t that is subnormal,
+    or has k t > 2**1022 for k columns, into [1/2, 1); None if none has to
+    move.  The common case costs one min and one max over the k maxima."""
+    k = len(tops)
+    if min(tops) >= sys.float_info.min and k * max(tops) <= 2.0**1022:
+        return None
+    shift = [
+        -math.frexp(t)[1] if 0.0 < t < sys.float_info.min or k * t > 2.0**1022 else 0
+        for t in tops
+    ]
+    return shift if any(shift) else None
+
+
 def _reduce(
     prog: SimplexProgram,
-) -> tuple[np.ndarray, list[int], dict[int, float], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[
+    np.ndarray, list[int], dict[int, float], np.ndarray, np.ndarray, np.ndarray, list[int] | None
+]:
     """Scale out fixed axes; returns (reduced matrix, free axes, fixed map,
     mask of the points kept as rows of the reduced matrix, column maxima
-    and column-normalized masses of the reduced rows).
+    and column-normalized masses of the reduced rows, exponent shifts of
+    the free columns or None).
 
     Points with no mass on the free axes are dropped.  With no fixed axis
     and free mass on every point the reduced matrix is the points' free
@@ -196,6 +214,13 @@ def _reduce(
     masses sum_j u_ij / max_i u_ij, which say which points have free mass
     and which are heaviest.  Fixed axes rescale the rows, so there the
     maxima and masses are taken again from the reduced rows.
+
+    A free column whose maximum t is subnormal, or so large that k t
+    passes 2**1022 (k free axes), would overflow 1 / t in the masses or
+    the solver's b = 1 / (k U^T w).  Such a column is scaled by the exact
+    power of two 2**shift that brings t into [1/2, 1) before the mass
+    pass; ``_assemble`` scales its intercept back.  When every maximum is
+    in range, shift is None and no pass is added.
     """
     n = prog.dim
     fixed = dict(prog.fixed)
@@ -204,7 +229,13 @@ def _reduce(
     reduced = u
     if len(free) < n:
         reduced, top = u[:, free], top[free]
-    dead = [j for j, t in zip(free, top.tolist()) if not t > 0.0]
+    tops = top.tolist()
+    dead = [j for j, t in zip(free, tops) if not t > 0.0]
+    shift = _column_shifts(tops) if free else None
+    if shift is not None:
+        # exact for the maxima; only an entry scaled down into the subnormal
+        # range can round
+        reduced, top = np.ldexp(reduced, shift), np.ldexp(top, shift)
     # a dead column is all zeros and adds nothing to any mass
     mass = reduced @ np.divide(1.0, top, out=np.zeros(len(free)), where=top > 0.0)
     keep = mass > 0.0
@@ -240,17 +271,38 @@ def _reduce(
         if fixed:
             top = reduced.max(axis=0)
             mass = reduced @ (1.0 / top)
-    return reduced, free, fixed, keep, top, mass
+    return reduced, free, fixed, keep, top, mass, shift
 
 
 def _assemble(
-    prog: SimplexProgram, free: list[int], fixed: dict[int, float], a_free: np.ndarray
+    prog: SimplexProgram,
+    free: list[int],
+    fixed: dict[int, float],
+    a_free: np.ndarray,
+    shift: list[int] | None = None,
+    gap: float = math.nan,
 ) -> SimplexParams:
+    """Intercepts of the whole program from those of the free axes, which
+    ``_reduce`` may have scaled by 2**shift: each is scaled back, rounded
+    outward so containment holds.  One beyond the float range raises
+    ``SolverError`` (reporting ``gap``) rather than read as degenerate."""
     a = [math.inf] * prog.dim
     for j, v in fixed.items():
         a[j] = v
     for col, j in enumerate(free):
         a[j] = float(a_free[col])
+        s = shift[col] if shift is not None else 0
+        if s:
+            try:
+                back = math.ldexp(a[j], -s)
+            except OverflowError:
+                raise SolverError(
+                    f"intercept on axis {j} is beyond the float range "
+                    f"(column maximum {float(prog.column_max[j]):.3e})",
+                    gap,
+                ) from None
+            # scaling a subnormal result up again is exact
+            a[j] = back if math.ldexp(back, s) >= a[j] else math.nextafter(back, math.inf)
     return SimplexParams(intercepts=tuple(a))
 
 
@@ -380,8 +432,13 @@ def _solve_reduced(
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate.  One free axis has
-    the closed form a = max_i u_i, with gap 0 and all weight on the argmax."""
-    reduced, free, fixed, keep, top, mass = _reduce(prog)
+    the closed form a = max_i u_i, with gap 0 and all weight on the argmax.
+
+    Columns with subnormal or huge maxima are solved scaled by a power of
+    two (``_reduce``).  An intercept beyond the float range raises
+    ``SolverError`` naming its axis: an infinite intercept on a free axis
+    would read as a degenerate axis."""
+    reduced, free, fixed, keep, top, mass, shift = _reduce(prog)
     if not free:
         params = _assemble(prog, free, fixed, np.zeros(0))
         w = np.zeros(len(keep))
@@ -401,7 +458,7 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         if reach > 1.0:
             b = b / reach
         a = 1.0 / b
-    params = _assemble(prog, free, fixed, a)
+    params = _assemble(prog, free, fixed, a, shift, gap)
     if not keep.all():
         w, kept = np.zeros(len(keep)), w
         w[keep] = kept
@@ -425,14 +482,14 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     leading axis over a trailing point axis, so no meshgrid or stacked
     copy of the grid is made.  One free axis returns a = max_i u_i.
     """
-    reduced, free, fixed, _, lo, _ = _reduce(prog)
+    reduced, free, fixed, _, lo, _, shift = _reduce(prog)
     k = len(free)
     if k == 0:
         return _assemble(prog, free, fixed, np.zeros(0))
     if k > 3:
         raise ValueError("bruteforce reference handles at most 3 free axes")
     if k == 1:
-        return _assemble(prog, free, fixed, lo)
+        return _assemble(prog, free, fixed, lo, shift)
 
     def volumes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k-1, cells) leading intercepts -> volumes and last intercepts
@@ -471,7 +528,7 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     a = np.empty(k)
     a[:-1] = pt
     a[-1] = volumes(pt[:, None])[1].item()
-    return _assemble(prog, free, fixed, a)
+    return _assemble(prog, free, fixed, a, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Convexification, degeneracy detection and support functions."""
 
+import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -94,11 +96,63 @@ def test_absolute_directions_are_deterministic():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_absolute_directions_match_the_loop_reference(k):
-    for count in (1, 2**k + 40):
+    # 256 k is the default shape of wu_metric, convexify and support
+    for count in (1, 2**k + 40, 256 * k):
         got = absolute_directions(k, count)
         want = absolute_directions_loop(k, count)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_absolute_directions_stays_a_plain_function():
+    # the benchmark's tracer wraps only plain functions
+    assert inspect.isfunction(absolute_directions)
+
+
+@pytest.mark.parametrize("k, count", [(1, 4), (3, 64)])
+def test_direction_tables_are_shared_and_read_only(k, count):
+    d1 = absolute_directions(k, count)
+    assert absolute_directions(k, count) is d1
+    assert not d1.flags.writeable
+    with pytest.raises(ValueError):
+        d1[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        d1 *= 2.0
+    assert d1.tobytes() == absolute_directions_loop(k, count).tobytes()
+
+
+def test_direction_tables_beyond_the_cache_size_are_evicted():
+    table = busemann._direction_table
+    first = absolute_directions(2, 1000)
+    for count in range(1001, 1001 + busemann.DIRECTION_TABLES):
+        absolute_directions(2, count)
+    info = table.cache_info()
+    assert info.maxsize == busemann.DIRECTION_TABLES
+    assert info.currsize == busemann.DIRECTION_TABLES
+    again = absolute_directions(2, 1000)
+    assert table.cache_info().misses == info.misses + 1
+    assert again is not first and again.tobytes() == first.tobytes()
+
+
+def test_traced_wu_metric_records_its_direction_lookups():
+    # the benchmark's busemann.directions counter comes from a span around
+    # absolute_directions, so a cache must leave the public function plain
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        busemann.absolute_directions(3, 48)  # a cached table is traced too
+        wumetric.wu_metric(unit_ball(3), resolution=48)
+    finally:
+        instrumentation.uninstall()
+    counts = [s[6]["count"] for s in tracer.spans if s[0] == "busemann.directions"]
+    assert counts == [48, 48]
+    assert inspect.isfunction(busemann.absolute_directions)
+    assert not hasattr(busemann.absolute_directions, "_perfbench_traced")
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import covering_kappa_punctured, kronecker_sequence
+from wumetric import metrics
 from wumetric.domains import UnsupportedBasePointError, g2, indicatrix_at
 from wumetric.metrics import (
     MultiIndex,
@@ -269,6 +270,37 @@ def test_primitive_normalization_is_scale_invariant():
     assert ev("gamma", (3, 3), 0.0, a, X) == pytest.approx(
         ev("gamma", (1, 1), 0.0, a, X), rel=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "alpha, rational, primitive",
+    [
+        ((2.0, 4.0), True, (1, 2)),
+        ((-1.5, 3.0), True, (-1, 2)),
+        ((1.0, SQ2), False, None),
+    ],
+)
+def test_equal_alphas_share_one_rational_analysis(alpha, rational, primitive):
+    analysis = metrics._primitive_vector
+    first, second = MultiIndex(alpha), MultiIndex(tuple(alpha))
+    assert first is not second
+    assert first.is_rational is second.is_rational is rational
+    before = analysis.cache_info()
+    assert MultiIndex(alpha).is_rational is rational
+    after = analysis.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    if primitive is None:
+        for mi in (first, second):
+            with pytest.raises(UnsupportedCaseError):
+                mi.primitive()
+    else:
+        assert first.primitive() == primitive
+        assert first.primitive() is second.primitive()
+    # a declared type overrides is_rational, not the primitive vector
+    declared = MultiIndex(alpha, declared_type="irrational")
+    assert not declared.is_rational
+    if primitive is not None:
+        assert declared.primitive() == primitive
 
 
 def test_worked_examples():

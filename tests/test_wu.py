@@ -455,7 +455,7 @@ def test_reduction_hands_the_solver_maxima_and_masses_of_its_rows(fixed):
     pts = _seeded_cloud(31, 3_000, 4)
     pts[::7] = 0.0
     prog = simplex_program(pts, fixed=fixed)
-    reduced, free, _, keep, top, mass = wu_module._reduce(prog)
+    reduced, free, _, keep, top, mass, _ = wu_module._reduce(prog)
     assert keep.tolist() == (np.arange(len(pts)) % 7 != 0).tolist()
     rho = 1.0 if fixed is None else 1.0 - pts[:, [1]] / 4.0
     assert np.array_equal(reduced, (pts[:, free] / rho)[keep])
@@ -526,7 +526,7 @@ def test_containment_rescale_uses_the_pricing_of_the_returned_point(cloud):
     # iterate, so a maximum kept from the first pricing would not match
     pts = cloud()
     prog = simplex_program(pts)
-    reduced, _, _, _, top, mass = wu_module._reduce(prog)
+    reduced, _, _, _, top, mass, _ = wu_module._reduce(prog)
     b, w, gap, _, reach = wu_module._solve_reduced(reduced, TOL, top, mass)
     assert reach == float(np.max(reduced @ b))
     k = pts.shape[1]
@@ -535,6 +535,57 @@ def test_containment_rescale_uses_the_pricing_of_the_returned_point(cloud):
     want = 1.0 / (b / reach) if reach > 1.0 else 1.0 / b
     assert info.params.intercepts == tuple(want.tolist())
     assert np.array_equal(info.weights, w) and info.gap == gap
+
+
+def _cloud_with_scaled_last_column(scale):
+    u = np.random.default_rng(0).random((50, 3))
+    u[:, 2] *= scale
+    return u
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320, 2.0**-1074])
+def test_subnormal_column_maxima_certify(scale):
+    # 1 / max u_3 overflowed the masses and b = 1 / (k U^T w) the pricing,
+    # so the solver ran out of Newton steps with best gap inf; warnings are
+    # errors here, so the solve must also warn of nothing
+    pts = _cloud_with_scaled_last_column(scale)
+    info = min_vol_simplex_info(simplex_program(pts, tolerance=TOL))
+    assert info.gap <= TOL
+    for p in pts:
+        assert simplex_contains(info.params, p, tol=10.0 * TOL)
+    # the gap of the returned weights, recomputed exactly from the input
+    exact = [[Fraction(c) for c in p] for p in pts.tolist()]
+    w = [Fraction(x) for x in info.weights.tolist()]
+    mix = [sum(wi * p[j] for wi, p in zip(w, exact)) for j in range(3)]
+    score = max(sum(c / m for c, m in zip(p, mix) if m) for p in exact)
+    assert abs(info.gap - 3 * math.log(max(float(score), 3) / 3)) <= 1e-14
+    # the two normal axes come out as for a normal third column
+    normal = min_vol_simplex(simplex_program(_cloud_with_scaled_last_column(2.0**-10)))
+    assert info.params.intercepts[:2] == pytest.approx(normal.intercepts[:2], rel=1e-12)
+    if scale > 1e-315:  # enough subnormal bits for 1e-12
+        want = normal.intercepts[2] * 2.0**10 * scale
+        assert info.params.intercepts[2] == pytest.approx(want, rel=1e-12)
+
+
+def test_huge_column_maxima_are_scaled_exactly():
+    # k max u_3 passes 2**1022: the column is solved scaled by 2**-1020,
+    # which is exact, so the intercepts are the unscaled ones times 2**1020
+    base = min_vol_simplex_info(simplex_program(_cloud_with_scaled_last_column(1.0)))
+    info = min_vol_simplex_info(simplex_program(_cloud_with_scaled_last_column(2.0**1020)))
+    a = base.params.intercepts
+    assert info.params.intercepts == (a[0], a[1], a[2] * 2.0**1020)
+    assert info.gap == base.gap and np.array_equal(info.weights, base.weights)
+
+
+def test_intercept_beyond_the_float_range_names_its_axis():
+    # a3 ~ 2.9e308 is no float: returning inf would read as a degenerate
+    # axis, and the solve used to warn of overflow and divide by zero
+    pts = _cloud_with_scaled_last_column(1e308)
+    with pytest.raises(SolverError, match="intercept on axis 2 is beyond the float range"):
+        min_vol_simplex_info(simplex_program(pts))
+    # the axis is named by its index in the program
+    with pytest.raises(SolverError, match="axis 1"):
+        min_vol_simplex_info(simplex_program(pts[:, 1:]))
 
 
 def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
