@@ -18,6 +18,7 @@ from .busemann import (
     cloud_indicatrix,
     convexify,
     degeneracy,
+    product_indicatrix,
     radial_indicatrix,
     support,
 )

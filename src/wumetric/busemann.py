@@ -15,6 +15,11 @@ representations are supported:
     (squared moduli) lying on the closure of B, for balls pinned down by
     explicitly constructed analytic discs.
 
+A product of radial balls (``product_indicatrix``) is radial, its radius
+the minimum of its factors' radii, and keeps its factors, so that
+``wu.wu_metric`` samples each on its own axes rather than the product on
+all of them.
+
 Every radial sample becomes a boundary point rho(d) d in one place,
 ``Indicatrix.boundary_points``, which also holds the one recession rule:
 zero radii are dropped, and so is a radius beyond ``RADIUS_CAP`` along a
@@ -50,8 +55,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
-# direction tables kept by absolute_directions, one per (k, count) shape
+# direction tables kept by absolute_directions, one per (k, count) shape;
+# a table above the byte budget is built for its call and not kept
 DIRECTION_TABLES = 16
+DIRECTION_TABLE_BYTES = 1 << 20
+# most axis and subset-diagonal rows absolute_directions builds: 2^k - 1
+# on k axes, so k = 20 is the largest table
+MAX_CORNER_ROWS = 1 << 20
 # hull facets are computed on at most this many axes: a curved boundary
 # sampled on 7 axes already gives about 450 000 facets
 MAX_HULL_AXES = 7
@@ -99,8 +109,9 @@ class Indicatrix:
 
     ``cloud`` is kept as a read-only (m, dim) float array copied from the
     input; ``hull_points`` are the read-only (N, dim) moduli-space points
-    backing a convexified radial indicatrix.  Indicatrices compare and
-    hash by identity.
+    backing a convexified radial indicatrix; ``factors`` are the balls of
+    a product, in coordinate order (``product_indicatrix``).  Indicatrices
+    compare and hash by identity.
     """
 
     dim: int
@@ -108,6 +119,7 @@ class Indicatrix:
     cloud: np.ndarray | None = None
     bounded_axes: tuple[bool | None, ...] | None = None
     hull_points: np.ndarray | None = field(default=None, repr=False)
+    factors: tuple[Indicatrix, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (self.radial is None) == (self.cloud is None):
@@ -131,6 +143,8 @@ class Indicatrix:
             object.__setattr__(self, "cloud", pts)
         if self.bounded_axes is not None and len(self.bounded_axes) != self.dim:
             raise ValueError("bounded_axes length mismatch")
+        if self.factors is not None and sum(f.dim for f in self.factors) != self.dim:
+            raise ValueError("factor dimensions must add up to dim")
 
     def boundedness(self) -> tuple[bool, ...]:
         """Per-axis boundedness; clouds default to bounded, radial
@@ -203,6 +217,32 @@ def radial_indicatrix(
     return Indicatrix(dim=dim, radial=fn, bounded_axes=tuple(bounded_axes))
 
 
+def product_indicatrix(*factors: Indicatrix) -> Indicatrix:
+    """Indicatrix of the product ball B_1 x ... x B_r, the coordinates of
+    each factor following those of the one before.
+
+    A radius is the minimum of the factors' radii on their own coordinates,
+    so it is exactly the closed form of the product ball; the bounded axes
+    concatenate the factors' (undeclared ones stay undeclared).  The
+    factors are kept, and ``wu.wu_metric`` samples each on its own bounded
+    axes.  Factors must be radial; a single factor is returned as it is.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    if not factors or any(f.radial is None for f in factors):
+        raise UnsupportedIndicatrixError("a product needs at least one factor, each radial")
+    blocks, dim, bounded = [], 0, ()
+    for f in factors:
+        blocks.append((f, dim, dim + f.dim))
+        dim += f.dim
+        bounded += f.bounded_axes or (None,) * f.dim
+
+    def radius(m: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce([f.radii(m[..., lo:hi]) for f, lo, hi in blocks])
+
+    return Indicatrix(dim=dim, radial=batch_radial(radius), bounded_axes=bounded, factors=factors)
+
+
 def cloud_indicatrix(
     points: Sequence[Sequence[float]] | np.ndarray,
     *,
@@ -259,15 +299,25 @@ def absolute_directions(k: int, count: int) -> np.ndarray:
 
     The table depends only on (k, count), so it is built once per shape
     and shared: the returned array is read-only, and the last
-    ``DIRECTION_TABLES`` shapes are kept.
+    ``DIRECTION_TABLES`` shapes of at most ``DIRECTION_TABLE_BYTES`` are
+    kept.  More than ``MAX_CORNER_ROWS`` axes and subset diagonals
+    (k > 20) raise ``UnsupportedIndicatrixError`` before anything is built.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
+    corners = (1 << k) - 1
+    if corners > MAX_CORNER_ROWS:
+        raise UnsupportedIndicatrixError(
+            f"{k} axes have {corners} axis and subset-diagonal directions; "
+            f"direction tables hold at most {MAX_CORNER_ROWS}"
+        )
+    rows = max(count, corners) if k > 1 else 1
+    if rows * k * 8 > DIRECTION_TABLE_BYTES:
+        return _build_directions(k, count)
     return _direction_table(k, count)
 
 
-@functools.lru_cache(maxsize=DIRECTION_TABLES)
-def _direction_table(k: int, count: int) -> np.ndarray:
+def _build_directions(k: int, count: int) -> np.ndarray:
     if k == 1:
         table = np.array([[1.0]])
     else:
@@ -287,6 +337,9 @@ def _direction_table(k: int, count: int) -> np.ndarray:
         table = np.concatenate(dirs)
     table.flags.writeable = False
     return table
+
+
+_direction_table = functools.lru_cache(maxsize=DIRECTION_TABLES)(_build_directions)
 
 
 def _maximal_rows(p: np.ndarray) -> np.ndarray:

@@ -13,7 +13,10 @@ sandwich builder, config encoder and decoder):
   * polydisc(r_1, ..., r_n);
   * g2 = {|z_1| (1 + |z_2|) < 1} and gn = g2 x Delta^(n-2), the unbounded
     pseudoconvex Reinhardt domains behind the semicontinuity failures;
-    g2 is gn at n = 2 and shares its entry's functions;
+    g2 is gn at n = 2 and shares its entry's functions; their radial
+    balls are products of a two-axis ball and unit discs, and the
+    polydisc's outer cylinder a product of discs
+    (``busemann.product_indicatrix``);
   * truncated_gn(n, m): gn cut with the inverse image under Psi of the
     open simplex with intercepts (n/2, m n/2, n, ..., n);
   * elem_reinhardt(alpha, C) = {|z^alpha| < e^C}: indicatrices are built
@@ -35,6 +38,7 @@ from .busemann import (
     absolute_directions,
     batch_radial,
     cloud_indicatrix,
+    product_indicatrix,
     radial_indicatrix,
 )
 from .metrics import (
@@ -267,15 +271,9 @@ def _g2_radius(m: np.ndarray) -> np.ndarray:
     return 2.0 / (p + np.sqrt(p * p + 4.0 * p * q))
 
 
-def _times_unit_discs(radius2: Radius) -> Radius:
-    """Radii of B x Delta^(n-2), radius2 giving those of B in the first two
-    coordinates."""
-
-    def radius(m: np.ndarray) -> np.ndarray:
-        discs = np.minimum.reduce(1.0 / m[..., 2:], axis=-1, initial=math.inf)
-        return np.minimum(radius2(m), discs)
-
-    return radius
+def _disc(r: float = 1.0) -> Indicatrix:
+    """The disc of radius r, as a one-axis product factor."""
+    return radial_indicatrix(batch_radial(lambda m: r / m[..., 0]), 1, (True,))
 
 
 def _require_origin(at: CVector, variant: str) -> None:
@@ -305,26 +303,30 @@ def _polydisc_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     _require_origin(at, spec.variant)
     r = spec.radii
     inner = cloud_indicatrix([tuple(x * x for x in r)])
-    outer = radial_indicatrix(batch_radial(_cylinder_radius(r)), len(r), (True,) * len(r))
+    outer = product_indicatrix(*map(_disc, r))
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 
 def _gn_sandwich(spec: DomainSpec, at: CVector) -> SandwichIndicatrix:
     """At the origin the domain's own ball; at (x, 0, ..., 0) the tangents
-    of the two extremal discs, times the unit discs of Delta^(n-2)."""
+    of the two extremal discs, times the unit discs of Delta^(n-2).
+
+    The radial balls are products of a ball in (z_1, z_2) and n - 2 unit
+    discs."""
     n = spec.n
-    discs = (1.0,) * (n - 2)
+    discs = (_disc(),) * (n - 2) if n > 2 else ()
     if all(c == 0 for c in at):
-        bounded = (True, False) + (True,) * (n - 2)
-        inner = radial_indicatrix(batch_radial(_times_unit_discs(_g2_radius)), n, bounded)
-        outer = radial_indicatrix(
-            batch_radial(_cylinder_radius((1.0, None) + discs)), n, bounded
+        half = (True, False)
+        inner = radial_indicatrix(batch_radial(_g2_radius), 2, half)
+        outer = radial_indicatrix(batch_radial(_cylinder_radius((1.0, None))), 2, half)
+        return SandwichIndicatrix(
+            inner=product_indicatrix(inner, *discs), outer=product_indicatrix(outer, *discs)
         )
-        return SandwichIndicatrix(inner=inner, outer=outer)
     x = _require_axis_point(at, spec.variant)
-    inner = cloud_indicatrix([(mu(x), 0.0) + discs, (0.0, nu(x)) + discs])
-    axis_ball = _times_unit_discs(lambda m: (1.0 - x * x) / (m[..., 0] + x * m[..., 1]))
-    outer = radial_indicatrix(batch_radial(axis_ball), n, (True,) * n)
+    ones = (1.0,) * (n - 2)
+    inner = cloud_indicatrix([(mu(x), 0.0) + ones, (0.0, nu(x)) + ones])
+    axis_ball = batch_radial(lambda m: (1.0 - x * x) / (m[..., 0] + x * m[..., 1]))
+    outer = product_indicatrix(radial_indicatrix(axis_ball, 2, (True, True)), *discs)
     return SandwichIndicatrix(inner=inner, outer=outer)
 
 

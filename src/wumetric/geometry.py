@@ -80,10 +80,11 @@ def psi(z: Sequence[complex]) -> tuple[float, ...]:
 
 
 def simplex_volume(t: SimplexParams) -> float:
-    """vol T_a = prod(a_j) / n!.  Raises for unbounded simplexes."""
+    """vol T_a = prod(a_j) / n!, as prod(a_j / j): n! has no float value
+    past n = 170.  Raises for unbounded simplexes."""
     if any(math.isinf(a) for a in t.intercepts):
         raise UnboundedSimplexError("unbounded simplex has no volume")
-    return math.prod(t.intercepts) / math.factorial(t.dim)
+    return math.prod(a / j for j, a in enumerate(t.intercepts, 1))
 
 
 def form_contains(q: DiagonalHermitianForm, p: Sequence[float], tol: float = DEFAULT_TOL) -> bool:

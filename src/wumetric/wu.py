@@ -36,7 +36,8 @@ a free-axes program of the same shape via u~_i = u_i,free / rho_i with
 rho_i = 1 - <u_i,fixed part>.
 
 ``wu_metric`` chains degeneracy analysis, certificate-point extraction and
-the simplex program into the minimal ellipsoid seminorm of an indicatrix,
+the simplex program into the minimal ellipsoid seminorm of an indicatrix
+(a product ball is sampled factor by factor, then solved once),
 and ``certify_contradiction_*`` package the volume-comparison arguments
 that rule out distance decrease under particular holomorphic maps.
 """
@@ -180,7 +181,7 @@ class SolveInfo:
     @property
     def volume(self) -> float:
         finite = [a for a in self.params.intercepts if math.isfinite(a)]
-        return math.prod(finite) / math.factorial(len(finite))
+        return math.prod(a / j for j, a in enumerate(finite, 1))
 
 
 def _column_shifts(tops: list[float]) -> list[int] | None:
@@ -553,6 +554,42 @@ class WuResult:
     certificate_points: int
 
 
+def _psi_sample(ind: Indicatrix, axes: list[int], resolution: int | None) -> np.ndarray:
+    """Psi-points of the indicatrix on its bounded ``axes``: its cloud, or
+    its boundary along ``resolution`` directions (default 256 per axis)."""
+    if ind.cloud is not None:
+        return ind.cloud[:, axes]
+    count = 256 * len(axes) if resolution is None else resolution
+    sub = absolute_directions(len(axes), count)
+    dirs = np.zeros((len(sub), ind.dim))
+    dirs[:, axes] = sub
+    return ind.boundary_points(dirs)[:, axes] ** 2
+
+
+def _product_sample(factors: tuple[Indicatrix, ...], resolution: int | None) -> np.ndarray:
+    """Every choice of one ``_psi_sample`` point per factor, joined in
+    factor order, in row-major order of the choices.  A factor with no
+    bounded axis adds no coordinate, and a repeated factor, such as the
+    unit disc of Delta^k, is sampled once."""
+    sample: dict[int, np.ndarray] = {}
+    for f in factors:
+        if id(f) not in sample:
+            axes = [j for j, b in enumerate(f.boundedness()) if b]
+            sample[id(f)] = _psi_sample(f, axes, resolution) if axes else np.empty((1, 0))
+    parts = [sample[id(f)] for f in factors]
+    sizes = [len(p) for p in parts]
+    out = np.empty((math.prod(sizes), sum(p.shape[1] for p in parts)))
+    if not len(out):
+        return out
+    before, col = 1, 0
+    for p, size in zip(parts, sizes):
+        # out as (before, size, after, width): each block of rows is one p row
+        block = out.reshape(before, size, len(out) // (before * size), out.shape[1])
+        block[..., col : col + p.shape[1]] = p[:, None, :]
+        before, col = before * size, col + p.shape[1]
+    return out
+
+
 def wu_metric(
     ind: Indicatrix,
     *,
@@ -568,6 +605,14 @@ def wu_metric(
     ``resolution`` directions (default 256 per non-degenerate axis; at
     least 1, and any count below the axes and subset diagonals samples
     exactly those).
+
+    A product (``Indicatrix.factors``) is sampled factor by factor, each
+    on its own bounded axes, and its certificate points are the Cartesian
+    product of those samples.  Psi maps a product of balls to the product
+    of their images, and a simplex contains a product of point sets
+    exactly when it contains their hulls' product, so the one solve over
+    the product points is the program of the whole ball, without subset
+    diagonals that span several factors.
     """
     check_resolution(resolution)
     report = degeneracy(ind)
@@ -578,14 +623,10 @@ def wu_metric(
             w_tilde=zero, w=zero, m=0, v_axes=report.v_axes, gap=0.0, certificate_points=0
         )
     u_axes = [j for j in range(n) if j not in report.v_axes]
-    if ind.cloud is not None:
-        pts = ind.cloud[:, u_axes]
+    if ind.factors is None:
+        pts = _psi_sample(ind, u_axes, resolution)
     else:
-        count = 256 * len(u_axes) if resolution is None else resolution
-        sub = absolute_directions(len(u_axes), count)
-        dirs = np.zeros((len(sub), n))
-        dirs[:, u_axes] = sub
-        pts = ind.boundary_points(dirs)[:, u_axes] ** 2
+        pts = _product_sample(ind.factors, resolution)
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):
@@ -691,8 +732,9 @@ class ContradictionReportN(ContradictionReport):
 
 
 def gn_ratio_limit(n: int, t: float) -> float:
-    """x -> 0 limit of the n-variable certificate volume ratio."""
-    return 4.0 * (n - 2) ** (n - 2) * t**n / (n**n * (t - 1.0) ** (n - 2))
+    """x -> 0 limit of the n-variable certificate volume ratio,
+    4 (n-2)^(n-2) t^n / (n^n (t-1)^(n-2)), in floats for every n."""
+    return 4.0 * t * t / (n * n) * ((n - 2) * t / (n * (t - 1.0))) ** (n - 2)
 
 
 def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
@@ -710,6 +752,12 @@ def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
     """
     s_opt = min((n - 2) / (n - 1), 1.0 - mu(x) / t)
     return (t, nu(x) / (1.0 - s_opt)) + ((n - 2) / s_opt,) * (n - 2)
+
+
+def _volume_ratio(a: Sequence[float], b: Sequence[float]) -> float:
+    """vol T_a / vol T_b as the product of the intercept ratios a_j / b_j,
+    in which n! cancels."""
+    return math.prod(x / y for x, y in zip(a, b))
 
 
 def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN:
@@ -735,35 +783,28 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN
     q = (0.0, nu_x) + (1.0,) * (n - 2)
     prog = SimplexProgram(points=(p, q), fixed=((0, t),))
     params = min_vol_simplex(prog)
-    vol_c = simplex_volume(params)
-    expected = gn_constrained_optimum(n, x, t)
-    vol_expected = math.prod(expected) / math.factorial(n)
-    if abs(vol_c - vol_expected) > 1e-9 * vol_expected:
+    off = _volume_ratio(params.intercepts, gn_constrained_optimum(n, x, t)) - 1.0
+    if abs(off) > 1e-9:
         raise SolverError(
-            f"constrained volume {vol_c!r} disagrees with closed form {vol_expected!r}",
-            gap=abs(vol_c / vol_expected - 1.0),
+            f"constrained volume is {off:+.3e} relative off its closed form", gap=abs(off)
         )
     active = (t, nu_x * t / mu_x) + ((n - 2) * t / (t - mu_x),) * (n - 2)
-    vol_active = math.prod(active) / math.factorial(n)
-    if vol_c > vol_active * (1.0 + 1e-9):
-        raise SolverError(
-            "constrained volume exceeds a feasible stationary point",
-            gap=vol_c / vol_active - 1.0,
-        )
+    over = _volume_ratio(params.intercepts, active) - 1.0
+    if over > 1e-9:
+        raise SolverError("constrained volume exceeds a feasible stationary point", gap=over)
     reference = SimplexParams(
         intercepts=(n / 2.0, n / (2.0 * x * x)) + (float(n),) * (n - 2)
     )
-    vol_r = simplex_volume(reference)
-    ratio = vol_c / vol_r
+    ratio = _volume_ratio(params.intercepts, reference.intercepts)
     return ContradictionReportN(
         x=x,
         t=t,
         constrained=params,
-        constrained_volume=vol_c,
+        constrained_volume=simplex_volume(params),
         reference=reference,
-        reference_volume=vol_r,
+        reference_volume=simplex_volume(reference),
         ratio=ratio,
-        ratio_bound=vol_active / vol_r,
+        ratio_bound=_volume_ratio(active, reference.intercepts),
         certified=ratio > 1.0,
         n=n,
         ratio_limit=gn_ratio_limit(n, t),

@@ -56,6 +56,40 @@ def absolute_directions_loop(k: int, count: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _unit_discs_radius(m: np.ndarray) -> np.ndarray:
+    """Radii of the unit polydisc in coordinates 3..n (infinite for n = 2)."""
+    return np.minimum.reduce(1.0 / m[..., 2:], axis=-1, initial=math.inf)
+
+
+def gn_ball_radius(kind: str, x: float = 0.0):
+    """Unfactored closed-form radius of a gn ball on moduli of shape
+    (..., n): the origin's inner ball G2 x Delta^(n-2) ("inner"), its
+    outer cylinder Delta x C x Delta^(n-2) ("outer"), or the outer ball
+    {|z_1| + x |z_2| < 1 - x^2} x Delta^(n-2) at (x, 0, ..., 0) ("axis")."""
+
+    def radius(m: np.ndarray) -> np.ndarray:
+        p, q = m[..., 0], m[..., 1]
+        with np.errstate(divide="ignore"):
+            head = {
+                "inner": lambda: 2.0 / (p + np.sqrt(p * p + 4.0 * p * q)),
+                "outer": lambda: 1.0 / p,
+                "axis": lambda: (1.0 - x * x) / (p + x * q),
+            }[kind]()
+            return np.minimum(head, _unit_discs_radius(m))
+
+    return radius
+
+
+def polydisc_radius(radii: tuple[float, ...]):
+    """Unfactored closed-form radius of the polydisc of these radii."""
+
+    def radius(m: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.minimum.reduce(np.array(radii) / m, axis=-1)
+
+    return radius
+
+
 def cloud_cases(count: int) -> list[tuple[int, list[tuple[float, ...]]]]:
     """Deterministic Psi-point clouds: n in {2, 3}, 1..12 points, coords in [0, 2].
 

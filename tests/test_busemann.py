@@ -26,6 +26,7 @@ from wumetric.busemann import (
     cloud_indicatrix,
     convexify,
     degeneracy,
+    product_indicatrix,
     radial_indicatrix,
     support,
 )
@@ -37,6 +38,8 @@ from wumetric.domains import (
     indicatrix_at,
     metric_indicatrix,
     polydisc,
+    truncated_gn,
+    truncation_intercepts,
 )
 from wumetric.wu import wu_metric
 
@@ -132,6 +135,37 @@ def test_direction_tables_beyond_the_cache_size_are_evicted():
     again = absolute_directions(2, 1000)
     assert table.cache_info().misses == info.misses + 1
     assert again is not first and again.tobytes() == first.tobytes()
+
+
+def test_direction_tables_above_the_byte_budget_are_not_kept():
+    # the truncated_gn(16, 4) outer ellipsoid samples the (65 535, 16)
+    # table, 8.4 MB: built for its solve and not kept
+    n = 16
+    assert ((1 << n) - 1) * n * 8 > busemann.DIRECTION_TABLE_BYTES
+    before = busemann._direction_table.cache_info()
+    res = wu_metric(indicatrix_at(truncated_gn(n, 4.0), (0.0,) * n).outer)
+    assert busemann._direction_table.cache_info() == before
+    assert res.certificate_points == (1 << n) - 1
+    assert res.w_tilde.axes == pytest.approx(truncation_intercepts(n, 4.0), rel=1e-12)
+
+
+def test_direction_table_beyond_the_corner_limit_raises_before_building():
+    with pytest.raises(UnsupportedIndicatrixError, match=r"40 axes have 1099511627775 "):
+        absolute_directions(40, 1)
+
+
+def test_product_indicatrix_concatenates_its_factors():
+    disc = radial_indicatrix(batch_radial(lambda m: 2.0 / m[..., 0]), 1, (True,))
+    plane = radial_indicatrix(batch_radial(lambda m: np.full(m.shape[:-1], np.inf)), 1, (False,))
+    assert product_indicatrix(disc) is disc
+    ball = product_indicatrix(disc, plane, disc)
+    assert ball.dim == 3 and ball.factors == (disc, plane, disc)
+    assert ball.boundedness() == (True, False, True)
+    assert ball.radii(np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])).tolist() == [2.5, math.inf]
+    with pytest.raises(UnsupportedIndicatrixError):
+        product_indicatrix(disc, cloud_indicatrix([(1.0,)]))
+    with pytest.raises(ValueError, match="dimensions"):
+        Indicatrix(dim=3, radial=ball.radial, bounded_axes=(True,) * 3, factors=(disc, disc))
 
 
 def test_traced_wu_metric_records_its_direction_lookups():

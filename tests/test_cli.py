@@ -79,6 +79,15 @@ def test_x_is_a_prefix_of_x_grid(capsys):
     assert outputs[0].count("\n") == 5 and ",0.20000000000000001," in outputs[0]
 
 
+@pytest.mark.parametrize("n, t", [("64", "33"), ("200", "101")])
+def test_gn_usc_certifies_in_many_variables(tmp_path, capsys, n, t):
+    out = tmp_path / "rows.csv"
+    assert run_cli(["run", "gn_usc", "--n", n, "--t", t, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 8 and all(r["ok"] == "true" for r in rows)
+    assert "8/8 rows ok" in capsys.readouterr().err
+
+
 def test_invalid_parameter_is_usage_error(capsys):
     assert run_cli(["run", "gn_usc", "--t", "1.2"]) == 2
     err = capsys.readouterr().err

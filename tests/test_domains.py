@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import kronecker_sequence, sphere_directions
+from helpers import gn_ball_radius, kronecker_sequence, polydisc_radius, sphere_directions
 from wumetric import domains
 from wumetric.busemann import (
     absolute_directions,
@@ -161,6 +161,45 @@ def test_gn_indicatrix_wu_values():
     # the axis-point outer ball divides by zero off the first two axes
     outer = wu_metric(indicatrix_at(gn(3), (0.3, 0.0, 0.0)).outer)
     assert outer.m == 3 and outer.gap <= 1e-10
+
+
+def _product_balls():
+    """Each product ball of a sandwich with its unfactored closed form."""
+    balls = []
+    for n in range(3, 9):
+        origin = indicatrix_at(gn(n), (0.0,) * n)
+        balls.append((origin.inner, gn_ball_radius("inner")))
+        balls.append((origin.outer, gn_ball_radius("outer")))
+        axis = indicatrix_at(gn(n), (0.3,) + (0.0,) * (n - 1))
+        balls.append((axis.outer, gn_ball_radius("axis", 0.3)))
+    for r in ((1.0, 2.0), (1.5, 0.7, 0.9), (0.3, 1.0, 2.0, 0.5, 4.0)):
+        balls.append((indicatrix_at(polydisc(*r), (0.0,) * len(r)).outer, polydisc_radius(r)))
+    return balls
+
+
+def test_product_radii_are_the_unfactored_closed_forms_bitwise():
+    # over the tables wu_metric, convexify and support sample, subset
+    # diagonals and zero coordinates included
+    for ball, radius in _product_balls():
+        assert ball.factors is not None
+        dirs = absolute_directions(ball.dim, 256 * ball.dim)
+        assert ball.radii(dirs).tobytes() == radius(dirs).tobytes(), ball.dim
+        whole = radial_indicatrix(batch_radial(radius), ball.dim, ball.bounded_axes)
+        for row in dirs[::97]:
+            assert ball.eta(row) == whole.eta(row)
+
+
+def test_gn_products_are_a_two_axis_ball_times_discs():
+    for at in ((0.0,) * 6, (0.3,) + (0.0,) * 5):
+        sandwich = indicatrix_at(gn(6), at)
+        for ball in (sandwich.inner, sandwich.outer):
+            if ball.factors is None:
+                continue
+            assert [f.dim for f in ball.factors] == [2, 1, 1, 1, 1]
+            assert ball.boundedness() == sum((f.boundedness() for f in ball.factors), ())
+    # g2 has one factor, which is the ball itself
+    assert indicatrix_at(g2(), (0.0, 0.0)).inner.factors is None
+    assert indicatrix_at(polydisc(2.0), (0.0,)).outer.factors is None
 
 
 def test_truncated_indicatrix_certificate_points():

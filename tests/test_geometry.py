@@ -54,6 +54,11 @@ def test_simplex_volume():
         simplex_volume(SimplexParams((1.0, math.inf)))
 
 
+def test_simplex_volume_past_the_float_range_of_n_factorial():
+    # 200! has no float value, but prod(a_j) / 200! is exactly 1 here
+    assert simplex_volume(SimplexParams(tuple(range(1, 201)))) == 1.0
+
+
 def test_containment_boundary_tolerance():
     t = SimplexParams((1.0, 1.0))
     assert simplex_contains(t, (0.5, 0.5))

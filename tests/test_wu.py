@@ -18,8 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cloud_cases, hard_cloud_cases
-from wumetric.busemann import cloud_indicatrix, convexify, radial_indicatrix
+from helpers import cloud_cases, gn_ball_radius, hard_cloud_cases
+from wumetric.busemann import (
+    batch_radial,
+    cloud_indicatrix,
+    convexify,
+    product_indicatrix,
+    radial_indicatrix,
+)
 from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
 from wumetric.experiments import polydisc_cases
 from wumetric.geometry import SimplexParams, simplex_contains, simplex_volume
@@ -802,6 +808,59 @@ def test_wu_at_resolution_one_samples_axes_and_diagonals():
     assert res.w_tilde.axes == pytest.approx((1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_factored_gn_origin_equals_the_unfactored_direct_solve(n):
+    inner = indicatrix_at(gn(n), (0.0,) * n).inner
+    bounded = (True, False) + (True,) * (n - 2)
+    whole = radial_indicatrix(batch_radial(gn_ball_radius("inner")), n, bounded)
+    factored, direct = wu_metric(inner), wu_metric(whole)
+    assert factored.certificate_points == 1 < direct.certificate_points
+    assert factored.m == direct.m == n - 1
+    assert factored.v_axes == direct.v_axes == frozenset({1})
+    pairs = ((factored.w_tilde.axes, direct.w_tilde.axes), (factored.w.axes, direct.w.axes))
+    for got, want in pairs:
+        assert got[1] == want[1] == math.inf
+        rel = max(abs(a - b) / b for a, b in zip(got, want) if b < math.inf)
+        assert rel <= 1e-15, (n, got, want)
+
+
+def test_gn64_origin_is_one_point_and_one_solve(monkeypatch):
+    calls = []
+    solve = wu_module.min_vol_simplex_info
+    monkeypatch.setattr(
+        wu_module, "min_vol_simplex_info", lambda prog: calls.append(prog) or solve(prog)
+    )
+    res = wu_metric(indicatrix_at(gn(64), (0.0,) * 64).inner)
+    assert len(calls) == 1 and len(calls[0].points) == 1
+    assert res.certificate_points == 1
+    assert res.w_tilde.axes == (63.0, math.inf) + (63.0,) * 62
+    assert res.w((1.0,) + (0.0,) * 63) == 1.0
+
+
+def test_product_sample_is_the_product_of_the_factor_samples():
+    # the gn(4) axis-point outer ball: a 2-D ball sampled on 512 directions
+    # times two unit discs; one solve over their product agrees with the
+    # product rule applied to solves of the factors
+    outer = indicatrix_at(gn(4), (0.3, 0.0, 0.0, 0.0)).outer
+    head, disc, _ = outer.factors
+    res = wu_metric(outer)
+    assert res.certificate_points == wu_metric(head).certificate_points
+    combined = wu_product(wu_metric(head), wu_metric(product_indicatrix(disc, disc)))
+    assert res.m == combined.m == 4
+    assert res.w_tilde.axes == pytest.approx(combined.w_tilde.axes, rel=1e-9)
+    assert res.gap <= TOL
+
+
+def test_product_sample_rows_are_every_choice_in_row_major_order():
+    a, b, c = [(1.0,), (2.0,)], [(3.0, 4.0)], [(5.0,), (6.0,), (7.0,)]
+    plane = cloud_indicatrix([(9.0,)], bounded_axes=(False,))
+    factors = (cloud_indicatrix(a), plane, cloud_indicatrix(b), cloud_indicatrix(c))
+    got = wu_module._product_sample(factors, None)
+    # the unbounded factor adds no coordinate
+    want = [sum(rows, ()) for rows in itertools.product(a, b, c)]
+    assert got.tolist() == [list(row) for row in want]
+
+
 def test_wu_on_degenerate_two_variable_model():
     res = wu_metric(indicatrix_at(g2(), (0.0, 0.0)).inner)
     assert res.m == 1
@@ -927,6 +986,25 @@ def test_gn_certificate_not_always_conclusive():
 def test_gn_ratio_limit_reference_values():
     assert gn_ratio_limit(3, 1.6) == pytest.approx(4.0 * 1.6**3 / (27.0 * 0.6), rel=1e-15)
     assert gn_ratio_limit(3, 1.5) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, t", [(64, 33.0), (171, 86.0), (200, 101.0)])
+def test_gn_certificate_in_many_variables(n, t):
+    # n^n has no float value past n = 143 and n! none past 170; the limit
+    # and the volume ratios are products of per-axis factors
+    exact = 4 * Fraction(n - 2) ** (n - 2) * Fraction(t) ** n / (
+        n**n * (Fraction(t) - 1) ** (n - 2)
+    )
+    assert gn_ratio_limit(n, t) == pytest.approx(float(exact), rel=1e-13)
+    for x in (0.1, 0.01):
+        rep = certify_contradiction_gn(n, x, t)
+        ratio = math.prod(Fraction(a) / Fraction(b) for a, b in zip(
+            rep.constrained.intercepts, rep.reference.intercepts
+        ))
+        assert rep.ratio == pytest.approx(float(ratio), rel=1e-13)
+        assert rep.ratio <= rep.ratio_bound * (1.0 + 1e-9)
+        assert 0.0 < rep.constrained_volume < math.inf
+        assert 0.0 < rep.reference_volume < math.inf
 
 
 def test_gn_certificate_bound_dominates_ratio():
