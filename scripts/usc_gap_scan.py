@@ -1,53 +1,40 @@
 #!/usr/bin/env python3
 """Map where the volume-ratio certificates actually certify.
 
-Scans the two-variable and n-variable contradiction certificates over a
-(x, t) grid and prints, per t, the solver ratio at each x together with
-the x -> 0 limit.  Ratios above 1 certify that no enclosing-simplex
-volume can be upper semicontinuous at the degenerate base point; the scan
-makes the pin threshold t = (n-1) mu(x) visible as the line where the
-solver ratio detaches from the fully active stationary-point value.
+Scans the contradiction certificate on gn = G2 x Delta^(n-2) over an
+(x, t) grid, for n = 2 and for --n, and prints, per t, the solver ratio at
+each x together with the x -> 0 limit.  Ratios above 1 certify that no
+enclosing-simplex volume can be upper semicontinuous at the degenerate
+base point.  As in `wumetric run g2_usc`, n = 2 is the two-variable
+certificate on G2 = {|z1|(1 + |z2|) < 1} pinned at t^2 (t > 1); larger n
+pin t itself (t > n/2).  Each cell is marked `a` or `s` by its regime:
+both certificate constraints active (pin <= (n-1) mu(x)), or the first
+one slack; the limit switches formula at t = n - 1.
 """
 
 import argparse
 
-from wumetric.wu import (
-    certify_contradiction_g2,
-    certify_contradiction_gn,
-    gn_ratio_limit,
-)
+from wumetric.metrics import mu
+from wumetric.wu import certify_contradiction_gn, gn_ratio_limit
 
 
-def scan_g2(x_grid, t_grid) -> None:
-    print("# two-variable certificate (ratio / bound t^2(1-x)^2)")
-    header = "t\\x " + " ".join(f"{x:>18.4g}" for x in x_grid)
-    print(header)
+def scan(n, x_grid, t_grid) -> None:
+    pins = "t^2" if n == 2 else "t"
+    print(f"# {n}-variable certificate pinned at {pins} (solver ratio, limit as x -> 0)")
     for t in t_grid:
+        pin = t * t if n == 2 else t
         cells = []
         for x in x_grid:
-            rep = certify_contradiction_g2(x, t)
-            mark = "*" if rep.certified else " "
-            cells.append(f"{rep.ratio:>10.6f}/{rep.ratio_bound:<6.4f}{mark}")
-        print(f"{t:<4.2f} " + " ".join(cells))
-    print("(* = certified: solver ratio > 1)\n")
-
-
-def scan_gn(n, x_grid, t_grid) -> None:
-    print(f"# {n}-variable certificate (solver ratio, limit as x -> 0)")
-    for t in t_grid:
-        limit = gn_ratio_limit(n, t)
-        cells = []
-        for x in x_grid:
-            rep = certify_contradiction_gn(n, x, t)
-            mark = "*" if rep.certified else " "
-            cells.append(f"{rep.ratio:.6f}{mark}")
-        print(f"t={t:<4.2f} limit={limit:.6f}  " + " ".join(cells))
-    print("(* = certified: solver ratio > 1)")
+            rep = certify_contradiction_gn(n, x, pin)
+            regime = "a" if pin <= (n - 1) * mu(x) else "s"
+            cells.append(f"{rep.ratio:.6f}{regime}{'*' if rep.certified else ' '}")
+        print(f"t={t:<4.2f} limit={gn_ratio_limit(n, pin):.6f}  " + " ".join(cells))
+    print("(* = certified: solver ratio > 1; a/s = active/slack regime)\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=3, help="dimension for the gn scan")
+    parser.add_argument("--n", type=int, default=3, help="dimension scanned after n = 2")
     parser.add_argument(
         "--x-grid",
         default="0.1,0.01,0.001,0.0001",
@@ -56,14 +43,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--t-grid",
         default="1.1,1.3,1.6,2.0,3.0",
-        help="comma-separated pin values (g2 uses them directly, gn needs > n/2)",
+        help="comma-separated t values; each n scans those above n/2",
     )
     args = parser.parse_args(argv)
+    if args.n < 2:
+        parser.error("--n must be >= 2")
     x_grid = [float(v) for v in args.x_grid.split(",")]
     t_grid = [float(v) for v in args.t_grid.split(",")]
-
-    scan_g2(x_grid, [t for t in t_grid if t > 1.0])
-    scan_gn(args.n, x_grid, [t for t in t_grid if t > args.n / 2.0])
+    for n in sorted({2, args.n}):
+        scan(n, x_grid, [t for t in t_grid if t > n / 2.0])
     return 0
 
 

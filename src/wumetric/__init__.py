@@ -77,14 +77,12 @@ from .metrics import (
 )
 from .wu import (
     ContradictionReport,
-    ContradictionReportN,
     DegenerateAxisError,
     InfeasibleProgramError,
     SimplexProgram,
     SolveInfo,
     SolverError,
     WuResult,
-    certify_contradiction_g2,
     certify_contradiction_gn,
     gn_constrained_optimum,
     gn_ratio_limit,

@@ -29,7 +29,6 @@ from .metrics import MultiIndex, elem_reinhardt_metric_info, mu
 from .wu import (
     SimplexProgram,
     WuResult,
-    certify_contradiction_g2,
     certify_contradiction_gn,
     gn_ratio_limit,
     min_vol_simplex_bruteforce,
@@ -93,16 +92,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             + ", ".join(sorted(EXPERIMENTS))
         )
     validate_solver_settings(cfg.tolerance, cfg.resolution)
-    if cfg.experiment in ("g2_usc", "gn_usc"):
-        if any(not 0.0 < x < 1.0 for x in cfg.x_grid) or not cfg.x_grid:
-            raise ConfigError("x-grid: entries must lie in (0, 1)")
-    if cfg.experiment == "g2_usc" and cfg.t <= 1.0:
-        raise ConfigError("t: must exceed 1")
     if cfg.experiment in ("gn_usc", "monotone", "rem_two"):
         if cfg.n < 3:
             raise ConfigError("n: must be >= 3")
-    if cfg.experiment == "gn_usc" and cfg.t <= cfg.n / 2.0:
-        raise ConfigError("t: must exceed n/2 for the pinned-intercept bound")
+    if cfg.experiment in ("g2_usc", "gn_usc"):
+        if any(not 0.0 < x < 1.0 for x in cfg.x_grid) or not cfg.x_grid:
+            raise ConfigError("x-grid: entries must lie in (0, 1)")
+        n = _usc_setting(cfg)[0].n  # g2's pin t^2 exceeds 1 exactly when t > 1
+        if cfg.t <= n / 2.0:
+            raise ConfigError(f"t: must exceed n/2 = {n / 2.0:g} for the pinned-intercept bound")
     if cfg.experiment == "monotone":
         if not cfg.m_list or any(m < 1.0 for m in cfg.m_list):
             raise ConfigError("m-list: truncation levels must be >= 1")
@@ -183,132 +181,84 @@ def _wu_of(spec: DomainSpec, at: tuple[float, ...], cfg: ExperimentConfig) -> Wu
     )
 
 
-def _run_g2_usc(cfg: ExperimentConfig) -> list[ResultRow]:
-    rows = []
-    origin = _wu_of(g2(), (0.0, 0.0), cfg)
-    w0 = origin.w(_e1(2))
-    rows.append(
-        _row(
-            cfg, w0 == 1.0 and origin.m == 1, 0.0,
-            kind="origin",
-            w_tilde_e1=origin.w_tilde(_e1(2)),
-            w_e1=w0,
-            expected=1.0,
-            m=origin.m,
-        )
-    )
-    for x in sorted(cfg.x_grid, reverse=True):
-        res = wu_metric(indicatrix_at(g2(), (x, 0.0)).inner, tolerance=cfg.tolerance)
-        w_e1 = res.w(_e1(2))
-        expected = math.sqrt(2.0 / mu(x))
-        rows.append(
-            _row(
-                cfg, abs(w_e1 - expected) <= cfg.tolerance * expected and w_e1 > 1.0, cfg.tolerance,
-                kind="usc",
-                x=x,
-                w_tilde_e1=res.w_tilde(_e1(2)),
-                w_e1=w_e1,
-                expected=expected,
-                m=res.m,
-            )
-        )
-    for x in sorted(cfg.x_grid, reverse=True):
-        rep = certify_contradiction_g2(x, cfg.t)
-        rows.append(
-            _row(
-                cfg,
-                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound),
-                cfg.tolerance,
-                kind="certificate",
-                x=x,
-                t=cfg.t,
-                ratio=rep.ratio,
-                ratio_bound=rep.ratio_bound,
-                certified=rep.certified,
-            )
-        )
-    # x -> 0: the certificate ratio tends to t^2 and W((x,0); e1) to sqrt(2)
-    limit_w = math.sqrt(2.0)
-    rows.append(
-        _row(
-            cfg, limit_w > 1.0 and cfg.t * cfg.t > 1.0, 0.0,
-            kind="limit",
-            t=cfg.t,
-            w_e1=limit_w,
-            expected=1.0,
-            ratio=cfg.t * cfg.t,
-            ratio_bound=cfg.t * cfg.t,
-            certified=cfg.t * cfg.t > 1.0,
-        )
-    )
-    return rows
+def _usc_setting(cfg: ExperimentConfig) -> tuple[DomainSpec, float]:
+    """Domain and pin of a semicontinuity experiment: ``g2_usc`` is the gn
+    experiment at n = 2 with the pin t^2, ``gn_usc`` pins t itself."""
+    return (g2(), cfg.t * cfg.t) if cfg.experiment == "g2_usc" else (gn(cfg.n), cfg.t)
 
 
-def _run_gn_usc(cfg: ExperimentConfig) -> list[ResultRow]:
-    n, t = cfg.n, cfg.t
+def _run_usc(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Semicontinuity gap on gn, n >= 2: exact origin values, W along (x, 0,
+    ..., 0) with limit sqrt(2) > 1, and pinned-intercept certificates.  The
+    W-tilde limit sqrt(2/n) equals the origin's 1/sqrt(n-1) at n = 2 only."""
+    spec, pin = _usc_setting(cfg)
+    n = spec.n
     rows = []
-    origin = _wu_of(gn(n), (0.0,) * n, cfg)
-    wt0 = origin.w_tilde(_e1(n))
-    expected0 = 1.0 / math.sqrt(n - 1)
+    origin = _wu_of(spec, (0.0,) * n, cfg)
+    wt0, w0 = origin.w_tilde(_e1(n)), origin.w(_e1(n))
+    # 1 / sqrt(n-1) as W-tilde evaluates it at the exact intercept n - 1
+    expected0 = math.sqrt(1.0 / (n - 1))
     rows.append(
         _row(
-            cfg,
-            abs(wt0 - expected0) <= cfg.tolerance
-            and abs(origin.w(_e1(n)) - 1.0) <= cfg.tolerance
-            and origin.m == n - 1,
-            cfg.tolerance,
+            cfg, wt0 == expected0 and w0 == 1.0 and origin.m == n - 1, 0.0,
             kind="origin",
             n=n,
             w_tilde_e1=wt0,
-            w_e1=origin.w(_e1(n)),
+            w_e1=w0,
             expected=expected0,
             m=origin.m,
         )
     )
     for x in sorted(cfg.x_grid, reverse=True):
         res = wu_metric(
-            indicatrix_at(gn(n), (x,) + (0.0,) * (n - 1)).inner,
+            indicatrix_at(spec, (x,) + (0.0,) * (n - 1)).inner,
             tolerance=cfg.tolerance,
         )
-        wt = res.w_tilde(_e1(n))
-        expected = math.sqrt(2.0 / (n * mu(x)))
+        wt, w = res.w_tilde(_e1(n)), res.w(_e1(n))
+        expected, expected_w = math.sqrt(2.0 / (n * mu(x))), math.sqrt(2.0 / mu(x))
         rows.append(
             _row(
-                cfg, abs(wt - expected) <= cfg.tolerance * expected, cfg.tolerance,
+                cfg,
+                abs(wt - expected) <= cfg.tolerance * expected
+                and abs(w - expected_w) <= cfg.tolerance * expected_w
+                and w > w0,
+                cfg.tolerance,
                 kind="usc",
                 n=n,
                 x=x,
                 w_tilde_e1=wt,
-                w_e1=res.w(_e1(n)),
+                w_e1=w,
                 expected=expected,
                 m=res.m,
             )
         )
     for x in sorted(cfg.x_grid, reverse=True):
-        rep = certify_contradiction_gn(n, x, t)
+        rep = certify_contradiction_gn(n, x, pin)
         rows.append(
             _row(
-                cfg, rep.ratio <= rep.ratio_bound * (1.0 + 1e-9), cfg.tolerance,
+                cfg,
+                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound),
+                cfg.tolerance,
                 kind="certificate",
                 n=n,
                 x=x,
-                t=t,
+                t=cfg.t,
                 ratio=rep.ratio,
                 ratio_bound=rep.ratio_bound,
-                regime="active" if t <= (n - 1) * mu(x) else "slack",
+                regime="active" if pin <= (n - 1) * mu(x) else "slack",
                 certified=rep.certified,
             )
         )
-    limit = gn_ratio_limit(n, t)
-    limit_wt = math.sqrt(2.0 / n)
+    limit = gn_ratio_limit(n, pin)
+    limit_wt, limit_w = math.sqrt(2.0 / n), math.sqrt(2.0)
     rows.append(
         _row(
-            cfg, limit > 1.0 and limit_wt > expected0, 0.0,
+            cfg, limit > 1.0 and limit_w > w0 and (n == 2 or limit_wt > expected0), 0.0,
             kind="limit",
             n=n,
-            t=t,
-            w_tilde_e1=limit_wt,
-            w_e1=math.sqrt(2.0),
+            t=cfg.t,
+            w_tilde_e1=limit_wt if n > 2 else None,
+            w_e1=limit_w,
             expected=expected0,
             ratio=limit,
             ratio_bound=limit,
@@ -690,15 +640,15 @@ EXPERIMENTS: dict[str, Experiment] = {
          "w_tilde_e1", "m"),
     ),
     "g2_usc": Experiment(
-        _run_g2_usc,
-        "Upper-semicontinuity failure on {|z1|(1+|z2|) < 1}: normalized "
-        "metric 1 at the origin vs limit sqrt(2) along (x, 0), with "
-        "pinned-intercept volume certificates.",
+        _run_usc,
+        "Upper-semicontinuity failure on {|z1|(1+|z2|) < 1}, gn_usc at "
+        "n = 2 pinned at t^2: normalized metric 1 at the origin vs limit "
+        "sqrt(2) along (x, 0), with volume certificates t^2 (1-x)^2.",
         ("kind", "x", "t", "w_tilde_e1", "w_e1", "expected", "m", "ratio",
          "ratio_bound", "certified"),
     ),
     "gn_usc": Experiment(
-        _run_gn_usc,
+        _run_usc,
         "n-variable semicontinuity gap: origin values (1/sqrt(n-1), 1) vs "
         "sqrt(2/n)-type limits along (x, 0, ..., 0), plus pinned-intercept "
         "certificates and their x -> 0 limit ratio.",

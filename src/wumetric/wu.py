@@ -38,8 +38,8 @@ rho_i = 1 - <u_i,fixed part>.
 ``wu_metric`` chains degeneracy analysis, certificate-point extraction and
 the simplex program into the minimal ellipsoid seminorm of an indicatrix
 (a product ball is sampled factor by factor, then solved once),
-and ``certify_contradiction_*`` package the volume-comparison arguments
-that rule out distance decrease under particular holomorphic maps.
+and ``certify_contradiction_gn`` packages the volume-comparison argument
+that rules out distance decrease under particular holomorphic maps.
 """
 
 from __future__ import annotations
@@ -433,7 +433,8 @@ def _solve_reduced(
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate.  One free axis has
-    the closed form a = max_i u_i, with gap 0 and all weight on the argmax.
+    the closed form a = max_i u_i, one point u on k free axes the closed
+    form a = k u; both have gap 0 and all weight on one point.
 
     Columns with subnormal or huge maxima are solved scaled by a power of
     two (``_reduce``).  An intercept beyond the float range raises
@@ -445,13 +446,14 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         w = np.zeros(len(keep))
         w.flags.writeable = False
         return SolveInfo(params=params, gap=0.0, iterations=0, weights=w)
-    if len(free) == 1:
-        # one free axis: a = max u exactly, certified by all weight on the
-        # argmax (every score u_i / max u is at most 1, so the gap is 0)
+    if len(free) == 1 or len(reduced) == 1:
+        # closed forms certified by all weight on one point, so the gap is
+        # 0: one free axis gives a = max u (every score u_i / max u is at
+        # most 1), one point u gives a = k u (its score is k)
         i = int(np.argmax(reduced[:, 0]))
         w = np.zeros(len(reduced))
         w[i] = 1.0
-        a, gap, iters = reduced[i], 0.0, 0
+        a, gap, iters = len(free) * reduced[i], 0.0, 0
     else:
         b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
         # conservative rescale: containment of every reduced point, exactly;
@@ -673,15 +675,16 @@ def wu_product(left: WuResult, right: WuResult) -> WuResult:
 
 @dataclass(frozen=True)
 class ContradictionReport:
-    """Outcome of a volume-comparison certificate.
+    """Outcome of the volume-comparison certificate on gn, n >= 2.
 
     ratio > 1 certifies that no simplex with the pinned first intercept
     can both contain the constructed certificate points and have volume
     at most the comparison simplex's, contradicting the assumed metric
-    inequality.  ratio_bound is the algebraic prediction of the ratio;
-    the two-variable certificate realizes it exactly.
+    inequality.  ratio is the solver's volume ratio; ratio_bound is that
+    of the closed-form optimum and ratio_limit its x -> 0 limit.
     """
 
+    n: int
     x: float
     t: float
     constrained: SimplexParams
@@ -690,51 +693,36 @@ class ContradictionReport:
     reference_volume: float
     ratio: float
     ratio_bound: float
+    ratio_limit: float
     certified: bool
 
 
-def certify_contradiction_g2(x: float, t: float) -> ContradictionReport:
-    """Two-variable Hartogs-triangle-type certificate at base point (x, 0).
-
-    Certificate points (mu, 0) and (0, nu) with mu = (1-x^2)^2 and
-    nu = (1/x - 1)^2 must lie in any enclosing simplex; pinning the first
-    intercept to t^2 forces volume ratio >= t^2 (1-x)^2 against the
-    reference simplex with intercepts (1, 1/x^2).
-    """
-    if not 0.0 < x < 1.0:
-        raise ValueError("x in (0, 1) required")
-    if t <= 1.0:
-        raise ValueError("t > 1 required")
-    prog = SimplexProgram(points=((mu(x), 0.0), (0.0, nu(x))), fixed=((0, t * t),))
-    params = min_vol_simplex(prog)
-    vol_c = simplex_volume(params)
-    reference = SimplexParams(intercepts=(1.0, 1.0 / (x * x)))
-    vol_r = simplex_volume(reference)
-    ratio = vol_c / vol_r
-    bound = (t * (1.0 - x)) ** 2
-    return ContradictionReport(
-        x=x,
-        t=t,
-        constrained=params,
-        constrained_volume=vol_c,
-        reference=reference,
-        reference_volume=vol_r,
-        ratio=ratio,
-        ratio_bound=bound,
-        certified=ratio > 1.0,
-    )
+def _pinned_optimum(n: int, mu_x: float, nu_x: float, t: float) -> tuple[float, ...]:
+    """``gn_constrained_optimum`` with the certificate values mu and nu given."""
+    s_opt = min((n - 2) / (n - 1), 1.0 - mu_x / t)
+    trailing = ((n - 2) / s_opt,) * (n - 2) if n > 2 else ()
+    return (t, nu_x / (1.0 - s_opt)) + trailing
 
 
-@dataclass(frozen=True)
-class ContradictionReportN(ContradictionReport):
-    n: int
-    ratio_limit: float
+def _reference(n: int, x: float) -> tuple[float, ...]:
+    return (n / 2.0, n / (2.0 * x * x)) + (float(n),) * (n - 2)
+
+
+def _volume_ratio(a: Sequence[float], b: Sequence[float]) -> float:
+    """vol T_a / vol T_b as the product of the intercept ratios a_j / b_j,
+    in which n! cancels."""
+    return math.prod(x / y for x, y in zip(a, b))
 
 
 def gn_ratio_limit(n: int, t: float) -> float:
-    """x -> 0 limit of the n-variable certificate volume ratio,
-    4 (n-2)^(n-2) t^n / (n^n (t-1)^(n-2)), in floats for every n."""
-    return 4.0 * t * t / (n * n) * ((n - 2) * t / (n * (t - 1.0))) ** (n - 2)
+    """x -> 0 limit of the certificate's volume ratio, for every n >= 2.
+
+    As mu -> 1 and x^2 nu -> 1 it is the pinned optimum at mu = nu = 1
+    against the reference at x = 1, (2t/n) 2/(n (1-S)) ((n-2)/(n S))^(n-2)
+    with S = min((n-2)/(n-1), 1 - 1/t): 4 t^2/n^2 ((n-2) t/(n (t-1)))^(n-2)
+    while t <= n-1 (both constraints active), 4 t (n-1)^(n-1)/n^n beyond,
+    and t at n = 2; a product of per-axis factors, finite for every n."""
+    return _volume_ratio(_pinned_optimum(n, 1.0, 1.0, t), _reference(n, 1.0))
 
 
 def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
@@ -748,55 +736,49 @@ def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
     S = (n-2)/(n-1); the first point's constraint caps S at 1 - mu/t.  The
     fully active stationary point (t, nu t / mu, (n-2) t / (t-mu), ...) is
     therefore optimal exactly when t <= (n-1) mu, and for larger pins the
-    first constraint goes slack.
+    first constraint goes slack.  At n = 2 there is no trailing block:
+    S = 0, the first constraint is slack for every pin t > 1 > mu, and the
+    optimum is (t, nu).
     """
-    s_opt = min((n - 2) / (n - 1), 1.0 - mu(x) / t)
-    return (t, nu(x) / (1.0 - s_opt)) + ((n - 2) / s_opt,) * (n - 2)
+    return _pinned_optimum(n, mu(x), nu(x), t)
 
 
-def _volume_ratio(a: Sequence[float], b: Sequence[float]) -> float:
-    """vol T_a / vol T_b as the product of the intercept ratios a_j / b_j,
-    in which n! cancels."""
-    return math.prod(x / y for x, y in zip(a, b))
+def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
+    """Volume-comparison certificate on gn = G2 x Delta^(n-2), n >= 2, at
+    the base point (x, 0, ..., 0).
 
+    Points (mu, 0, 1, ..., 1) and (0, nu, 1, ..., 1) with mu = (1-x^2)^2
+    and nu = (1/x - 1)^2; first intercept pinned to t (required > n/2 so
+    the constrained volume is increasing in the pin); reference simplex
+    (n/2, n/(2 x^2), n, ..., n).  At n = 2 this is the two-variable
+    certificate on G2 = {|z1|(1 + |z2|) < 1}: a pin s^2 with s > 1 gives
+    the ratio s^2 (1-x)^2.
 
-def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN:
-    """n-variable analogue with certificate points embedded in a cylinder.
-
-    Points (mu, 0, 1, ..., 1) and (0, nu, 1, ..., 1); first intercept
-    pinned to t (required > n/2 so the constrained volume is increasing in
-    the pin); reference simplex (n/2, n/(2 x^2), n, ..., n).
-
-    ratio is the solver's volume ratio against the reference; ratio_bound
-    evaluates the fully active stationary point, so the two agree only
-    while t <= (n-1) mu and ratio_bound overestimates the ratio beyond
-    that threshold.  Certification uses the solver value.
+    The solver's optimum must match ``gn_constrained_optimum`` in volume
+    to 1e-9 relative, or ``SolverError`` is raised.  ratio is the solver's
+    volume ratio against the reference and decides ``certified``;
+    ratio_bound is the closed-form optimum's, in both regimes.
     """
-    if not (isinstance(n, int) and n >= 3):
-        raise ValueError("integer n >= 3 required")
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError("integer n >= 2 required")
     if not 0.0 < x < 1.0:
         raise ValueError("x in (0, 1) required")
     if t <= n / 2.0:
         raise ValueError("t > n/2 required for the monotone volume bound")
-    mu_x, nu_x = mu(x), nu(x)
-    p = (mu_x, 0.0) + (1.0,) * (n - 2)
-    q = (0.0, nu_x) + (1.0,) * (n - 2)
+    p = (mu(x), 0.0) + (1.0,) * (n - 2)
+    q = (0.0, nu(x)) + (1.0,) * (n - 2)
     prog = SimplexProgram(points=(p, q), fixed=((0, t),))
     params = min_vol_simplex(prog)
-    off = _volume_ratio(params.intercepts, gn_constrained_optimum(n, x, t)) - 1.0
+    optimum = gn_constrained_optimum(n, x, t)
+    off = _volume_ratio(params.intercepts, optimum) - 1.0
     if abs(off) > 1e-9:
         raise SolverError(
             f"constrained volume is {off:+.3e} relative off its closed form", gap=abs(off)
         )
-    active = (t, nu_x * t / mu_x) + ((n - 2) * t / (t - mu_x),) * (n - 2)
-    over = _volume_ratio(params.intercepts, active) - 1.0
-    if over > 1e-9:
-        raise SolverError("constrained volume exceeds a feasible stationary point", gap=over)
-    reference = SimplexParams(
-        intercepts=(n / 2.0, n / (2.0 * x * x)) + (float(n),) * (n - 2)
-    )
+    reference = SimplexParams(intercepts=_reference(n, x))
     ratio = _volume_ratio(params.intercepts, reference.intercepts)
-    return ContradictionReportN(
+    return ContradictionReport(
+        n=n,
         x=x,
         t=t,
         constrained=params,
@@ -804,8 +786,7 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReportN
         reference=reference,
         reference_volume=simplex_volume(reference),
         ratio=ratio,
-        ratio_bound=_volume_ratio(active, reference.intercepts),
-        certified=ratio > 1.0,
-        n=n,
+        ratio_bound=_volume_ratio(optimum, reference.intercepts),
         ratio_limit=gn_ratio_limit(n, t),
+        certified=ratio > 1.0,
     )

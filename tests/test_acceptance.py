@@ -31,7 +31,6 @@ from wumetric.experiments import (
 from wumetric.geometry import simplex_volume
 from wumetric.metrics import MultiIndex, elem_reinhardt_metric
 from wumetric.wu import (
-    certify_contradiction_g2,
     certify_contradiction_gn,
     gn_constrained_optimum,
     gn_ratio_limit,
@@ -115,7 +114,8 @@ def test_criterion_2_constrained_closed_form():
 def test_criterion_3_g2_semicontinuity_gap():
     origin = wu_metric(indicatrix_at(g2(), (0.0, 0.0)).inner)
     exact = origin.w(E1_2) == 1.0 and origin.m == 1
-    report = certify_contradiction_g2(0.01, 1.1)
+    # the two-variable certificate is gn's at n = 2 with the pin t^2
+    report = certify_contradiction_gn(2, 0.01, 1.1 * 1.1)
     bound = (1.1 * (1.0 - 0.01)) ** 2
     cert_ok = (
         report.certified

@@ -35,7 +35,6 @@ from wumetric.wu import (
     InfeasibleProgramError,
     SimplexProgram,
     SolverError,
-    certify_contradiction_g2,
     certify_contradiction_gn,
     gn_constrained_optimum,
     gn_ratio_limit,
@@ -88,6 +87,30 @@ def test_one_free_axis_beside_a_fixed_one():
     assert info.params.intercepts == (4.0, 0.5 / 0.75)
     assert info.weights.tolist() == [1.0, 0.0, 0.0]
     assert (info.iterations, info.gap) == (0, 0.0)
+
+
+def test_one_point_is_k_times_the_point_exactly():
+    # a = k u in closed form, certified by all weight on the point (its score
+    # is k); a fixed axis rescales the point first
+    u = (0.2, 0.57, 0.94)
+    info = min_vol_simplex_info(simplex_program([u]))
+    assert info.params.intercepts == tuple(3 * c for c in u)
+    assert (info.iterations, info.gap) == (0, 0.0)
+    assert info.weights.tolist() == [1.0]
+    info = min_vol_simplex_info(simplex_program([(1.0, 0.5, 0.25)], fixed={0: 4.0}))
+    assert info.params.intercepts == (4.0, 2 * 0.5 / 0.75, 2 * 0.25 / 0.75)
+    assert (info.iterations, info.gap) == (0, 0.0)
+
+
+def test_gn_origin_intercepts_are_n_minus_one_for_n_up_to_200():
+    # the gn(n) origin is the one point (1, ..., 1) on the n - 1 bounded
+    # axes: its closed form is exact, where Newton steps and the containment
+    # rescale can land an ulp off n - 1
+    for n in range(3, 201):
+        res = wu_metric(indicatrix_at(gn(n), (0.0,) * n).inner)
+        assert res.w_tilde.axes == (float(n - 1), math.inf) + (float(n - 1),) * (n - 2), n
+        assert res.gap == 0.0
+        assert res.w((1.0,) + (0.0,) * (n - 1)) == 1.0
 
 
 def test_independent_axis_points():
@@ -930,7 +953,9 @@ def test_wu_product_with_degenerate_factor():
 
 
 def test_g2_certificate_at_reference_parameters():
-    rep = certify_contradiction_g2(0.01, 1.1)
+    # the two-variable certificate is gn's at n = 2 with the pin t^2
+    t = 1.1
+    rep = certify_contradiction_gn(2, 0.01, t * t)
     assert rep.certified
     assert rep.ratio > 1.0
     # the two certificate points decouple, so the pinned optimum is
@@ -940,20 +965,34 @@ def test_g2_certificate_at_reference_parameters():
     nu = (1.0 / 0.01 - 1.0) ** 2
     assert rep.constrained.intercepts == pytest.approx((1.1**2, nu), rel=1e-12)
     assert rep.ratio == pytest.approx(0.01**2 * 1.1**2 * nu, rel=1e-12)
+    assert gn_constrained_optimum(2, 0.01, t * t) == pytest.approx((t * t, nu), rel=1e-12)
+    assert rep.ratio_limit == t * t
 
 
 def test_g2_certificate_inconclusive_region():
-    rep = certify_contradiction_g2(0.5, 1.1)
+    rep = certify_contradiction_gn(2, 0.5, 1.1 * 1.1)
     assert not rep.certified
     assert rep.ratio < 1.0
     assert rep.ratio >= rep.ratio_bound
 
 
+@pytest.mark.parametrize("x, t", itertools.product((0.5, 0.1, 0.05, 0.01), (1.1, 1.6, 3.0)))
+def test_g2_certificate_is_the_closed_form_ratio(x, t):
+    # at n = 2 both constraints decouple: the ratio is t^2 (1-x)^2, and the
+    # solver, the closed-form optimum and the limit agree with it
+    rep = certify_contradiction_gn(2, x, t * t)
+    want = (t * (1.0 - x)) ** 2
+    assert rep.ratio == pytest.approx(want, rel=1e-15)
+    assert rep.ratio_bound == pytest.approx(want, rel=1e-15)
+    assert rep.constrained.intercepts[0] == t * t
+    assert gn_ratio_limit(2, t * t) == t * t
+
+
 def test_g2_certificate_validation():
     with pytest.raises(ValueError):
-        certify_contradiction_g2(0.0, 1.1)
+        certify_contradiction_gn(2, 0.0, 1.21)
     with pytest.raises(ValueError):
-        certify_contradiction_g2(0.5, 1.0)
+        certify_contradiction_gn(2, 0.5, 1.0)
 
 
 def test_gn_certificate_slack_regime():
@@ -963,7 +1002,7 @@ def test_gn_certificate_slack_regime():
     want = 4.0 * x * x * t * nu * (n - 1) ** (n - 1) / n**n
     assert rep.certified
     assert rep.ratio == pytest.approx(want, rel=1e-10)
-    assert rep.ratio <= rep.ratio_bound * (1.0 + 1e-9)
+    assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10)
 
 
 def test_gn_certificate_active_regime():
@@ -988,6 +1027,16 @@ def test_gn_ratio_limit_reference_values():
     assert gn_ratio_limit(3, 1.5) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_gn_ratio_limit_in_the_slack_regime():
+    # past t = n - 1 the first constraint goes slack: the limit is
+    # 4 t (n-1)^(n-1) / n^n, and the finite-x ratio tends to it
+    assert gn_ratio_limit(3, 2.5) == pytest.approx(40 / 27, abs=1e-15)
+    assert gn_ratio_limit(4, 3.5) == pytest.approx(4 * 3.5 * 27 / 256, rel=1e-15)
+    assert certify_contradiction_gn(3, 1e-4, 2.5).ratio == pytest.approx(40 / 27, rel=1e-3)
+    # t = n - 1 lies in both regimes
+    assert gn_ratio_limit(3, 2.0) == pytest.approx(32 / 27, rel=1e-15)
+
+
 @pytest.mark.parametrize("n, t", [(64, 33.0), (171, 86.0), (200, 101.0)])
 def test_gn_certificate_in_many_variables(n, t):
     # n^n has no float value past n = 143 and n! none past 170; the limit
@@ -1002,22 +1051,25 @@ def test_gn_certificate_in_many_variables(n, t):
             rep.constrained.intercepts, rep.reference.intercepts
         ))
         assert rep.ratio == pytest.approx(float(ratio), rel=1e-13)
-        assert rep.ratio <= rep.ratio_bound * (1.0 + 1e-9)
+        assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10)
         assert 0.0 < rep.constrained_volume < math.inf
         assert 0.0 < rep.reference_volume < math.inf
 
 
 def test_gn_certificate_bound_dominates_ratio():
-    for n in (3, 4):
+    # ratio_bound is the closed-form optimum's ratio, in both regimes
+    for n in (2, 3, 4):
         for x in (0.3, 0.1, 0.01):
             for t in (0.51 * n + 0.1, 2.0 * n):
                 rep = certify_contradiction_gn(n, x, t)
-                assert rep.ratio <= rep.ratio_bound * (1.0 + 1e-9), (n, x, t)
+                assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10), (n, x, t)
 
 
 def test_gn_certificate_validation():
     with pytest.raises(ValueError):
-        certify_contradiction_gn(2, 0.1, 1.6)
+        certify_contradiction_gn(1, 0.1, 1.6)
+    with pytest.raises(ValueError):
+        certify_contradiction_gn(2, 0.1, 1.0)
     with pytest.raises(ValueError):
         certify_contradiction_gn(3, 0.1, 1.5)
     with pytest.raises(ValueError):
