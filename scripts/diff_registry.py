@@ -7,9 +7,11 @@ Both directories are as written by `scripts/run_all_experiments.py`, one
 NAME.csv per experiment.  Each changed cell prints as one tab-separated
 line: experiment, row (index and first cell), column, old value, new value
 and, for numbers, the relative change |new - old| / |old| (the largest over
-the components of a ';'-joined vector).  Exits 1 if an `ok` flag, a
-non-numeric cell, a header, a row count or the set of files changed, and
-0 otherwise, also when numbers changed.
+the components of a ';'-joined vector).  When a header changed, each
+dropped or added column prints as one line, and the cells of the columns
+both headers share are still compared, matched by name.  Exits 1 if an
+`ok` flag, a non-numeric cell, a header, a row count or the set of files
+changed, and 0 otherwise, also when numbers changed.
 """
 
 import argparse
@@ -44,16 +46,27 @@ def read(path: pathlib.Path) -> list[list[str]]:
 
 def diff_tables(name: str, old: list[list[str]], new: list[list[str]]) -> bool:
     """Print the changed cells of one experiment; True if only numbers changed."""
-    if not old or not new or old[0] != new[0]:
+    if not old or not new:
         print(f"{name}\theader\t{old[:1]}\t{new[:1]}")
         return False
+    header, fresh = old[0], new[0]
+    for column in header:
+        if column not in fresh:
+            print(f"{name}\tcolumn\t{column}\tpresent\tmissing")
+    for column in fresh:
+        if column not in header:
+            print(f"{name}\tcolumn\t{column}\tmissing\tpresent")
+    if header != fresh and sorted(header) == sorted(fresh):
+        print(f"{name}\theader\t{header}\t{fresh}")
     if len(old) != len(new):
         print(f"{name}\trows\t{len(old) - 1}\t{len(new) - 1}")
         return False
-    header, numeric_only = old[0], True
+    numeric_only = header == fresh
     for row, (was, now) in enumerate(zip(old[1:], new[1:])):
         label = f"{row} ({header[0]}={was[0]})" if was else str(row)
-        for column, a, b in zip(header, was, now):
+        now_cells = dict(zip(fresh, now))
+        for column, a in zip(header, was):
+            b = now_cells.get(column, a)
             if a == b:
                 continue
             x, y = numbers(a), numbers(b)

@@ -55,11 +55,6 @@ from .geometry import (
     DiagonalHermitianForm,
     SimplexParams,
     UnboundedSimplexError,
-    form_contains,
-    form_to_simplex,
-    psi,
-    simplex_contains,
-    simplex_to_form,
     simplex_volume,
 )
 from .metrics import (
@@ -67,13 +62,11 @@ from .metrics import (
     MultiIndex,
     OutsideDomainError,
     UnsupportedCaseError,
-    elem_reinhardt_metric,
     elem_reinhardt_metric_info,
     gamma_disc,
     kappa_punctured_disc,
     membership_elem_reinhardt,
     phi_r,
-    product_metric,
 )
 from .wu import (
     ContradictionReport,
@@ -87,7 +80,6 @@ from .wu import (
     gn_constrained_optimum,
     gn_ratio_limit,
     min_vol_simplex,
-    min_vol_simplex_bruteforce,
     min_vol_simplex_info,
     simplex_program,
     wu_metric,

@@ -25,8 +25,7 @@ Every radial sample becomes a boundary point rho(d) d in one place,
 zero radii are dropped, and so is a radius beyond ``RADIUS_CAP`` along a
 direction with mass only on unbounded axes; such a radius on a direction
 with mass on a declared-bounded axis raises ``UnknownBoundednessError``.
-``convexify``, ``support``, ``wu.wu_metric`` and
-``domains.SandwichIndicatrix.sandwich_ok`` all sample through it.
+``convexify``, ``support`` and ``wu.wu_metric`` all sample through it.
 
 The largest seminorm below eta has the convex hull conv(B) as its ball.
 Downstream minimization (minimal enclosing ellipsoid respectively simplex)

@@ -35,7 +35,6 @@ import numpy as np
 
 from .busemann import (
     Indicatrix,
-    absolute_directions,
     batch_radial,
     cloud_indicatrix,
     product_indicatrix,
@@ -165,18 +164,6 @@ class SandwichIndicatrix:
             return tuple(complex(c) for c in X)
         u = np.array(self.alignment)
         return tuple(u @ np.array([complex(c) for c in X]))
-
-    def sandwich_ok(self, tol: float = 1e-12, samples: int = 64) -> bool:
-        """Closed containment inner subset-of outer on certificates, or on
-        the inner ``boundary_points`` along ``samples`` directions."""
-        if self.inner.cloud is not None:
-            pts = np.sqrt(self.inner.cloud)
-        else:
-            pts = self.inner.boundary_points(absolute_directions(self.inner.dim, samples))
-        norm = np.linalg.norm(pts, axis=1)
-        pts, norm = pts[norm > 0.0], norm[norm > 0.0]
-        rho_out = self.outer.radii(pts / norm[:, None])
-        return not np.any(norm > rho_out * (1.0 + tol) + tol)
 
 
 def _unitary_from_functional(c: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Diagonal Hermitian forms, simplexes in the positive orthant, and the Psi map.
+"""Diagonal Hermitian forms and simplexes in the positive orthant.
 
 The squared-modulus map Psi(z) = (|z_1|^2, ..., |z_n|^2) identifies bounded
 complete Reinhardt ellipsoids {sum |X_j|^2 / a_j < 1} with simplexes
 T_a = {u in R^n_+ : sum u_j / a_j < 1}, and vol T_a = prod(a_j) / n!.
 Everything downstream (the minimal-ellipsoid computation in particular)
-happens on the simplex side, so these two parametrizations share the same
-intercept tuple and convert losslessly.
+happens on the simplex side, so the two figures share one intercept tuple:
+the form of a simplex is ``DiagonalHermitianForm(t.intercepts)``.
 
 Infinite intercepts/axes are first-class: an infinite entry means the
 figure is unbounded along that coordinate and the corresponding term is
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-DEFAULT_TOL = 1e-12
 
 
 class UnboundedSimplexError(ValueError):
@@ -74,43 +72,9 @@ class SimplexParams:
         return len(self.intercepts)
 
 
-def psi(z: Sequence[complex]) -> tuple[float, ...]:
-    """Coordinatewise squared modulus, Psi(z)_j = |z_j|^2."""
-    return tuple(abs(w) ** 2 for w in z)
-
-
 def simplex_volume(t: SimplexParams) -> float:
     """vol T_a = prod(a_j) / n!, as prod(a_j / j): n! has no float value
     past n = 170.  Raises for unbounded simplexes."""
     if any(math.isinf(a) for a in t.intercepts):
         raise UnboundedSimplexError("unbounded simplex has no volume")
     return math.prod(a / j for j, a in enumerate(t.intercepts, 1))
-
-
-def form_contains(q: DiagonalHermitianForm, p: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
-    """Whether the Psi-point p satisfies sum over finite axes of p_j/a_j <= 1.
-
-    This is exactly membership of p in the closed simplex T_axes, i.e.
-    membership of any preimage under Psi in the closed ellipsoid of q.
-    """
-    if len(p) != q.dim:
-        raise ValueError("dimension mismatch")
-    for u in p:
-        if u < 0:
-            raise ValueError("Psi-points have nonnegative coordinates")
-    s = sum(u / a for u, a in zip(p, q.axes) if math.isfinite(a))
-    return s <= 1.0 + tol + tol * abs(s)
-
-
-def simplex_contains(t: SimplexParams, p: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
-    return form_contains(DiagonalHermitianForm(t.intercepts), p, tol)
-
-
-def form_to_simplex(q: DiagonalHermitianForm) -> SimplexParams:
-    """Psi-image of the unit ball of q; parameters carry over unchanged."""
-    return SimplexParams(q.axes)
-
-
-def simplex_to_form(t: SimplexParams) -> DiagonalHermitianForm:
-    """Inverse of :func:`form_to_simplex`; exact round-trip including inf."""
-    return DiagonalHermitianForm(t.intercepts)

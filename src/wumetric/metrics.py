@@ -379,18 +379,6 @@ def elem_reinhardt_metric_info(
     return us / (2.0 * u * math.log(1.0 / u)), info
 
 
-def elem_reinhardt_metric(
-    kind: Kind,
-    alpha: Sequence[float] | MultiIndex,
-    C: float,
-    a: Sequence[complex],
-    X: Sequence[complex],
-    k: int | None = None,
-) -> float:
-    value, _ = elem_reinhardt_metric_info(kind, alpha, C, a, X, k)
-    return value
-
-
 def membership_elem_reinhardt(
     alpha: Sequence[float], C: float, z: Sequence[complex]
 ) -> bool:
@@ -409,13 +397,3 @@ def mu(x: float) -> float:
 def nu(x: float) -> float:
     """Second g2 certificate coordinate (1/x - 1)^2 at the base point (x, 0)."""
     return (1.0 / x - 1.0) ** 2
-
-
-def product_metric(values: Sequence[float]) -> float:
-    """Invariant metric of a product domain: max over the factors."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("need at least one factor")
-    if any(v < 0 for v in vals):
-        raise ValueError("metric values are nonnegative")
-    return max(vals)

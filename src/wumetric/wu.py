@@ -473,67 +473,6 @@ def min_vol_simplex(prog: SimplexProgram) -> SimplexParams:
     return min_vol_simplex_info(prog).params
 
 
-def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> SimplexParams:
-    """Grid-search reference solver (free dimension <= 3).
-
-    Scans the optimality box a_j in [max_i u_ij, n_f * max_i u_ij] over all
-    free axes but the last, whose intercept has the closed form
-    max_i u_i,last / (1 - sum_{j<last} u_ij / a_j); three shrinking local
-    refinement passes of 41 cells per axis follow the coarse scan.  Each
-    scan takes the grid of leading intercepts as an open mesh (``np.ix_``)
-    and builds the slack 1 - sum_j u_ij / a_j from one broadcast term per
-    leading axis over a trailing point axis, so no meshgrid or stacked
-    copy of the grid is made.  One free axis returns a = max_i u_i.
-    """
-    reduced, free, fixed, _, lo, _, shift = _reduce(prog)
-    k = len(free)
-    if k == 0:
-        return _assemble(prog, free, fixed, np.zeros(0))
-    if k > 3:
-        raise ValueError("bruteforce reference handles at most 3 free axes")
-    if k == 1:
-        return _assemble(prog, free, fixed, lo, shift)
-
-    def volumes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k-1, cells) leading intercepts -> volumes and last intercepts
-        over their open mesh, each of shape (cells,) * (k-1)."""
-        mesh = np.ix_(*axes)
-        # sum_j<last u_ij / a_j as one broadcast term per leading axis over
-        # a trailing point axis
-        slack = 1.0 - sum((1.0 / g)[..., None] * uj for g, uj in zip(mesh, reduced.T))
-        # zero slack needs u_last / 0 = inf, or nothing where u_last = 0 too
-        # (0 / 0 = nan, which fmax skips); negative slack is infeasible
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alast = np.fmax.reduce(reduced[:, -1] / slack, axis=-1, initial=0.0)
-        alast[slack.min(axis=-1) < 0.0] = np.inf
-        return math.prod(mesh) * alast, alast
-
-    def grid_scan(center: np.ndarray, radius: np.ndarray, cells: int) -> np.ndarray:
-        # np.linspace(start, stop, cells) on every leading axis at once
-        start = np.maximum(lo[:-1], center - radius)
-        stop = center + radius
-        axes = np.arange(cells) * ((stop - start) / (cells - 1))[:, None] + start[:, None]
-        axes[:, -1] = stop
-        vol, _ = volumes(axes)
-        flat = int(np.argmin(vol))
-        if not math.isfinite(vol.reshape(-1)[flat]):
-            raise DegenerateAxisError("no feasible grid point")
-        return axes[np.arange(k - 1), np.unravel_index(flat, vol.shape)]
-
-    center = 0.5 * (1 + k) * lo[:-1]
-    radius = 0.5 * (k - 1) * lo[:-1] + 1e-9
-    cells = grid if k == 2 else max(101, grid // 3)
-    pt = grid_scan(center, radius, cells)
-    span = 2.0 * radius / (cells - 1)
-    for _ in range(3):
-        pt = grid_scan(pt, np.maximum(4.0 * span, 1e-12), 41)
-        span = span / 5.0
-    a = np.empty(k)
-    a[:-1] = pt
-    a[-1] = volumes(pt[:, None])[1].item()
-    return _assemble(prog, free, fixed, a, shift)
-
-
 # ---------------------------------------------------------------------------
 # Wu pseudometric of an indicatrix
 
@@ -571,14 +510,16 @@ def _psi_sample(ind: Indicatrix, axes: list[int], resolution: int | None) -> np.
 def _product_sample(factors: tuple[Indicatrix, ...], resolution: int | None) -> np.ndarray:
     """Every choice of one ``_psi_sample`` point per factor, joined in
     factor order, in row-major order of the choices.  A factor with no
-    bounded axis adds no coordinate, and a repeated factor, such as the
-    unit disc of Delta^k, is sampled once."""
+    bounded axis adds no coordinate, a repeated factor, such as the unit
+    disc of Delta^k, is sampled once, and one factor is its own sample."""
     sample: dict[int, np.ndarray] = {}
     for f in factors:
         if id(f) not in sample:
             axes = [j for j, b in enumerate(f.boundedness()) if b]
             sample[id(f)] = _psi_sample(f, axes, resolution) if axes else np.empty((1, 0))
     parts = [sample[id(f)] for f in factors]
+    if len(parts) == 1:
+        return parts[0]
     sizes = [len(p) for p in parts]
     out = np.empty((math.prod(sizes), sum(p.shape[1] for p in parts)))
     if not len(out):
@@ -610,11 +551,12 @@ def wu_metric(
 
     A product (``Indicatrix.factors``) is sampled factor by factor, each
     on its own bounded axes, and its certificate points are the Cartesian
-    product of those samples.  Psi maps a product of balls to the product
-    of their images, and a simplex contains a product of point sets
-    exactly when it contains their hulls' product, so the one solve over
-    the product points is the program of the whole ball, without subset
-    diagonals that span several factors.
+    product of those samples; any other ball is its own single factor.
+    Psi maps a product of balls to the product of their images, and a
+    simplex contains a product of point sets exactly when it contains
+    their hulls' product, so the one solve over the product points is the
+    program of the whole ball, without subset diagonals that span several
+    factors.
     """
     check_resolution(resolution)
     report = degeneracy(ind)
@@ -625,10 +567,7 @@ def wu_metric(
             w_tilde=zero, w=zero, m=0, v_axes=report.v_axes, gap=0.0, certificate_points=0
         )
     u_axes = [j for j in range(n) if j not in report.v_axes]
-    if ind.factors is None:
-        pts = _psi_sample(ind, u_axes, resolution)
-    else:
-        pts = _product_sample(ind.factors, resolution)
+    pts = _product_sample(ind.factors or (ind,), resolution)
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):

@@ -1,9 +1,12 @@
-"""Shared deterministic test fixtures.
+"""Shared deterministic test fixtures and reference code.
 
 The small cloud generator is seedless by design: it walks a
 generalized-golden-ratio Kronecker sequence, so every run sees the same
 "random" cases.  The hard clouds draw from a numpy generator with a fixed
-seed.
+seed.  The references that only tests call live here, not in the
+library: the grid-search solver ``min_vol_simplex_bruteforce``, the
+sandwich self-check ``sandwich_ok``, the LP hull radius and the Psi-point
+containment test ``psi_contains``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from wumetric.busemann import absolute_directions
+from wumetric.geometry import SimplexParams
+from wumetric.wu import DegenerateAxisError, SimplexProgram, _assemble, _reduce
 
 
 def generalized_golden(d: int) -> float:
@@ -196,3 +203,85 @@ def hull_radius_lp(
     if not res.success:
         raise RuntimeError(f"hull LP failed: {res.message}")
     return float(res.x[0])
+
+
+def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> SimplexParams:
+    """Grid-search reference solver (free dimension <= 3).
+
+    Scans the optimality box a_j in [max_i u_ij, n_f * max_i u_ij] over all
+    free axes but the last, whose intercept has the closed form
+    max_i u_i,last / (1 - sum_{j<last} u_ij / a_j); three shrinking local
+    refinement passes of 41 cells per axis follow the coarse scan.  Each
+    scan takes the grid of leading intercepts as an open mesh (``np.ix_``)
+    and builds the slack 1 - sum_j u_ij / a_j from one broadcast term per
+    leading axis over a trailing point axis, so no meshgrid or stacked
+    copy of the grid is made.  One free axis returns a = max_i u_i.
+    """
+    reduced, free, fixed, _, lo, _, shift = _reduce(prog)
+    k = len(free)
+    if k == 0:
+        return _assemble(prog, free, fixed, np.zeros(0))
+    if k > 3:
+        raise ValueError("bruteforce reference handles at most 3 free axes")
+    if k == 1:
+        return _assemble(prog, free, fixed, lo, shift)
+
+    def volumes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k-1, cells) leading intercepts -> volumes and last intercepts
+        over their open mesh, each of shape (cells,) * (k-1)."""
+        mesh = np.ix_(*axes)
+        # sum_j<last u_ij / a_j as one broadcast term per leading axis over
+        # a trailing point axis
+        slack = 1.0 - sum((1.0 / g)[..., None] * uj for g, uj in zip(mesh, reduced.T))
+        # zero slack needs u_last / 0 = inf, or nothing where u_last = 0 too
+        # (0 / 0 = nan, which fmax skips); negative slack is infeasible
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alast = np.fmax.reduce(reduced[:, -1] / slack, axis=-1, initial=0.0)
+        alast[slack.min(axis=-1) < 0.0] = np.inf
+        return math.prod(mesh) * alast, alast
+
+    def grid_scan(center: np.ndarray, radius: np.ndarray, cells: int) -> np.ndarray:
+        # np.linspace(start, stop, cells) on every leading axis at once
+        start = np.maximum(lo[:-1], center - radius)
+        stop = center + radius
+        axes = np.arange(cells) * ((stop - start) / (cells - 1))[:, None] + start[:, None]
+        axes[:, -1] = stop
+        vol, _ = volumes(axes)
+        flat = int(np.argmin(vol))
+        if not math.isfinite(vol.reshape(-1)[flat]):
+            raise DegenerateAxisError("no feasible grid point")
+        return axes[np.arange(k - 1), np.unravel_index(flat, vol.shape)]
+
+    center = 0.5 * (1 + k) * lo[:-1]
+    radius = 0.5 * (k - 1) * lo[:-1] + 1e-9
+    cells = grid if k == 2 else max(101, grid // 3)
+    pt = grid_scan(center, radius, cells)
+    span = 2.0 * radius / (cells - 1)
+    for _ in range(3):
+        pt = grid_scan(pt, np.maximum(4.0 * span, 1e-12), 41)
+        span = span / 5.0
+    a = np.empty(k)
+    a[:-1] = pt
+    a[-1] = volumes(pt[:, None])[1].item()
+    return _assemble(prog, free, fixed, a, shift)
+
+
+def sandwich_ok(sandwich, tol: float = 1e-12, samples: int = 64) -> bool:
+    """Closed containment inner subset-of outer of a
+    ``domains.SandwichIndicatrix``, on the inner certificates or on the
+    inner ``boundary_points`` along ``samples`` directions."""
+    inner, outer = sandwich.inner, sandwich.outer
+    if inner.cloud is not None:
+        pts = np.sqrt(inner.cloud)
+    else:
+        pts = inner.boundary_points(absolute_directions(inner.dim, samples))
+    norm = np.linalg.norm(pts, axis=1)
+    pts, norm = pts[norm > 0.0], norm[norm > 0.0]
+    rho_out = outer.radii(pts / norm[:, None])
+    return not np.any(norm > rho_out * (1.0 + tol) + tol)
+
+
+def psi_contains(intercepts, p, tol: float) -> bool:
+    """Whether the Psi-point p lies in the closed simplex T_a up to tol:
+    sum over finite intercepts of p_j / a_j <= 1 + tol."""
+    return sum(u / a for u, a in zip(p, intercepts) if math.isfinite(a)) <= 1.0 + tol

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wumetric
-from helpers import absolute_directions_loop, hull_radius_lp, sphere_directions
+from helpers import absolute_directions_loop, hull_radius_lp, sandwich_ok, sphere_directions
 from wumetric import busemann
 from wumetric.busemann import (
     MAX_HULL_AXES,
@@ -471,7 +471,7 @@ def test_boundary_points_recession_rule():
         convexify,
         wu_metric,
         lambda ind: support(ind, (1.0, 0.0)),
-        lambda ind: SandwichIndicatrix(inner=ind, outer=ind).sandwich_ok(),
+        lambda ind: sandwich_ok(SandwichIndicatrix(inner=ind, outer=ind)),
     ],
     ids=["convexify", "wu_metric", "support", "sandwich_ok"],
 )

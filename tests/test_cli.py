@@ -61,6 +61,15 @@ def test_run_header_matches_documented_columns(tmp_path):
     assert header == list(EXPERIMENTS["rem_two"].columns) + ["ok", "tolerance"]
 
 
+def test_polydisc_formula_header_is_pinned(tmp_path):
+    # the row checks its intercepts against the exact n * r_j^2 only
+    out = tmp_path / "rows.csv"
+    assert run_cli(["run", "polydisc_formula", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == (
+        "case,n,r,a,a_expected,rel_err,w_tilde_e1,m,ok,tolerance"
+    )
+
+
 def test_unknown_experiment_is_usage_error(capsys):
     assert run_cli(["run", "warp_drive"]) == 2
     assert "config error" in capsys.readouterr().err

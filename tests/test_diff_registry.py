@@ -69,3 +69,23 @@ def test_structural_changes_fail(tmp_path, capsys):
         ["gamma", "file", "missing", "present"],
         ["alpha", "rows", "2", "1"],
     ]
+
+
+def test_header_changes_list_columns_and_still_compare_shared_cells(tmp_path, capsys):
+    # rel_err dropped, gap added at the end, and one shared cell moved
+    new = "case,a,branch,ok,gap\nx,1;2,active,true,0\ny,4;8.000008,slack,true,0\n"
+    code, lines = run(tmp_path, {"alpha": HEADER + ROWS}, {"alpha": new}, capsys)
+    assert code == 1
+    assert lines == [
+        ["alpha", "column", "rel_err", "present", "missing"],
+        ["alpha", "column", "gap", "missing", "present"],
+        ["alpha", "1 (case=y)", "a", "4;8", "4;8.000008", "1e-06"],
+    ]
+
+
+def test_reordered_columns_are_matched_by_name(tmp_path, capsys):
+    new = "case,rel_err,a,branch,ok\nx,1e-10,1;2,active,true\ny,0,4;8,slack,true\n"
+    code, lines = run(tmp_path, {"alpha": HEADER + ROWS}, {"alpha": new}, capsys)
+    assert code == 1
+    assert lines == [["alpha", "header", str(HEADER.strip().split(",")),
+                      str(new.splitlines()[0].split(","))]]

@@ -22,13 +22,11 @@ from wumetric.metrics import (
     MultiIndex,
     OutsideDomainError,
     UnsupportedCaseError,
-    elem_reinhardt_metric,
     elem_reinhardt_metric_info,
     gamma_disc,
     kappa_punctured_disc,
     membership_elem_reinhardt,
     phi_r,
-    product_metric,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -36,7 +34,7 @@ SQ2 = math.sqrt(2.0)
 
 def ev(kind, alpha, C, a, X, k=None, declared=None):
     mi = MultiIndex(tuple(alpha), declared_type=declared)
-    return elem_reinhardt_metric(kind, mi, C, a, X, k)
+    return elem_reinhardt_metric_info(kind, mi, C, a, X, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +80,7 @@ def test_metric_values_are_plain_floats():
     values = [
         gamma_disc(0.5, 1.0),
         kappa_punctured_disc(0.5, 1.0),
-        product_metric([1, 2]),
-        elem_reinhardt_metric("kappa", mi, 0.0, (0.5, 0.5), (1.0, 0.0)),
+        elem_reinhardt_metric_info("kappa", mi, 0.0, (0.5, 0.5), (1.0, 0.0))[0],
         elem_reinhardt_metric_info("gamma", mi, 0.0, (0.0, 0.5), (1.0, 1.0))[0],
     ]
     assert [type(v) for v in values] == [float] * len(values)
@@ -421,21 +418,3 @@ def test_g2_kappa_upper_points_values():
         want = np.array([(1.0 - x * x, 0.0), (0.0, (1.0 - x) / x)]) ** 2
         assert cloud.shape == (2, 2)
         np.testing.assert_allclose(cloud, want, rtol=1e-12, atol=0.0)
-
-
-def test_product_metric_rules():
-    assert product_metric([0.5, 0.2]) == 0.5
-    assert product_metric([0.0, 0.0]) == 0.0
-    assert product_metric([1.0, 2.0]) == 2.0
-    with pytest.raises(ValueError):
-        product_metric([])
-    with pytest.raises(ValueError):
-        product_metric([-1.0])
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=4))
-def test_product_metric_is_max(vals):
-    m = product_metric(vals)
-    assert m == max(vals)
-    assert product_metric(vals + vals) == m  # idempotent
-    assert product_metric(list(reversed(vals))) == m  # commutative

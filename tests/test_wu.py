@@ -18,7 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cloud_cases, gn_ball_radius, hard_cloud_cases
+from helpers import (
+    cloud_cases,
+    gn_ball_radius,
+    hard_cloud_cases,
+    min_vol_simplex_bruteforce,
+    psi_contains,
+)
 from wumetric.busemann import (
     batch_radial,
     cloud_indicatrix,
@@ -28,7 +34,7 @@ from wumetric.busemann import (
 )
 from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
 from wumetric.experiments import polydisc_cases
-from wumetric.geometry import SimplexParams, simplex_contains, simplex_volume
+from wumetric.geometry import SimplexParams, simplex_volume
 from wumetric import wu as wu_module
 from wumetric.wu import (
     DegenerateAxisError,
@@ -39,7 +45,6 @@ from wumetric.wu import (
     gn_constrained_optimum,
     gn_ratio_limit,
     min_vol_simplex,
-    min_vol_simplex_bruteforce,
     min_vol_simplex_info,
     simplex_program,
     wu_metric,
@@ -216,7 +221,7 @@ def test_containment_certificate():
     for n, pts in cloud_cases(12):
         params = min_vol_simplex(simplex_program(pts, tolerance=TOL))
         for p in pts:
-            assert simplex_contains(params, p, tol=10.0 * TOL)
+            assert psi_contains(params.intercepts, p, tol=10.0 * TOL)
 
 
 def test_duality_gap_is_reported():
@@ -581,7 +586,7 @@ def test_subnormal_column_maxima_certify(scale):
     info = min_vol_simplex_info(simplex_program(pts, tolerance=TOL))
     assert info.gap <= TOL
     for p in pts:
-        assert simplex_contains(info.params, p, tol=10.0 * TOL)
+        assert psi_contains(info.params.intercepts, p, tol=10.0 * TOL)
     # the gap of the returned weights, recomputed exactly from the input
     exact = [[Fraction(c) for c in p] for p in pts.tolist()]
     w = [Fraction(x) for x in info.weights.tolist()]
@@ -1089,7 +1094,7 @@ def _check_certificate(pts):
     # the solver returns only iterates whose full gap is certified
     assert info.gap <= TOL
     for p in pts:
-        assert simplex_contains(info.params, p, tol=10.0 * TOL)
+        assert psi_contains(info.params.intercepts, p, tol=10.0 * TOL)
     # at the optimum the enclosing facet is supported by at least one point
     assert any(
         abs(sum(c / a for c, a in zip(p, info.params.intercepts)) - 1.0) <= 1e-7
