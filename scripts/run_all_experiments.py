@@ -18,19 +18,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out-dir", default="results", help="directory for the CSV files"
     )
-    parser.add_argument(
-        "--resolution", type=int, default=None, help="sampling resolution override"
-    )
     args = parser.parse_args(argv)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     for name in EXPERIMENTS:
-        cmd = ["run", name, "--out", str(out_dir / f"{name}.csv")]
-        if args.resolution is not None:
-            cmd += ["--resolution", str(args.resolution)]
-        code = wumetric_main(cmd)
+        code = wumetric_main(["run", name, "--out", str(out_dir / f"{name}.csv")])
         if code != 0:
             failures.append((name, code))
     print(f"wrote {len(EXPERIMENTS)} CSV files to {out_dir}/")

@@ -10,14 +10,12 @@ Hermitian seminorms.
 """
 
 from .busemann import (
-    DegeneracyReport,
     Indicatrix,
     UnknownBoundednessError,
     UnsupportedIndicatrixError,
     absolute_directions,
     cloud_indicatrix,
     convexify,
-    degeneracy,
     product_indicatrix,
     radial_indicatrix,
     support,

@@ -202,12 +202,6 @@ class Indicatrix:
         return norm / rho
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    v_axes: frozenset[int]
-    m: int
-
-
 def radial_indicatrix(
     fn: RadialEvaluator,
     dim: int,
@@ -456,18 +450,6 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
         bounded_axes=ind.bounded_axes,
         hull_points=pts,
     )
-
-
-def degeneracy(ind: Indicatrix) -> DegeneracyReport:
-    """Axes spanning V = {X : hull metric vanishes}, and m = dim - |V|.
-
-    The indicatrix is balanced Reinhardt, so its hull is unbounded exactly
-    along the axes where the set is unbounded, and V is read off the
-    metadata.
-    """
-    bounded = ind.boundedness()
-    v = frozenset(j for j, b in enumerate(bounded) if not b)
-    return DegeneracyReport(v_axes=v, m=ind.dim - len(v))
 
 
 def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None) -> float:

@@ -28,7 +28,7 @@ from .experiments import (
     validate_solver_settings,
 )
 from .metrics import MultiIndex, elem_reinhardt_metric_info
-from .wu import SolverError, wu_metric
+from .wu import DEFAULT_SOLVER_TOL, SolverError, wu_metric
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -113,8 +113,7 @@ def eval_metric(
     a: Sequence[complex],
     X: Sequence[complex],
     k: int | None = None,
-    tolerance: float = 1e-10,
-    resolution: int | None = None,
+    tolerance: float = DEFAULT_SOLVER_TOL,
 ) -> ResultRow:
     """Single metric evaluation with branch diagnostics.
 
@@ -122,14 +121,14 @@ def eval_metric(
     the W-tilde/W values in direction X; the other kinds evaluate the
     displayed closed forms (elem_reinhardt domains only).
     """
-    validate_solver_settings(tolerance, resolution)
+    validate_solver_settings(tolerance)
     at = tuple(complex(c) for c in a)
     xv = tuple(complex(c) for c in X)
     # a column that the kind leaves out is written as an empty cell
     data: dict[str, object] = {"domain": spec.variant, "kind": kind, "k": k, "a": at, "x_vec": xv}
     if kind == "wu":
         sand = indicatrix_at(spec, at)
-        res = wu_metric(sand.inner, tolerance=tolerance, resolution=resolution)
+        res = wu_metric(sand.inner, tolerance=tolerance)
         aligned = sand.align(xv)
         data.update(
             value=res.w_tilde(aligned),
@@ -194,7 +193,6 @@ RUN_SETTINGS = (
     ("m_list", "comma-separated truncation levels", _list(float)),
     ("alpha", "comma-separated exponent vector", _list(float)),
     ("big_c", "domain constant C", float),
-    ("resolution", "boundary sampling resolution", int),
     ("tol", "solver/comparison tolerance", float),
     ("out", "CSV output path (default: stdout)", str),
 )
@@ -212,7 +210,6 @@ EVAL_SETTINGS = (
     ("n", "dimension (gn, truncated_gn)", _checked(int)),
     ("m", "truncation level (truncated_gn)", _checked(float)),
     ("k", "order for kind gamma_k", int),
-    ("resolution", "boundary sampling resolution", int),
     ("tol", "solver tolerance", float),
     ("out", "CSV output path (default: stdout)", str),
 )
@@ -338,8 +335,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         settings["point"],
         settings["vector"],
         k=settings.get("k"),
-        tolerance=settings.get("tol", 1e-10),
-        resolution=settings.get("resolution"),
+        tolerance=settings.get("tol", DEFAULT_SOLVER_TOL),
     )
     _emit([row], EVAL_COLUMNS + ("ok", "tolerance"), settings.get("out"))
     print(f"eval {settings['domain']} {settings['kind']}: value = {_fmt(row.data['value'])}",

@@ -27,6 +27,7 @@ from .domains import (
 )
 from .metrics import MultiIndex, elem_reinhardt_metric_info, mu
 from .wu import (
+    DEFAULT_SOLVER_TOL,
     WuResult,
     certify_contradiction_gn,
     gn_ratio_limit,
@@ -48,10 +49,7 @@ class ExperimentConfig:
     m_list: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
     alpha: tuple[float, ...] | None = None
     big_c: float = 0.0
-    # None: each experiment's own sample size (1024 directions for the
-    # elementary-Reinhardt table, wu_metric's default elsewhere)
-    resolution: int | None = None
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_SOLVER_TOL
     out: str | None = None
 
 
@@ -75,10 +73,8 @@ def _row(cfg: ExperimentConfig, ok: bool, tol: float, **data: object) -> ResultR
     return ResultRow(experiment=cfg.experiment, data=data, ok=ok, tolerance=tol)
 
 
-def validate_solver_settings(tolerance: float, resolution: int | None) -> None:
-    """The checks ``run`` and ``eval`` share; ``None`` is the default resolution."""
-    if resolution is not None and resolution < 8:
-        raise ConfigError("resolution: must be >= 8")
+def validate_solver_settings(tolerance: float) -> None:
+    """The check ``run`` and ``eval`` share."""
     if not 0.0 < tolerance < 1.0:
         raise ConfigError("tol: must lie in (0, 1)")
 
@@ -89,7 +85,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"experiment: unknown id {cfg.experiment!r}; choose from "
             + ", ".join(sorted(EXPERIMENTS))
         )
-    validate_solver_settings(cfg.tolerance, cfg.resolution)
+    validate_solver_settings(cfg.tolerance)
     if cfg.experiment in ("gn_usc", "monotone", "rem_two"):
         if cfg.n < 3:
             raise ConfigError("n: must be >= 3")
@@ -163,9 +159,7 @@ def _e1(n: int) -> tuple[float, ...]:
 
 
 def _wu_of(spec: DomainSpec, at: tuple[float, ...], cfg: ExperimentConfig) -> WuResult:
-    return wu_metric(
-        indicatrix_at(spec, at).inner, resolution=cfg.resolution, tolerance=cfg.tolerance
-    )
+    return wu_metric(indicatrix_at(spec, at).inner, tolerance=cfg.tolerance)
 
 
 def _usc_setting(cfg: ExperimentConfig) -> tuple[DomainSpec, float]:
@@ -451,13 +445,11 @@ def golden_eta_hat(case: GoldenCase, value: float) -> float:
     return value if s >= n - 1 else 0.0
 
 
-def _wu_against_eta(
-    case: GoldenCase, eta_hat: float, resolution: int, tolerance: float
-) -> tuple[float, float]:
+def _wu_against_eta(case: GoldenCase, eta_hat: float, tolerance: float) -> tuple[float, float]:
     """(wu value on the sampled eta-ball, comparison error vs eta_hat)."""
     spec = elem_reinhardt(case.alpha, case.big_c, case.declared)
     ind, u = metric_indicatrix(case.kind, spec, case.a, case.k)
-    res = wu_metric(ind, resolution=resolution, tolerance=tolerance)
+    res = wu_metric(ind, tolerance=tolerance)
     if u is None:
         aligned = case.x_vec
     else:
@@ -480,9 +472,7 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
             case.kind, mi, case.big_c, case.a, case.x_vec, case.k
         )
         eta_hat = golden_eta_hat(case, value)
-        wu_val, wu_err = _wu_against_eta(
-            case, eta_hat, 1024 if cfg.resolution is None else cfg.resolution, cfg.tolerance
-        )
+        wu_val, wu_err = _wu_against_eta(case, eta_hat, cfg.tolerance)
         ok = abs(value - case.expected) <= tol * max(1.0, abs(case.expected))
         ok = ok and (wu_err <= tol if eta_hat > 0.0 else wu_val == 0.0)
         rows.append(

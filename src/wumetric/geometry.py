@@ -67,10 +67,6 @@ class SimplexParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intercepts", _check_axes(self.intercepts))
 
-    @property
-    def dim(self) -> int:
-        return len(self.intercepts)
-
 
 def simplex_volume(t: SimplexParams) -> float:
     """vol T_a = prod(a_j) / n!, as prod(a_j / j): n! has no float value

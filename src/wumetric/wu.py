@@ -30,16 +30,15 @@ free mass and which are heaviest, from one pass in the reduction, and the
 maximum of <u_i, b> that rescales the returned b to contain every point
 from the pricing that returned it.
 
-Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion) or
-dropped (degenerate directions removed before solving).  Fixing reduces to
-a free-axes program of the same shape via u~_i = u_i,free / rho_i with
-rho_i = 1 - <u_i,fixed part>.
+Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion).
+Fixing reduces to a free-axes program of the same shape via
+u~_i = u_i,free / rho_i with rho_i = 1 - <u_i,fixed part>.
 
-``wu_metric`` chains degeneracy analysis, certificate-point extraction and
-the simplex program into the minimal ellipsoid seminorm of an indicatrix
-(a product ball is sampled factor by factor, then solved once),
-and ``certify_contradiction_gn`` packages the volume-comparison argument
-that rules out distance decrease under particular holomorphic maps.
+``wu_metric`` splits off the degenerate axes of an indicatrix, samples its
+certificate points on the rest (a product ball factor by factor) and
+solves the simplex program once for the minimal ellipsoid seminorm, and
+``certify_contradiction_gn`` packages the volume-comparison argument that
+rules out distance decrease under particular holomorphic maps.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .busemann import Indicatrix, absolute_directions, check_resolution, degeneracy
+from .busemann import Indicatrix, absolute_directions, check_resolution
 from .geometry import (
     DiagonalHermitianForm,
     SimplexParams,
@@ -92,15 +91,13 @@ class SimplexProgram:
     points: Psi-points to enclose, kept as a read-only (m, n) float array
     copied from the input in column-major (Fortran) order, so ``points.T``
     is a contiguous (n, m) view; fixed: axis -> pinned intercept;
-    dropped: axes removed from the program (reported back as infinite
-    intercepts); tolerance: duality-gap certificate threshold.
+    tolerance: duality-gap certificate threshold.
     column_max: the read-only (n,) column maxima of the points, kept from
     the validation pass so the reduction does not read the points again.
     """
 
     points: np.ndarray
     fixed: tuple[tuple[int, float], ...] = ()
-    dropped: frozenset[int] = frozenset()
     tolerance: float = DEFAULT_SOLVER_TOL
     column_max: np.ndarray = field(init=False, repr=False)
 
@@ -124,10 +121,8 @@ class SimplexProgram:
             raise ValueError("coordinates must be nonnegative")
         top = u.max(axis=0)
         for j, t in enumerate(top.tolist()):
-            if t == math.inf and j not in self.dropped:
-                raise DegenerateAxisError(
-                    f"infinite coordinate on axis {j}: degenerate, drop the axis first"
-                )
+            if t == math.inf:
+                raise DegenerateAxisError(f"infinite coordinate on axis {j}: degenerate")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         u.flags.writeable = False
@@ -138,14 +133,9 @@ class SimplexProgram:
         for j, v in fixed:
             if not 0 <= j < n:
                 raise ValueError(f"fixed axis {j} out of range")
-            if j in self.dropped:
-                raise ValueError(f"axis {j} both fixed and dropped")
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError("fixed intercepts must be positive and finite")
         object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "dropped", frozenset(int(j) for j in self.dropped))
-        if any(not 0 <= j < n for j in self.dropped):
-            raise ValueError("dropped axis out of range")
 
     @property
     def dim(self) -> int:
@@ -155,13 +145,11 @@ class SimplexProgram:
 def simplex_program(
     points: Sequence[Sequence[float]],
     fixed: Mapping[int, float] | None = None,
-    dropped: Sequence[int] = (),
     tolerance: float = DEFAULT_SOLVER_TOL,
 ) -> SimplexProgram:
     return SimplexProgram(
         points=points,
         fixed=tuple((fixed or {}).items()),
-        dropped=frozenset(dropped),
         tolerance=tolerance,
     )
 
@@ -177,11 +165,6 @@ class SolveInfo:
     gap: float
     iterations: int
     weights: np.ndarray
-
-    @property
-    def volume(self) -> float:
-        finite = [a for a in self.params.intercepts if math.isfinite(a)]
-        return math.prod(a / j for j, a in enumerate(finite, 1))
 
 
 def _column_shifts(tops: list[float]) -> list[int] | None:
@@ -225,7 +208,7 @@ def _reduce(
     """
     n = prog.dim
     fixed = dict(prog.fixed)
-    free = [j for j in range(n) if j not in fixed and j not in prog.dropped]
+    free = [j for j in range(n) if j not in fixed]
     u, top = prog.points, prog.column_max
     reduced = u
     if len(free) < n:
@@ -559,26 +542,27 @@ def wu_metric(
     factors.
     """
     check_resolution(resolution)
-    report = degeneracy(ind)
-    n = ind.dim
-    if report.m == 0:
+    # a balanced Reinhardt ball's hull is unbounded exactly along its
+    # unbounded axes, so the degenerate axes are read off the metadata
+    bounded = ind.boundedness()
+    u_axes = [j for j, b in enumerate(bounded) if b]
+    v_axes = frozenset(j for j, b in enumerate(bounded) if not b)
+    m, n = len(u_axes), ind.dim
+    if m == 0:
         zero = DiagonalHermitianForm(axes=(math.inf,) * n)
-        return WuResult(
-            w_tilde=zero, w=zero, m=0, v_axes=report.v_axes, gap=0.0, certificate_points=0
-        )
-    u_axes = [j for j in range(n) if j not in report.v_axes]
+        return WuResult(w_tilde=zero, w=zero, m=0, v_axes=v_axes, gap=0.0, certificate_points=0)
     pts = _product_sample(ind.factors or (ind,), resolution)
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):
         axes_tilde[j] = info.params.intercepts[col]
     w_tilde = DiagonalHermitianForm(axes=tuple(axes_tilde))
-    axes_w = tuple(a / report.m for a in axes_tilde)
+    axes_w = tuple(a / m for a in axes_tilde)
     return WuResult(
         w_tilde=w_tilde,
         w=DiagonalHermitianForm(axes=axes_w),
-        m=report.m,
-        v_axes=report.v_axes,
+        m=m,
+        v_axes=v_axes,
         gap=info.gap,
         certificate_points=len(pts),
     )

@@ -10,7 +10,7 @@ import itertools
 import math
 
 from helpers import cloud_cases, min_vol_simplex_bruteforce
-from wumetric.busemann import cloud_indicatrix, degeneracy, support
+from wumetric.busemann import cloud_indicatrix, support
 from wumetric.domains import (
     g2,
     gn,
@@ -357,8 +357,8 @@ def test_criterion_9_property_suites():
 
 
 def test_degeneracy_reports_back_acceptance():
-    # cross-check: the m values used above come from the degeneracy scan
+    # cross-check: the m values used above are the bounded axes
     generic, special = synthetic_rem_one()
-    assert degeneracy(generic).m == degeneracy(special).m == 2
-    assert degeneracy(indicatrix_at(g2(), (0.0, 0.0)).inner).m == 1
-    assert degeneracy(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner).m == 2
+    assert sum(generic.boundedness()) == sum(special.boundedness()) == 2
+    assert sum(indicatrix_at(g2(), (0.0, 0.0)).inner.boundedness()) == 1
+    assert sum(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner.boundedness()) == 2

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wumetric import cli, experiments
+from wumetric import cli
 from wumetric.cli import main
 from wumetric.experiments import EXPERIMENTS
 
@@ -311,13 +311,11 @@ GN3_WU = ["eval", "--domain", "gn", "--n", "3", "--kind", "wu",
         ("--tol", "1", "tol"),
         ("--tol", "0", "tol"),
         ("--tol", "-1e-10", "tol"),
-        ("--resolution", "0", "resolution"),
-        ("--resolution", "-5", "resolution"),
-        ("--resolution", "7", "resolution"),
     ],
 )
 def test_eval_checks_tol_and_resolution_like_run(tmp_path, capsys, flag, value, field):
-    # the same bounds as ``run``: tol in (0, 1), resolution >= 8
+    # the same bound as ``run``: tol in (0, 1); neither takes a resolution
+    # (test_neither_subcommand_takes_a_resolution)
     out = tmp_path / "row.csv"
     assert run_cli(GN3_WU + [f"{flag}={value}", "--out", str(out)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
@@ -334,11 +332,26 @@ def test_eval_checks_tol_and_resolution_from_config(tmp_path, capsys):
     assert "config error: tol:" in capsys.readouterr().err
 
 
-def test_eval_accepts_the_smallest_resolution(tmp_path):
-    out = tmp_path / "row.csv"
-    assert run_cli(GN3_WU + ["--resolution", "8", "--tol", "1e-10", "--out", str(out)]) == 0
-    (row,) = read_csv(out)
-    assert row["ok"] == "true"
+@pytest.mark.parametrize(
+    "argv, section",
+    [(["run", "gn_usc"], "gn_usc"), (GN3_WU, "eval")],
+)
+def test_neither_subcommand_takes_a_resolution(tmp_path, capsys, argv, section):
+    # every ball the CLI solves is sampled the same at any resolution
+    # (test_domains.test_cli_balls_sample_the_same_at_every_resolution), so
+    # there is no setting for it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--resolution", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --resolution 64" in capsys.readouterr().err
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text(f"[{section}]\nresolution = 64\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: resolution: unknown key in section [{section}]" in captured.err
+    assert not out.exists()
 
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
@@ -351,30 +364,6 @@ def test_descriptions_are_self_contained(capsys):
     out = capsys.readouterr().out
     for token in ("Prop", "Lemma", "Remark", "§", "arxiv", "paper"):
         assert token not in out
-
-
-@pytest.mark.parametrize(
-    "experiment, default",
-    [("g2_usc", None), ("gn_usc", None), ("product_check", None),
-     ("elem_reinhardt_table", 1024)],
-)
-def test_run_resolution_reaches_every_radial_sample(monkeypatch, capsys, experiment, default):
-    # every wu_metric call that samples a radial ball gets --resolution;
-    # without it each call keeps the experiment's own sample size
-    seen = []
-    real = experiments.wu_metric
-
-    def spy(ind, **kwargs):
-        if ind.cloud is None:
-            seen.append(kwargs.get("resolution"))
-        return real(ind, **kwargs)
-
-    monkeypatch.setattr(experiments, "wu_metric", spy)
-    assert run_cli(["run", experiment]) == 0
-    assert seen and set(seen) == {default}
-    seen.clear()
-    assert run_cli(["run", experiment, "--resolution", "64"]) in (0, 1)
-    assert seen and set(seen) == {64}
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -404,13 +393,11 @@ RUN_CONTEXTS = (
     ("g2_usc", {"x_grid": "0.2,0.1", "t": "1.3"}),
     ("monotone", {"m_list": "1,4"}),
     ("rem_one", {"alpha": "1,2", "big_c": "0.5", "tol": "1e-9"}),
-    ("gn_usc", {"resolution": "64", "x_grid": "0.2"}),
 )
 EVAL_CONTEXTS = (
     ("eval", {"domain": "elem_reinhardt", "alpha": "1,2", "big_c": "0.5", "type": "rational",
               "kind": "gamma_k", "k": "2", "point": "0.3,0.2", "vector": "1,0", "tol": "1e-9"}),
-    ("eval", {"domain": "gn", "n": "3", "kind": "wu", "point": "0,0,0", "vector": "1,0,0",
-              "resolution": "64"}),
+    ("eval", {"domain": "gn", "n": "3", "kind": "wu", "point": "0,0,0", "vector": "1,0,0"}),
     ("eval", {"domain": "truncated_gn", "n": "3", "m": "4", "kind": "wu", "point": "0,0,0",
               "vector": "1,0,0"}),
     ("eval", {"domain": "polydisc", "r": "1,2", "kind": "wu", "point": "0,0",
@@ -419,7 +406,7 @@ EVAL_CONTEXTS = (
 # a value that each setting rejects; None for free text
 MALFORMED = {
     "n": "three", "x_grid": "", "t": "abc", "m_list": "1,x", "alpha": "1,a", "big_c": "zz",
-    "resolution": "8.5", "tol": "x", "out": None, "domain": "bogus", "kind": "bogus",
+    "tol": "x", "out": None, "domain": "bogus", "kind": "bogus",
     "point": "", "vector": "x,0", "type": "bogus", "r": "abc", "m": "x", "k": "x",
 }
 SETTINGS = [("run", key) for key, _, _ in cli.RUN_SETTINGS] + [

@@ -20,7 +20,6 @@ from wumetric.busemann import (
     absolute_directions,
     batch_radial,
     convexify,
-    degeneracy,
     radial_indicatrix,
 )
 from wumetric.domains import (
@@ -40,6 +39,7 @@ from wumetric.domains import (
     truncated_gn,
     truncation_intercepts,
 )
+from wumetric.experiments import GOLDEN_CASES
 from wumetric.metrics import MultiIndex, elem_reinhardt_metric_info
 from wumetric.wu import wu_metric
 
@@ -129,12 +129,12 @@ def test_indicatrix_at_g2_positive_base_point():
     assert out.radial((0.0, 1.0)) == pytest.approx(9.9, rel=1e-12)
     # kappa-side certificate points sit inside the closed outer ball
     assert sandwich_ok(sandwich, tol=1e-12)
-    assert degeneracy(out).m == 2
+    assert sum(out.boundedness()) == 2
 
 
 def test_indicatrix_at_origin_is_degenerate():
     sandwich = indicatrix_at(g2(), (0.0, 0.0))
-    assert degeneracy(sandwich.inner).m == 1
+    assert sum(sandwich.inner.boundedness()) == 1
     assert sandwich.inner.radial((1.0, 0.0)) == pytest.approx(1.0, rel=1e-12)
     assert sandwich.inner.radial((0.0, 1.0)) == math.inf
     assert sandwich_ok(sandwich)
@@ -218,10 +218,10 @@ def test_truncated_indicatrix_certificate_points():
 
 def test_synthetic_pairs():
     small, large = synthetic_rem_one()
-    assert degeneracy(small).m == degeneracy(large).m == 2
+    assert sum(small.boundedness()) == sum(large.boundedness()) == 2
     degenerate, bounded = synthetic_rem_two(3)
-    assert degeneracy(degenerate).m == 2
-    assert degeneracy(bounded).m == 3
+    assert sum(degenerate.boundedness()) == 2
+    assert sum(bounded.boundedness()) == 3
     w_deg = wu_metric(degenerate).w_tilde((0.0, 0.0, 1.0))
     w_bnd = wu_metric(bounded).w_tilde((0.0, 0.0, 1.0))
     assert w_deg == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
@@ -247,7 +247,7 @@ def test_metric_indicatrix_moduli_branch_has_no_alignment():
     assert ind.radial((1.0, 0.0)) == math.inf
     want = 1.0 / math.sqrt(0.5)  # rho(e2) = 1 / kappa(a; e2)
     assert ind.radial((0.0, 1.0)) == pytest.approx(want, rel=1e-12)
-    assert degeneracy(ind).m == 1
+    assert sum(ind.boundedness()) == 1
 
 
 def test_metric_indicatrix_vanishing_metric_gives_full_space():
@@ -256,7 +256,7 @@ def test_metric_indicatrix_vanishing_metric_gives_full_space():
     ind, u = metric_indicatrix("gamma", spec, (0.5, 0.25))
     assert u is None
     assert ind.bounded_axes == (False, False)
-    assert degeneracy(ind).m == 0
+    assert sum(ind.boundedness()) == 0
 
 
 def test_config_round_trip():
@@ -440,3 +440,42 @@ def test_batch_and_row_radii_agree(name):
     assert np.array_equal(ind.radial(np.abs(batch)), radii)
     assert np.array_equal(ind.radial(batch.reshape(1, len(batch), ind.dim)), radii[None])
     assert ind.radial(np.zeros(ind.dim)) == math.inf
+
+
+def _cli_balls():
+    """(label, ball) for every ball that ``run`` and ``eval --kind wu``
+    solve: each family's inner ball at its supported base points, and the
+    metric ball of each golden case with the inner ball at its base point."""
+    balls = []
+    for spec, points in (
+        (polydisc(1.0), [(0.0,)]),
+        (polydisc(1.5, 0.7, 0.9), [(0.0,) * 3]),
+        (g2(), [(0.0, 0.0), (0.3, 0.0), (-0.9j, 0.0)]),
+        *((gn(n), [(0.0,) * n, (0.5j,) + (0.0,) * (n - 1)]) for n in (3, 4, 8)),
+        (truncated_gn(3, 4.0), [(0.0,) * 3]),
+        (truncated_gn(5, 64.0), [(0.0,) * 5]),
+        (elem_reinhardt((1.0, 2.0, 3.0)), [(0.3, 0.2, 0.1), (0.3, 0.0, 0.1), (0.0, 0.0, 0.5)]),
+    ):
+        balls += [(f"{spec.variant} at {at}", indicatrix_at(spec, at).inner) for at in points]
+    for case in GOLDEN_CASES:
+        spec = elem_reinhardt(case.alpha, case.big_c, case.declared)
+        balls.append((case.case, metric_indicatrix(case.kind, spec, case.a, case.k)[0]))
+        balls.append((f"{case.case} inner", indicatrix_at(spec, case.a).inner))
+    return balls
+
+
+def test_cli_balls_sample_the_same_at_every_resolution():
+    # a radial factor with one bounded axis is sampled along that axis
+    # alone whatever the resolution, and a cloud is its own sample: so no
+    # ball the CLI solves depends on the resolution, and neither
+    # subcommand has a setting for it
+    balls = _cli_balls()
+    assert len(balls) == 16 + 2 * len(GOLDEN_CASES)
+    for label, ball in balls:
+        for factor in ball.factors or (ball,):
+            assert factor.cloud is not None or sum(factor.boundedness()) <= 1, label
+        first = wu_metric(ball)
+        for resolution in (1, 8, 70_000):
+            res = wu_metric(ball, resolution=resolution)
+            assert res.w_tilde.axes == first.w_tilde.axes, (label, resolution)
+            assert res.certificate_points == first.certificate_points, (label, resolution)

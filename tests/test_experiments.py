@@ -58,8 +58,6 @@ def test_golden_table_shape():
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="experiment"):
         run_experiment(ExperimentConfig(experiment="nope"))
-    with pytest.raises(ConfigError, match="resolution"):
-        run_experiment(ExperimentConfig(experiment="rem_one", resolution=4))
     with pytest.raises(ConfigError, match="t"):
         run_experiment(ExperimentConfig(experiment="g2_usc", t=1.0))
     with pytest.raises(ConfigError, match="t"):

@@ -194,13 +194,6 @@ def test_fixed_intercepts_are_honored():
     assert a[1] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
-def test_dropped_axes_return_infinite_intercepts():
-    a = solve([(1.0, math.inf, 1.0)], dropped=[1])
-    assert a[1] == math.inf
-    assert a[0] == pytest.approx(2.0, rel=1e-12)
-    assert a[2] == pytest.approx(2.0, rel=1e-12)
-
-
 def test_infeasible_and_degenerate_errors():
     with pytest.raises(InfeasibleProgramError):
         solve([(1.0, 0.0)], fixed={0: 0.5})
@@ -213,8 +206,6 @@ def test_infeasible_and_degenerate_errors():
         SimplexProgram(points=((1.0, math.inf),))
     with pytest.raises(ValueError):
         simplex_program([])
-    with pytest.raises(ValueError):
-        solve([(1.0, 1.0)], fixed={0: 2.0}, dropped=[0])
 
 
 def test_containment_certificate():
@@ -227,7 +218,7 @@ def test_containment_certificate():
 def test_duality_gap_is_reported():
     info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.3, 0.2)]))
     assert info.gap <= 1e-10
-    assert info.volume == pytest.approx(2.0)
+    assert simplex_volume(info.params) == pytest.approx(2.0)
     assert all(w >= 0 for w in info.weights)
 
 
@@ -274,8 +265,9 @@ def test_program_validation_messages():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             simplex_program([(1.0, 1.0), (0.5, bad)])
-    with pytest.raises(DegenerateAxisError, match="axis 1"):
-        simplex_program([(1.0, 0.0), (0.5, math.inf)], dropped=[0])
+    with pytest.raises(DegenerateAxisError) as err:
+        simplex_program([(1.0, 0.0), (0.5, math.inf)])
+    assert str(err.value) == "infinite coordinate on axis 1: degenerate"
     # the first offending point names the error, violation before saturation
     with pytest.raises(InfeasibleProgramError, match="point 0 saturates"):
         solve([(0.5, 1.0), (1.0, 0.0)], fixed={0: 0.5})
@@ -389,9 +381,9 @@ def test_validation_reaches_the_last_copy_block():
         with pytest.raises(ValueError, match="nonnegative"):
             simplex_program(last_row(1, bad))
     with pytest.raises(DegenerateAxisError, match="axis 2"):
-        simplex_program(last_row(2, math.inf), dropped=[0])
-    info = min_vol_simplex_info(simplex_program(last_row(2, math.inf), dropped=[2]))
-    assert math.isinf(info.params.intercepts[2]) and info.gap <= TOL
+        simplex_program(last_row(2, math.inf))
+    info = min_vol_simplex_info(simplex_program(last_row(2, math.inf)[:, :2]))
+    assert info.gap <= TOL
     prog = simplex_program(last_row(1, -0.0))
     assert math.copysign(1.0, prog.points[-1, 1]) == -1.0
     assert min_vol_simplex_info(prog).gap <= TOL
@@ -447,7 +439,7 @@ def test_weights_cover_every_input_point():
     assert info.weights.shape == (3,) and info.weights[0] == 0.0
     assert info.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
     # no free axis: nothing to weigh
-    info = min_vol_simplex_info(simplex_program([(0.5, 0.0), (0.2, 0.3)], fixed={0: 1.0}, dropped=[1]))
+    info = min_vol_simplex_info(simplex_program([(0.5,), (0.2,)], fixed={0: 1.0}))
     assert info.weights.tolist() == [0.0, 0.0]
 
 
@@ -539,8 +531,8 @@ def test_dead_columns_keep_their_errors(m):
         "no point mass on free axes [0, 1, 2]: volume infimum 0 is not attained"
     )
     with pytest.raises(DegenerateAxisError) as err:
-        min_vol_simplex_bruteforce(simplex_program(np.zeros((m, 3)), dropped=[0]))
-    assert str(err.value) == "no point mass on free axes [1, 2]: volume infimum 0 is not attained"
+        min_vol_simplex_bruteforce(simplex_program(np.zeros((m, 2))))
+    assert str(err.value) == "no point mass on free axes [0, 1]: volume infimum 0 is not attained"
     # an infeasible pin is reported before a dead column
     with pytest.raises(InfeasibleProgramError, match="point 0 violates"):
         min_vol_simplex_info(simplex_program(pts, fixed={0: 1e-3}))
@@ -751,8 +743,8 @@ def test_mass_on_a_single_axis_matches_bruteforce():
     info = min_vol_simplex_info(prog)
     assert info.gap <= TOL
     ref = simplex_volume(min_vol_simplex_bruteforce(prog, grid=601))
-    assert info.volume == pytest.approx(ref, rel=1e-3)
-    assert info.volume <= ref * (1.0 + 1e-9)
+    assert simplex_volume(info.params) == pytest.approx(ref, rel=1e-3)
+    assert simplex_volume(info.params) <= ref * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
