@@ -18,12 +18,13 @@ import os
 import sys
 from typing import IO, Sequence
 
-from .domains import DomainSpec, indicatrix_at, spec_from_config, spec_to_config
+from .domains import DomainSpec, frame_coordinates, indicatrix_at, spec_from_config, spec_to_config
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
+    experiment,
     run_experiment,
     validate_solver_settings,
 )
@@ -122,6 +123,12 @@ def eval_metric(
     displayed closed forms (elem_reinhardt domains only).
     """
     validate_solver_settings(tolerance)
+    if kind not in ("wu", "gamma", "gamma_k", "azukawa", "kappa"):
+        raise ConfigError(
+            f"kind: unknown {kind!r}; expected gamma, gamma_k, azukawa, kappa or wu"
+        )
+    if k is not None and kind != "gamma_k":
+        raise ConfigError("k: only kind gamma_k reads it")
     at = tuple(complex(c) for c in a)
     xv = tuple(complex(c) for c in X)
     # a column that the kind leaves out is written as an empty cell
@@ -129,14 +136,14 @@ def eval_metric(
     if kind == "wu":
         sand = indicatrix_at(spec, at)
         res = wu_metric(sand.inner, tolerance=tolerance)
-        aligned = sand.align(xv)
+        aligned = frame_coordinates(sand.alignment, xv)
         data.update(
             value=res.w_tilde(aligned),
             w_tilde=res.w_tilde(aligned),
             w=res.w(aligned),
             m=res.m,
         )
-    elif kind in ("gamma", "gamma_k", "azukawa", "kappa"):
+    else:
         if spec.variant != "elem_reinhardt":
             raise ConfigError(
                 f"kind: {kind!r} needs an elem_reinhardt domain, got {spec.variant!r}"
@@ -150,10 +157,6 @@ def eval_metric(
             s=info.s,
             r=info.r,
             scale=info.scale,
-        )
-    else:
-        raise ConfigError(
-            f"kind: unknown {kind!r}; expected gamma, gamma_k, azukawa, kappa or wu"
         )
     return ResultRow(experiment="eval", data=data, ok=True, tolerance=tolerance)
 
@@ -191,8 +194,6 @@ RUN_SETTINGS = (
     ("x_grid", "comma-separated x values", _list(float)),
     ("t", "pinned first intercept", float),
     ("m_list", "comma-separated truncation levels", _list(float)),
-    ("alpha", "comma-separated exponent vector", _list(float)),
-    ("big_c", "domain constant C", float),
     ("tol", "solver/comparison tolerance", float),
     ("out", "CSV output path (default: stdout)", str),
 )
@@ -219,9 +220,16 @@ def _dashed(key: str) -> str:
     return key.replace("_", "-")
 
 
-def _read_settings(args: argparse.Namespace, name: str, table) -> dict[str, object]:
+def _read_settings(
+    args: argparse.Namespace, name: str, table, reads: Sequence[str] | None = None
+) -> dict[str, object]:
     """Each setting of table that is given, by its flag or else by its key in
-    section [name] of the --config file, through the setting's parser."""
+    section [name] of the --config file, through the setting's parser.
+
+    ``reads`` names the settings of experiment ``name`` (default: all of
+    table); giving another setting of table is a config error."""
+    if reads is None:
+        reads = [key for key, _, _ in table]
     section: dict[str, str] = {}
     if args.config is not None:
         if not os.path.exists(args.config):
@@ -238,8 +246,15 @@ def _read_settings(args: argparse.Namespace, name: str, table) -> dict[str, obje
     if unknown:
         raise ConfigError(
             f"{unknown[0]}: unknown key in section [{name}]; "
-            f"expected one of {', '.join(sorted(_dashed(key) for key, _, _ in table))}"
+            f"expected one of {', '.join(sorted(map(_dashed, reads)))}"
         )
+    unread = sorted(
+        _dashed(key) for key, _, _ in table
+        if key not in reads
+        and (getattr(args, key) is not None or key in section or _dashed(key) in section)
+    )
+    if unread:
+        raise ConfigError(f"{unread[0]}: not a setting of experiment {name!r}")
     values: dict[str, object] = {}
     for key, _, parse in table:
         if key != _dashed(key) and key in section and _dashed(key) in section:
@@ -260,10 +275,11 @@ def _read_settings(args: argparse.Namespace, name: str, table) -> dict[str, obje
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _columns_help() -> str:
-    lines = ["columns per experiment (plus ok, tolerance):"]
+def _run_help() -> str:
+    lines = ["columns (plus ok, tolerance) and settings (plus --tol, --out) per experiment:"]
     for name, exp in EXPERIMENTS.items():
-        lines.append(f"  {name}: {','.join(exp.columns)}")
+        flags = ", ".join("--" + _dashed(key) for key in exp.settings) or "none"
+        lines += [f"  {name}: {','.join(exp.columns)}", f"    settings: {flags}"]
     return "\n".join(lines)
 
 
@@ -282,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run",
         help="run an experiment, emit CSV",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_columns_help(),
+        epilog=_run_help(),
     )
     run_p.add_argument("experiment", help="experiment id; see `wumetric list`")
     run_p.add_argument("--config", help="INI file, section [<experiment>]")
@@ -297,14 +313,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    settings = _read_settings(args, args.experiment, RUN_SETTINGS)
+    exp = experiment(args.experiment)
+    # every experiment reads tol and out besides the settings it declares
+    settings = _read_settings(args, args.experiment, RUN_SETTINGS, exp.settings + ("tol", "out"))
+    out = settings.pop("out", None)
     if "tol" in settings:
         settings["tolerance"] = settings.pop("tol")
     cfg = ExperimentConfig(experiment=args.experiment, **settings)
-    _check_out(cfg.out)
+    _check_out(out)
     rows = run_experiment(cfg)
-    columns = EXPERIMENTS[cfg.experiment].columns + ("ok", "tolerance")
-    _emit(rows, columns, cfg.out)
+    _emit(rows, exp.columns + ("ok", "tolerance"), out)
     passed = sum(1 for r in rows if r.ok)
     status = "PASS" if passed == len(rows) else "FAIL"
     print(f"{cfg.experiment}: {passed}/{len(rows)} rows ok [{status}]", file=sys.stderr)

@@ -151,19 +151,22 @@ class SandwichIndicatrix:
     exact ball); outer: certified superset.  When the metrics at the base
     point are rank-one seminorms, both indicatrices live in a rotated
     frame: ``alignment`` is the unitary U with ball_original = U^* ball,
-    i.e. metrics evaluate at U @ X.
+    i.e. metrics evaluate at U @ X (``frame_coordinates``).
     """
 
     inner: Indicatrix
     outer: Indicatrix
     alignment: tuple[tuple[complex, ...], ...] | None = None
 
-    def align(self, X: Sequence[complex]) -> tuple[complex, ...]:
-        """Coordinates of X in the frame the indicatrices are stated in."""
-        if self.alignment is None:
-            return tuple(complex(c) for c in X)
-        u = np.array(self.alignment)
-        return tuple(u @ np.array([complex(c) for c in X]))
+
+def frame_coordinates(
+    u: np.ndarray | Sequence[Sequence[complex]] | None, X: Sequence[complex]
+) -> tuple[complex, ...]:
+    """U @ X for the frame change U of a rank-one ball, as an array
+    (``metric_indicatrix``) or nested tuples (``SandwichIndicatrix``); X
+    itself when U is None."""
+    xv = tuple(complex(c) for c in X)
+    return xv if u is None else tuple(np.asarray(u) @ np.array(xv))
 
 
 def _unitary_from_functional(c: np.ndarray) -> np.ndarray:

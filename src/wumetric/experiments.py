@@ -16,6 +16,7 @@ from .busemann import Indicatrix, cloud_indicatrix, kronecker_points
 from .domains import (
     DomainSpec,
     elem_reinhardt,
+    frame_coordinates,
     g2,
     gn,
     indicatrix_at,
@@ -47,10 +48,7 @@ class ExperimentConfig:
     x_grid: tuple[float, ...] = (0.1, 0.05, 0.01)
     t: float = 1.6
     m_list: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
-    alpha: tuple[float, ...] | None = None
-    big_c: float = 0.0
     tolerance: float = DEFAULT_SOLVER_TOL
-    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,13 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class Experiment:
+    """``settings`` names the ``ExperimentConfig`` fields the runner reads
+    besides ``tolerance``; every other field is left at its default."""
+
     runner: Callable[[ExperimentConfig], list["ResultRow"]]
     description: str
     columns: tuple[str, ...]
+    settings: tuple[str, ...] = ()
 
 
 def _row(cfg: ExperimentConfig, ok: bool, tol: float, **data: object) -> ResultRow:
@@ -79,33 +81,34 @@ def validate_solver_settings(tolerance: float) -> None:
         raise ConfigError("tol: must lie in (0, 1)")
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
+def experiment(name: str) -> Experiment:
+    """The registered experiment called ``name``."""
+    if name not in EXPERIMENTS:
         raise ConfigError(
-            f"experiment: unknown id {cfg.experiment!r}; choose from "
-            + ", ".join(sorted(EXPERIMENTS))
+            f"experiment: unknown id {name!r}; choose from " + ", ".join(sorted(EXPERIMENTS))
         )
+    return EXPERIMENTS[name]
+
+
+def _validate(cfg: ExperimentConfig) -> None:
+    reads = experiment(cfg.experiment).settings
     validate_solver_settings(cfg.tolerance)
-    if cfg.experiment in ("gn_usc", "monotone", "rem_two"):
-        if cfg.n < 3:
-            raise ConfigError("n: must be >= 3")
-    if cfg.experiment in ("g2_usc", "gn_usc"):
-        if any(not 0.0 < x < 1.0 for x in cfg.x_grid) or not cfg.x_grid:
-            raise ConfigError("x-grid: entries must lie in (0, 1)")
+    if "n" in reads and cfg.n < 3:
+        raise ConfigError("n: must be >= 3")
+    if "x_grid" in reads and (not cfg.x_grid or any(not 0.0 < x < 1.0 for x in cfg.x_grid)):
+        raise ConfigError("x-grid: entries must lie in (0, 1)")
+    if "t" in reads:
         n = _usc_setting(cfg)[0].n  # g2's pin t^2 exceeds 1 exactly when t > 1
         if cfg.t <= n / 2.0:
             raise ConfigError(f"t: must exceed n/2 = {n / 2.0:g} for the pinned-intercept bound")
-    if cfg.experiment == "monotone":
-        if not cfg.m_list or any(m < 1.0 for m in cfg.m_list):
-            raise ConfigError("m-list: truncation levels must be >= 1")
-    if cfg.alpha is not None and any(a == 0.0 for a in cfg.alpha):
-        raise ConfigError("alpha: entries must be nonzero")
+    if "m_list" in reads and (not cfg.m_list or any(m < 1.0 for m in cfg.m_list)):
+        raise ConfigError("m-list: truncation levels must be >= 1")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Deterministic rows for one experiment; all ok flags <=> pass."""
     _validate(cfg)
-    return EXPERIMENTS[cfg.experiment].runner(cfg)
+    return experiment(cfg.experiment).runner(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +453,7 @@ def _wu_against_eta(case: GoldenCase, eta_hat: float, tolerance: float) -> tuple
     spec = elem_reinhardt(case.alpha, case.big_c, case.declared)
     ind, u = metric_indicatrix(case.kind, spec, case.a, case.k)
     res = wu_metric(ind, tolerance=tolerance)
-    if u is None:
-        aligned = case.x_vec
-    else:
-        aligned = tuple(
-            sum(u[i][j] * case.x_vec[j] for j in range(len(case.x_vec)))
-            for i in range(len(case.x_vec))
-        )
-    wu_val = res.w_tilde(aligned)
+    wu_val = res.w_tilde(frame_coordinates(u, case.x_vec))
     if eta_hat == 0.0:
         return wu_val, abs(wu_val)
     return wu_val, abs(wu_val - eta_hat) / eta_hat
@@ -491,35 +487,6 @@ def _run_elem_table(cfg: ExperimentConfig) -> list[ResultRow]:
                 eta_hat=eta_hat,
                 wu_tilde=wu_val,
                 wu_err=wu_err,
-                branch=info.case,
-                s=info.s,
-                r=info.r,
-            )
-        )
-    if cfg.alpha is not None:
-        rows.extend(_custom_alpha_rows(cfg))
-    return rows
-
-
-def _custom_alpha_rows(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Informational rows for a user-supplied exponent vector."""
-    base = tuple(0.6 if a > 0 else 1.0 / 0.6 for a in cfg.alpha)
-    x_vec = (1.0,) * len(cfg.alpha)
-    rows = []
-    for kind in ("gamma", "azukawa", "kappa"):
-        value, info = elem_reinhardt_metric_info(
-            kind, cfg.alpha, cfg.big_c, base, x_vec
-        )
-        rows.append(
-            _row(
-                cfg, True, cfg.tolerance,
-                case="custom",
-                kind=kind,
-                alpha=cfg.alpha,
-                big_c=cfg.big_c,
-                a=base,
-                x_vec=x_vec,
-                value=value,
                 branch=info.case,
                 s=info.s,
                 r=info.r,
@@ -622,6 +589,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "sqrt(2) along (x, 0), with volume certificates t^2 (1-x)^2.",
         ("kind", "x", "t", "w_tilde_e1", "w_e1", "expected", "m", "ratio",
          "ratio_bound", "certified"),
+        ("x_grid", "t"),
     ),
     "gn_usc": Experiment(
         _run_usc,
@@ -630,6 +598,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "certificates and their x -> 0 limit ratio.",
         ("kind", "n", "x", "t", "w_tilde_e1", "w_e1", "expected", "m",
          "ratio", "ratio_bound", "regime", "certified"),
+        ("n", "x_grid", "t"),
     ),
     "monotone": Experiment(
         _run_monotone,
@@ -638,6 +607,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "1/sqrt(n-1).",
         ("kind", "n", "m_trunc", "a", "w_tilde_e1", "expected", "rel_err",
          "margin"),
+        ("n", "m_list"),
     ),
     "rem_one": Experiment(
         _run_rem_one,
@@ -651,6 +621,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "normalization count, moving W-tilde(0; e1) from 1/sqrt(n) to "
         "1/sqrt(n-1).",
         ("kind", "n", "a", "w_tilde_e1", "expected", "m"),
+        ("n",),
     ),
     "elem_reinhardt_table": Experiment(
         _run_elem_table,

@@ -6,18 +6,30 @@ generalized-golden-ratio Kronecker sequence, so every run sees the same
 seed.  The references that only tests call live here, not in the
 library: the grid-search solver ``min_vol_simplex_bruteforce``, the
 sandwich self-check ``sandwich_ok``, the LP hull radius and the Psi-point
-containment test ``psi_contains``.
+containment test ``psi_contains``.  ``script`` loads a script of
+``scripts/`` as a module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
 from wumetric.busemann import absolute_directions
 from wumetric.geometry import SimplexParams
 from wumetric.wu import DegenerateAxisError, SimplexProgram, _assemble, _reduce
+
+
+def script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def generalized_golden(d: int) -> float:

@@ -1,13 +1,12 @@
 """scripts/bench_pairs.py's summary of paired runs, on made-up records."""
 
-import importlib.util
 import json
 from pathlib import Path
 
+from helpers import script
+
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+bench_pairs = script("bench_pairs")
 
 METRICS = [{"name": "throughput_ops_s", "better": "higher"},
            {"name": "latency_p50_ms", "better": "lower"}]

@@ -387,12 +387,94 @@ def test_eval_rejects_a_setting_the_domain_does_not_read(tmp_path, capsys, sourc
     assert not out.exists()
 
 
+# a valid value of each run setting that some experiment reads
+RUN_VALUES = {"n": "4", "x_grid": "0.2", "t": "1.3", "m_list": "1,4"}
+UNREAD = [(name, key) for name, exp in EXPERIMENTS.items()
+          for key in RUN_VALUES if key not in exp.settings]
+
+
+def test_each_experiment_takes_its_settings_tol_and_out():
+    # 24 accepted experiment x setting pairs, and 24 refused
+    assert len(UNREAD) == 24
+    assert sum(len(exp.settings) + 2 for exp in EXPERIMENTS.values()) == 24
+    assert [key for key, _, _ in cli.RUN_SETTINGS] == list(RUN_VALUES) + ["tol", "out"]
+
+
+@pytest.mark.parametrize("name, key", UNREAD)
+def test_run_refuses_a_setting_the_experiment_does_not_read(
+    tmp_path, capsys, monkeypatch, name, key
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed rows for a setting the experiment does not read")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    dashed = key.replace("_", "-")
+    cfg = tmp_path / "settings.ini"
+    out = tmp_path / "rows.csv"
+    for spelling in (None, key, dashed):
+        if spelling is None:
+            given = [f"--{dashed}", RUN_VALUES[key]]
+        else:
+            cfg.write_text(f"[{name}]\n{spelling} = {RUN_VALUES[key]}\n")
+            given = ["--config", str(cfg)]
+        assert run_cli(["run", name, *given, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {dashed}: not a setting of experiment {name!r}\n"
+        assert not out.exists()
+
+
+def test_run_help_lists_the_settings_of_each_experiment(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "settings (plus --tol, --out) per experiment:" in help_text
+    for name, exp in EXPERIMENTS.items():
+        flags = ", ".join(f"--{key.replace('_', '-')}" for key in exp.settings) or "none"
+        assert f"  {name}: {','.join(exp.columns)}\n    settings: {flags}\n" in help_text
+    assert "    settings: --n, --x-grid, --t\n" in help_text  # gn_usc
+
+
+@pytest.mark.parametrize(
+    "kind, k, point",
+    [("gamma", "2", "0.5,0"), ("wu", "3", "0.5,0.5"), ("kappa", "1", "0.5,0")],
+)
+def test_eval_refuses_k_for_a_kind_other_than_gamma_k(tmp_path, capsys, kind, k, point):
+    # gamma reads no k: gamma^(2) at this point is 4.9497474683058327, and
+    # gamma itself, 0, used to be written on a row with k = 2
+    out = tmp_path / "row.csv"
+    argv = ["eval", "--domain", "elem_reinhardt", "--alpha", "1,2", "--kind", kind,
+            "--point", point, "--vector", "3,7", "--out", str(out)]
+    assert run_cli(argv + ["--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: k: only kind gamma_k reads it\n"
+    assert not out.exists()
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text(f"[eval]\nk = {k}\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: k: only kind gamma_k reads it\n"
+    assert not out.exists()
+
+
+def test_eval_gamma_k_reads_k(tmp_path):
+    out = tmp_path / "row.csv"
+    argv = ["eval", "--domain", "elem_reinhardt", "--alpha", "1,2", "--point", "0.5,0",
+            "--vector", "3,7", "--out", str(out)]
+    assert run_cli(argv + ["--kind", "gamma_k", "--k", "2"]) == 0
+    (row,) = read_csv(out)
+    assert (row["k"], row["value"]) == ("2", "4.9497474683058327")
+    assert run_cli(argv + ["--kind", "gamma"]) == 0
+    (row,) = read_csv(out)
+    assert (row["k"], row["value"]) == ("", "0")
+
+
 # each setting runs in the first context that gives it (any context for out)
 RUN_CONTEXTS = (
     ("rem_two", {"n": "4"}),
     ("g2_usc", {"x_grid": "0.2,0.1", "t": "1.3"}),
     ("monotone", {"m_list": "1,4"}),
-    ("rem_one", {"alpha": "1,2", "big_c": "0.5", "tol": "1e-9"}),
+    ("rem_one", {"tol": "1e-9"}),
 )
 EVAL_CONTEXTS = (
     ("eval", {"domain": "elem_reinhardt", "alpha": "1,2", "big_c": "0.5", "type": "rational",

@@ -1,14 +1,11 @@
 """scripts/diff_registry.py on small hand-made registry directories."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+from helpers import script
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_registry.py"
-spec = importlib.util.spec_from_file_location("diff_registry", SCRIPT)
-diff_registry = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(diff_registry)
+diff_registry = script("diff_registry")
 
 HEADER = "case,a,rel_err,branch,ok\n"
 ROWS = "x,1;2,1e-10,active,true\ny,4;8,0,slack,true\n"

@@ -1,5 +1,7 @@
 """Experiment registry and config validation."""
 
+import re
+
 import pytest
 
 from wumetric.experiments import (
@@ -79,3 +81,33 @@ def test_rows_carry_tolerance_and_flags():
         assert row.tolerance >= 0.0
         assert isinstance(row.ok, bool)
         assert row.experiment == "rem_two"
+
+
+# another valid value of each field an experiment may read; t = 2.2 in the
+# base run exceeds n/2 at n = 4 too
+OTHER_VALUES = {"n": 4, "x_grid": (0.2,), "t": 2.5, "m_list": (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_rows_move_with_exactly_the_declared_settings(name):
+    rows = run_experiment(ExperimentConfig(experiment=name, t=2.2))
+    assert set(EXPERIMENTS[name].settings) <= set(OTHER_VALUES)
+    for field, value in OTHER_VALUES.items():
+        moved = run_experiment(ExperimentConfig(experiment=name, **{"t": 2.2, field: value}))
+        assert (moved == rows) == (field not in EXPERIMENTS[name].settings), field
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        ("rem_two", "n", 2, "n: must be >= 3"),
+        ("monotone", "n", 2, "n: must be >= 3"),
+        ("gn_usc", "x_grid", (), "x-grid: entries must lie in (0, 1)"),
+        ("g2_usc", "x_grid", (1.0,), "x-grid: entries must lie in (0, 1)"),
+        ("gn_usc", "t", 1.5, "t: must exceed n/2 = 1.5"),
+        ("monotone", "m_list", (), "m-list: truncation levels must be >= 1"),
+    ],
+)
+def test_each_read_setting_is_checked(name, field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(ExperimentConfig(experiment=name, **{field: value}))

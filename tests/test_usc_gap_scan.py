@@ -1,12 +1,8 @@
 """scripts/usc_gap_scan.py on a small grid."""
 
-import importlib.util
-from pathlib import Path
+from helpers import script
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "usc_gap_scan.py"
-spec = importlib.util.spec_from_file_location("usc_gap_scan", SCRIPT)
-usc_gap_scan = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(usc_gap_scan)
+usc_gap_scan = script("usc_gap_scan")
 
 
 def test_scan_covers_n_2_and_both_regimes(capsys):
