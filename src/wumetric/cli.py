@@ -129,6 +129,10 @@ def eval_metric(
         )
     if k is not None and kind != "gamma_k":
         raise ConfigError("k: only kind gamma_k reads it")
+    if kind == "gamma_k" and k is None:
+        raise ConfigError("k: required for kind gamma_k")
+    if kind == "gamma_k" and k < 1:
+        raise ConfigError("k: must be >= 1")
     at = tuple(complex(c) for c in a)
     xv = tuple(complex(c) for c in X)
     # a column that the kind leaves out is written as an empty cell

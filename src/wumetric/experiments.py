@@ -9,7 +9,7 @@ use a fixed low-discrepancy sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .busemann import Indicatrix, cloud_indicatrix, kronecker_points
@@ -62,7 +62,8 @@ class ResultRow:
 @dataclass(frozen=True)
 class Experiment:
     """``settings`` names the ``ExperimentConfig`` fields the runner reads
-    besides ``tolerance``; every other field is left at its default."""
+    besides ``tolerance``; ``run_experiment`` refuses any other field that
+    differs from its default."""
 
     runner: Callable[[ExperimentConfig], list["ResultRow"]]
     description: str
@@ -92,6 +93,14 @@ def experiment(name: str) -> Experiment:
 
 def _validate(cfg: ExperimentConfig) -> None:
     reads = experiment(cfg.experiment).settings
+    unread = sorted(
+        f.name for f in fields(cfg)
+        if f.name not in reads + ("experiment", "tolerance") and getattr(cfg, f.name) != f.default
+    )
+    if unread:
+        raise ConfigError(
+            f"{unread[0].replace('_', '-')}: not a setting of experiment {cfg.experiment!r}"
+        )
     validate_solver_settings(cfg.tolerance)
     if "n" in reads and cfg.n < 3:
         raise ConfigError("n: must be >= 3")

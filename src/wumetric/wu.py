@@ -23,6 +23,12 @@ solve passes over the whole cloud at most twice per working set, not once
 per step.  Points are kept column-major, which makes every per-axis
 reduction and the pricing one contiguous sweep.
 
+Small programs are solved without it.  One free axis and one point have
+closed forms, and two points, such as the pinned program behind the gn
+certificate, are solved on their dual, which is concave in one weight w:
+an endpoint, or the root of its derivative found by scalar Newton steps
+safeguarded by bisection.
+
 Each fact about a large cloud is read once and handed down: the column
 maxima come from the program's validation pass (``SimplexProgram.
 column_max``), the column-normalized masses, which say which points have
@@ -156,8 +162,9 @@ def simplex_program(
 
 @dataclass(frozen=True, eq=False)
 class SolveInfo:
-    """Certified optimum: the duality gap, the Newton steps taken and the
-    dual weights, a read-only float array with one entry per input point.
+    """Certified optimum: the duality gap, the interior-point Newton steps
+    taken (0 for the closed forms and the two-point dual) and the dual
+    weights, a read-only float array with one entry per input point.
     Points with no mass on the free axes weigh 0; the weights sum to 1
     unless no axis is free."""
 
@@ -290,6 +297,72 @@ def _assemble(
     return SimplexParams(intercepts=tuple(a))
 
 
+def _priced_gap(k: int, reach: float) -> float:
+    """Duality gap k log(max(k reach, k) / k) of weights w whose primal
+    point b = 1 / (k U^T w) has max_i <u_i, b> = reach."""
+    return k * math.log(max(k * reach, k) / k)
+
+
+def _solve_two_points(
+    u: np.ndarray, tol: float, top: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The program on two rows p, q of u (k >= 2 columns) solved on its
+    dual, a D-optimal design on two points (Kiefer and Wolfowitz, 1960):
+    maximize F(w) = sum_j log(w p_j + (1 - w) q_j) over w in [0, 1].
+
+    F'(w) = sum_j r_j with r_j = (p_j - q_j) / (w p_j + (1 - w) q_j), and
+    F'' = -sum_j r_j^2, so F' is decreasing.  w = 1 is optimal when every
+    p_j > 0 and F'(1) = k - sum_j q_j / p_j >= 0, w = 0 likewise with p and
+    q swapped.  Otherwise F' changes sign inside (0, 1), and safeguarded
+    Newton steps on F' find its root: a step that leaves the bracket of
+    the root is replaced by bisection, until F' is 0, a Newton step no
+    longer moves w or the bracket holds no float between its ends (no
+    tolerance is involved).  Scores do not change when a column is
+    scaled, so F' is evaluated on unit column maxima (``top``), where no
+    w p_j + (1 - w) q_j is 0 inside (0, 1).
+
+    Returns (b, w, gap, reach) as ``_solve_reduced`` does: b = 1 / (k (w p
+    + (1 - w) q)) on u as it is, the weights (w, 1 - w), the gap of its
+    pricing and reach = max(<p, b>, <q, b>).  A gap above ``tol`` raises
+    ``SolverError``.
+    """
+    k = u.shape[1]
+    p, q = (u / top).tolist()
+    if all(pj > 0.0 for pj in p) and sum(qj / pj for pj, qj in zip(p, q)) <= k:
+        w = 1.0
+    elif all(qj > 0.0 for qj in q) and sum(pj / qj for pj, qj in zip(p, q)) <= k:
+        w = 0.0
+    else:
+        d = [pj - qj for pj, qj in zip(p, q)]
+        lo, hi, w = 0.0, 1.0, 0.5
+        while True:
+            r = [dj / (qj + w * dj) for dj, qj in zip(d, q)]
+            slope = sum(r)
+            if slope > 0.0:
+                lo = w
+            elif slope < 0.0:
+                hi = w
+            else:
+                break
+            step = w + slope / sum(rj * rj for rj in r)
+            if step == w:
+                break
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+                if not lo < step < hi:
+                    break
+            w = step
+    weights = np.array([w, 1.0 - w])
+    b = 1.0 / (k * (weights @ u))
+    reach = float((u @ b).max())
+    gap = _priced_gap(k, reach)
+    if gap > tol:
+        raise SolverError(
+            f"no certificate for the 2 x {k} program on its dual (gap {gap:.3e})", gap
+        )
+    return b, weights, gap, reach
+
+
 def _solve_reduced(
     u: np.ndarray, tol: float, top: np.ndarray, mass: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, int, float]:
@@ -342,7 +415,7 @@ def _solve_reduced(
         b = 1.0 / (k * (w @ u[work]))
         ub = u @ b
         reach = float(ub.max())
-        return k * math.log(max(k * reach, k) / k), b, reach, ub
+        return _priced_gap(k, reach), b, reach, ub
 
     steps, best, near, certified = 0, math.inf, math.inf, None
     while True:
@@ -417,7 +490,9 @@ def _solve_reduced(
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate.  One free axis has
     the closed form a = max_i u_i, one point u on k free axes the closed
-    form a = k u; both have gap 0 and all weight on one point.
+    form a = k u; both have gap 0 and all weight on one point.  Two points
+    on k >= 2 free axes are solved on their one-weight dual
+    (``_solve_two_points``), more points by the interior-point method.
 
     Columns with subnormal or huge maxima are solved scaled by a power of
     two (``_reduce``).  An intercept beyond the float range raises
@@ -438,7 +513,11 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         w[i] = 1.0
         a, gap, iters = len(free) * reduced[i], 0.0, 0
     else:
-        b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
+        if len(reduced) == 2:
+            b, w, gap, reach = _solve_two_points(reduced, prog.tolerance, top)
+            iters = 0
+        else:
+            b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
         # conservative rescale: containment of every reduced point, exactly;
         # reach is max(reduced @ b) from the pricing that returned b
         if reach > 1.0:

@@ -469,6 +469,20 @@ def test_eval_gamma_k_reads_k(tmp_path):
     assert (row["k"], row["value"]) == ("", "0")
 
 
+@pytest.mark.parametrize(
+    "given, message",
+    [([], "k: required for kind gamma_k"), (["--k", "0"], "k: must be >= 1"),
+     (["--k", "-3"], "k: must be >= 1")],
+)
+def test_eval_gamma_k_names_a_missing_or_bad_k(tmp_path, capsys, given, message):
+    out = tmp_path / "row.csv"
+    argv = ["eval", "--domain", "elem_reinhardt", "--alpha", "1,2", "--kind", "gamma_k",
+            "--point", "0.5,0", "--vector", "3,7", "--out", str(out)]
+    assert run_cli(argv + given) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # each setting runs in the first context that gives it (any context for out)
 RUN_CONTEXTS = (
     ("rem_two", {"n": "4"}),

@@ -90,11 +90,30 @@ OTHER_VALUES = {"n": 4, "x_grid": (0.2,), "t": 2.5, "m_list": (1.0, 2.0)}
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_rows_move_with_exactly_the_declared_settings(name):
-    rows = run_experiment(ExperimentConfig(experiment=name, t=2.2))
-    assert set(EXPERIMENTS[name].settings) <= set(OTHER_VALUES)
+    # a declared setting moves the rows; any other is refused unless it
+    # keeps its default
+    reads = EXPERIMENTS[name].settings
+    base = {"t": 2.2} if "t" in reads else {}
+    rows = run_experiment(ExperimentConfig(experiment=name, **base))
+    assert set(reads) <= set(OTHER_VALUES)
     for field, value in OTHER_VALUES.items():
-        moved = run_experiment(ExperimentConfig(experiment=name, **{"t": 2.2, field: value}))
-        assert (moved == rows) == (field not in EXPERIMENTS[name].settings), field
+        cfg = ExperimentConfig(experiment=name, **{**base, field: value})
+        if field in reads:
+            assert run_experiment(cfg) != rows, field
+        else:
+            message = f"{field.replace('_', '-')}: not a setting of experiment {name!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run_experiment(cfg)
+
+
+def test_library_entry_refuses_settings_the_experiment_does_not_read():
+    # the first unread field in sorted order names the error, as in `run`
+    with pytest.raises(ConfigError) as err:
+        run_experiment(ExperimentConfig("rem_one", n=50, m_list=(0.1,)))
+    assert str(err.value) == "m-list: not a setting of experiment 'rem_one'"
+    # a field given at its default is no setting at all
+    default = ExperimentConfig("rem_one")
+    assert run_experiment(ExperimentConfig("rem_one", n=3, t=1.6)) == run_experiment(default)
 
 
 @pytest.mark.parametrize(

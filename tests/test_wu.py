@@ -184,6 +184,138 @@ def test_unpinned_two_point_optimum():
 
 
 # ---------------------------------------------------------------------------
+# two points: the one-weight dual
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 40, 200])
+def test_two_point_dual_matches_the_closed_form_in_both_regimes(n):
+    # pins from just above n/2 to 3n: the active regime t <= (n-1) mu and
+    # the slack one beyond.  Measured worst cases: intercepts 2.4e-14 and
+    # volume 4.7e-13 relative, both at n = 200 (2.2e-15 volume up to n = 8)
+    regimes = set()
+    for x in np.linspace(0.01, 0.99, 9).tolist():
+        m = (1.0 - x * x) ** 2
+        for t in np.linspace(n / 2.0 + 1e-3, 3.0 * n, 12).tolist() + [(n - 1) * m]:
+            if t <= n / 2.0:
+                continue
+            regimes.add(t <= (n - 1) * m)
+            prog, _, _ = two_point_program(n, x, t)
+            info = min_vol_simplex_info(prog)
+            want = gn_constrained_optimum(n, x, t)
+            assert info.gap <= TOL and info.iterations == 0
+            assert info.params.intercepts == pytest.approx(want, rel=5e-14)
+            vol = math.prod(a / b for a, b in zip(info.params.intercepts, want))
+            assert abs(vol - 1.0) <= (1e-12 if n > 8 else 5e-15)
+    assert regimes == ({False} if n == 2 else {False, True})
+
+
+def _interior_point_optimum(prog):
+    """Intercepts and gap of ``_solve_reduced`` on the reduced rows of a
+    program with no fixed or scaled axis, rescaled to contain them."""
+    reduced, _, _, _, top, mass, shift = wu_module._reduce(prog)
+    assert shift is None and reduced.shape[0] == 2
+    b, _, gap, _, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, mass)
+    return 1.0 / (b / max(reach, 1.0)), gap
+
+
+@pytest.mark.parametrize(
+    "pts, want, weights",
+    [
+        ([(1.0, 2.0), (1.0, 2.0)], (2.0, 4.0), [1.0, 0.0]),  # exact duplicate
+        ([(1.0, 1.0), (0.5, 0.9)], (2.0, 2.0), [1.0, 0.0]),  # dominated second
+        ([(0.5, 0.9), (1.0, 1.0)], (2.0, 2.0), [0.0, 1.0]),  # dominated first
+        ([(1.0, 0.0), (0.0, 1.0)], (1.0, 1.0), [0.5, 0.5]),
+        ([(2.0, 0.0, 1.0), (1.0, 1.0, 1.0)], None, None),  # a zero coordinate
+        ([(1.0, 1.0, 0.0), (1.0, 0.5, 1.0)], None, None),
+    ],
+)
+def test_two_point_dual_edge_cases(pts, want, weights):
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.gap <= TOL and info.iterations == 0
+    assert info.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    for p in pts:
+        assert psi_contains(info.params.intercepts, p, tol=1e-15)
+    if want is not None:
+        assert info.params.intercepts == want and info.weights.tolist() == weights
+    else:
+        a, _ = _interior_point_optimum(simplex_program(pts))
+        assert abs(np.log(info.params.intercepts).sum() - np.log(a).sum()) <= TOL
+
+
+def test_two_point_dual_with_fixed_axes():
+    # pinning a_1 = 1 leaves the rows (2, 0) and (0, 4/3): weights 1/2 each
+    pts = [(0.5, 1.0, 0.0), (0.25, 0.0, 1.0)]
+    info = min_vol_simplex_info(simplex_program(pts, fixed={0: 1.0}))
+    assert info.gap <= TOL
+    assert info.params.intercepts == pytest.approx((1.0, 2.0, 4.0 / 3.0), rel=1e-15)
+    assert info.weights.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e308])
+def test_two_point_dual_on_a_scaled_column(scale):
+    # the column is solved scaled by a power of two and scaled back; warnings
+    # are errors here, so the solve must also warn of nothing
+    pts = np.array([(0.3, 1.1, 0.2), (1.7, 0.1, 0.4)])
+    base = min_vol_simplex_info(simplex_program(pts))
+    pts[:, 2] *= scale
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.gap <= TOL
+    a = base.params.intercepts
+    assert info.params.intercepts == pytest.approx((a[0], a[1], a[2] * scale), rel=1e-12)
+    for p in pts:
+        assert psi_contains(info.params.intercepts, p, tol=1e-15)
+
+
+def test_two_point_dual_gap_above_the_tolerance_raises():
+    pts = [(1.79, 0.53, 0.34), (0.65, 1.21, 1.15)]
+    gap = min_vol_simplex_info(simplex_program(pts)).gap
+    assert 0.0 < gap <= TOL
+    with pytest.raises(SolverError, match=r"2 x 3 program on its dual \(gap") as err:
+        min_vol_simplex_info(simplex_program(pts, tolerance=gap / 2.0))
+    assert err.value.gap == gap
+
+
+def _two_point_case(rng, kind):
+    """Two seeded points of one of TWO_POINT_KINDS on k = 2..8 axes,
+    coordinates e^-5 .. e^5, in random order."""
+    k = int(rng.integers(2, 9))
+    p = np.exp(rng.uniform(-5.0, 5.0, k))
+    q = np.exp(rng.uniform(-5.0, 5.0, k))
+    if kind == "near-duplicate":
+        q = p * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0) * rng.standard_normal(k))
+    elif kind == "dominated":
+        q = p * rng.uniform(0.0, 1.0, k)
+    elif kind == "zero-coordinates":
+        # a zero coordinate on q, and on p at another axis half the time
+        j = rng.permutation(k)
+        q[j[0]] = 0.0
+        if rng.random() < 0.5:
+            p[j[1]] = 0.0
+    elif kind == "duplicate":
+        q = p.copy()
+    elif kind == "near-tie":
+        q = p * np.exp(rng.uniform(-0.1, 0.1, k))
+    return rng.permutation(np.vstack([p, q]))
+
+
+TWO_POINT_KINDS = ("generic", "near-duplicate", "dominated", "zero-coordinates", "duplicate",
+                   "near-tie")
+
+
+@pytest.mark.parametrize("kind", TWO_POINT_KINDS)
+def test_two_point_dual_agrees_with_the_interior_point_method(kind):
+    rng = np.random.default_rng(TWO_POINT_KINDS.index(kind))
+    for _ in range(60):
+        prog = simplex_program(_two_point_case(rng, kind))
+        info = min_vol_simplex_info(prog)
+        a, gap = _interior_point_optimum(prog)
+        assert info.gap <= TOL and gap <= TOL
+        # both are feasible, so each log-volume is within its own gap of the optimum
+        assert abs(np.log(info.params.intercepts).sum() - np.log(a).sum()) <= TOL
+        assert float(np.max(prog.points @ (1.0 / np.array(info.params.intercepts)))) <= 1.0 + 1e-15
+
+
+# ---------------------------------------------------------------------------
 # solver mechanics and invariants
 
 
@@ -293,13 +425,17 @@ def test_tolerance_must_be_finite_and_positive(tol):
 
 
 def test_step_budget_exhaustion_fails_fast(monkeypatch):
+    # the interior point (0.5, 0.5) keeps the program off the two-point dual
     monkeypatch.setattr(wu_module, "MAX_NEWTON_STEPS", 3)
-    prog = simplex_program([(1.0, 1.0), (1.0 + 2e-7, 1.0)])
+    prog = simplex_program([(1.0, 1.0), (1.0 + 2e-7, 1.0), (0.5, 0.5)])
     start = time.perf_counter()
-    with pytest.raises(SolverError, match=r"2 x 2 program after 3 Newton steps \(best gap") as err:
+    with pytest.raises(SolverError, match=r"3 x 2 program after 3 Newton steps \(best gap") as err:
         min_vol_simplex_info(prog)
     assert time.perf_counter() - start < 1.0
     assert TOL < err.value.gap < math.inf
+    # two points are solved on their dual, which takes no Newton step
+    info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (1.0 + 2e-7, 1.0)]))
+    assert info.iterations == 0 and info.gap <= TOL
 
 
 def test_singular_newton_system_fails_with_solver_error(monkeypatch):
@@ -307,8 +443,11 @@ def test_singular_newton_system_fails_with_solver_error(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(wu_module.np.linalg, "solve", singular)
-    with pytest.raises(SolverError, match="after 1 Newton steps"):
-        min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.5, 0.9)]))
+    with pytest.raises(SolverError, match="3 x 2 program after 1 Newton steps"):
+        min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.5, 0.9), (0.25, 0.25)]))
+    # the two-point dual solves no linear system
+    info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.5, 0.9)]))
+    assert info.params.intercepts == (2.0, 2.0) and info.gap == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +781,15 @@ def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
 @pytest.mark.parametrize("eps", [1e-5, 2e-7])
 def test_near_duplicate_stall_reproducers_certify(eps):
     # (1 + eps, 1) dominates (1, 1), so a = 2 (1 + eps, 1); one point
-    # touches the optimum, where a gap g bounds the error by sqrt(2 g)
-    info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (1.0 + eps, 1.0)]))
-    assert info.gap <= TOL
-    assert info.iterations <= 12
-    want = (2.0 * (1.0 + eps), 2.0)
-    assert info.params.intercepts == pytest.approx(want, rel=math.sqrt(2.0 * TOL))
+    # touches the optimum, where a gap g bounds the error by sqrt(2 g).
+    # Two points are solved on their dual, with no Newton step; the
+    # interior point (0.5, 0.5) sends the program through the Newton method.
+    for interior, steps in (((), 0), (((0.5, 0.5),), 13)):
+        info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (1.0 + eps, 1.0), *interior]))
+        assert info.gap <= TOL
+        assert info.iterations <= steps
+        want = (2.0 * (1.0 + eps), 2.0)
+        assert info.params.intercepts == pytest.approx(want, rel=math.sqrt(2.0 * TOL))
 
 
 def _unit_face(rng, count, k):
