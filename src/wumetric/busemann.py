@@ -25,7 +25,9 @@ Every radial sample becomes a boundary point rho(d) d in one place,
 zero radii are dropped, and so is a radius beyond ``RADIUS_CAP`` along a
 direction with mass only on unbounded axes; such a radius on a direction
 with mass on a declared-bounded axis raises ``UnknownBoundednessError``.
-``convexify``, ``support`` and ``wu.wu_metric`` all sample through it.
+``convexify`` and ``wu.wu_metric`` both sample through it.  ``support``
+samples nothing: it reads a cloud's or a hull's stored points, and refuses
+a raw radial ball.
 
 The largest seminorm below eta has the convex hull conv(B) as its ball.
 Downstream minimization (minimal enclosing ellipsoid respectively simplex)
@@ -65,11 +67,6 @@ MAX_CORNER_ROWS = 1 << 20
 # sampled on 7 axes already gives about 450 000 facets
 MAX_HULL_AXES = 7
 _GAUGE_BLOCK_ENTRIES = 1 << 20  # directions x facets per hull-gauge block
-# support's polish of a raw radial ball: seeds, rounds per seed, and
-# multi-coordinate steps per round
-POLISH_SEEDS = 3
-POLISH_ROUNDS = 160
-POLISH_STEPS = 16
 
 
 class UnsupportedIndicatrixError(ValueError):
@@ -397,12 +394,6 @@ def _hull_gauge(points: np.ndarray, bounded: np.ndarray) -> np.ndarray:
     return np.concatenate(gauge)
 
 
-def check_resolution(resolution: int | None) -> None:
-    """Reject a direction count below 1 (``None`` means the default)."""
-    if resolution is not None and resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
-
-
 def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     """Indicatrix of the largest seminorm below eta (ball = conv B).
 
@@ -418,7 +409,8 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     axes raises ``UnsupportedIndicatrixError``: its facets run into the
     millions.
     """
-    check_resolution(resolution)
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
     if ind.cloud is not None or ind.hull_points is not None:
         return ind
     bounded = np.flatnonzero(ind.boundedness())
@@ -452,22 +444,17 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     )
 
 
-def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None) -> float:
+def support(ind: Indicatrix, y: Sequence[complex]) -> float:
     """Support function sup{Re <X, y> : X in ball}; inf on recession.
 
     For Reinhardt balls the phases align, so this is the moduli-space
-    support sup over the diagram of sum_j x_j |y_j|.  Cloud and convexified
-    indicatrices evaluate exactly over their stored points.  A raw radial
-    indicatrix is sampled through ``boundary_points`` along ``resolution``
-    directions (default 256 * dim; a count below 1 raises ``ValueError``),
-    and the ``POLISH_SEEDS`` best samples are polished by a batched
-    pattern search on the unit sphere: each round makes one
-    ``boundary_points`` call on the steps of size h from the best direction
-    so far, along +-e_j and ``POLISH_STEPS`` multi-coordinate steps, and h
-    halves when no step improves, for at most ``POLISH_ROUNDS`` rounds per
-    seed.
+    support sup over the diagram of sum_j x_j |y_j|.  It is inf when y has
+    mass on an unbounded axis, read from the boundedness metadata alone,
+    and otherwise the maximum over a cloud's or a convexified ball's
+    stored points.  A raw radial ball raises ``UnsupportedIndicatrixError``:
+    no finite sample of its boundary gives its support.  The support of
+    ``convexify(ball)``, the hull of such a sample, is a lower bound.
     """
-    check_resolution(resolution)
     ay = np.array([abs(c) for c in y])
     if len(ay) != ind.dim:
         raise ValueError("dimension mismatch")
@@ -478,28 +465,6 @@ def support(ind: Indicatrix, y: Sequence[complex], resolution: int | None = None
         return float(np.max(np.sqrt(ind.cloud) @ ay))
     if ind.hull_points is not None:
         return float(np.max(ind.hull_points @ ay))
-    n = ind.dim
-    count = 256 * n if resolution is None else resolution
-    pts = ind.boundary_points(absolute_directions(n, count))
-    vals = pts @ ay
-    # multi-coordinate steps cross the ridges where one coordinate alone
-    # cannot improve
-    steps = np.concatenate(
-        [np.eye(n), -np.eye(n), 2.0 * kronecker_points(n, POLISH_STEPS) - 1.0]
+    raise UnsupportedIndicatrixError(
+        "support needs a cloud or a hull; convexify a radial ball first"
     )
-    best = float(vals.max(initial=0.0))
-    for i in np.argsort(vals, kind="stable")[-POLISH_SEEDS:]:
-        p, val, h = pts[i], vals[i], 0.25
-        for _ in range(POLISH_ROUNDS):
-            cand = np.maximum(p / np.linalg.norm(p) + h * steps, 0.0)
-            norm = np.linalg.norm(cand, axis=1)
-            q = ind.boundary_points(cand[norm > 0.0] / norm[norm > 0.0, None])
-            qv = q @ ay
-            if len(qv) and qv.max() > val:
-                p, val = q[qv.argmax()], qv.max()
-            else:
-                h *= 0.5
-                if h < 1e-13:
-                    break
-        best = max(best, float(val))
-    return best

@@ -208,7 +208,8 @@ def _run_usc(cfg: ExperimentConfig) -> list[ResultRow]:
             tolerance=cfg.tolerance,
         )
         wt, w = res.w_tilde(_e1(n)), res.w(_e1(n))
-        expected, expected_w = math.sqrt(2.0 / (n * mu(x))), math.sqrt(2.0 / mu(x))
+        # W is checked against the paper's formula in x, which reads no mu
+        expected, expected_w = math.sqrt(2.0 / (n * mu(x))), math.sqrt(2.0) / (1.0 - x * x)
         rows.append(
             _row(
                 cfg,
@@ -227,10 +228,13 @@ def _run_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     for x in sorted(cfg.x_grid, reverse=True):
         rep = certify_contradiction_gn(n, x, pin)
+        # at n = 2 the paper's ratio is pin (1 - x)^2, which reads no mu or nu
+        paper = pin * (1.0 - x) ** 2 if n == 2 else rep.ratio_bound
         rows.append(
             _row(
                 cfg,
-                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound),
+                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound)
+                and abs(rep.ratio - paper) <= cfg.tolerance * max(1.0, paper),
                 cfg.tolerance,
                 kind="certificate",
                 n=n,

@@ -123,10 +123,8 @@ class BranchInfo:
     l: int
     s: int
     r: float
-    t_l: float | None
     alpha_normalized: tuple[float, ...]
     scale: float  # alpha_normalized = scale * alpha(input)
-    dilation: tuple[float, ...]  # coordinate factors removing C
 
 
 def gamma_disc(z: complex, X: complex) -> float:
@@ -291,7 +289,6 @@ def elem_reinhardt_metric_info(
         a = tuple(d * complex(aj) for d, aj in zip(dil, a))
         X = tuple(d * complex(xj) for d, xj in zip(dil, X))
     else:
-        dil = (1.0,) * n
         a = tuple(complex(aj) for aj in a)
         X = tuple(complex(xj) for xj in X)
 
@@ -304,7 +301,7 @@ def elem_reinhardt_metric_info(
     positives_n = [x for x in alpha_n if x > 0]
     t_l = min(positives_n) if positives_n else None
     case = ("rational" if rational else "irrational") + (" l=n" if l == n else " l<n")
-    info = BranchInfo(case, l, s, r, t_l, alpha_n, scale, dil)
+    info = BranchInfo(case, l, s, r, alpha_n, scale)
 
     def disc_pair() -> tuple[float, float]:
         """(u |Sigma|, |Sigma|) with Sigma = sum alpha_j X_j / a_j (s = n only)."""

@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .busemann import Indicatrix, absolute_directions, check_resolution
+from .busemann import Indicatrix, absolute_directions
 from .geometry import (
     DiagonalHermitianForm,
     SimplexParams,
@@ -557,19 +557,18 @@ class WuResult:
     certificate_points: int
 
 
-def _psi_sample(ind: Indicatrix, axes: list[int], resolution: int | None) -> np.ndarray:
+def _psi_sample(ind: Indicatrix, axes: list[int]) -> np.ndarray:
     """Psi-points of the indicatrix on its bounded ``axes``: its cloud, or
-    its boundary along ``resolution`` directions (default 256 per axis)."""
+    its boundary along 256 directions per axis."""
     if ind.cloud is not None:
         return ind.cloud[:, axes]
-    count = 256 * len(axes) if resolution is None else resolution
-    sub = absolute_directions(len(axes), count)
+    sub = absolute_directions(len(axes), 256 * len(axes))
     dirs = np.zeros((len(sub), ind.dim))
     dirs[:, axes] = sub
     return ind.boundary_points(dirs)[:, axes] ** 2
 
 
-def _product_sample(factors: tuple[Indicatrix, ...], resolution: int | None) -> np.ndarray:
+def _product_sample(factors: tuple[Indicatrix, ...]) -> np.ndarray:
     """Every choice of one ``_psi_sample`` point per factor, joined in
     factor order, in row-major order of the choices.  A factor with no
     bounded axis adds no coordinate, a repeated factor, such as the unit
@@ -578,7 +577,7 @@ def _product_sample(factors: tuple[Indicatrix, ...], resolution: int | None) -> 
     for f in factors:
         if id(f) not in sample:
             axes = [j for j, b in enumerate(f.boundedness()) if b]
-            sample[id(f)] = _psi_sample(f, axes, resolution) if axes else np.empty((1, 0))
+            sample[id(f)] = _psi_sample(f, axes) if axes else np.empty((1, 0))
     parts = [sample[id(f)] for f in factors]
     if len(parts) == 1:
         return parts[0]
@@ -598,7 +597,6 @@ def _product_sample(factors: tuple[Indicatrix, ...], resolution: int | None) -> 
 def wu_metric(
     ind: Indicatrix,
     *,
-    resolution: int | None = None,
     tolerance: float = DEFAULT_SOLVER_TOL,
 ) -> WuResult:
     """Wu seminorms of a balanced Reinhardt indicatrix.
@@ -606,10 +604,11 @@ def wu_metric(
     Degenerate axes (unbounded directions of the hull) are split off; on
     the complement the minimal-volume enclosing diagonal ellipsoid is
     computed by one certified solve over the certificate points: the
-    cloud itself, or a boundary sample of the radial evaluator along
-    ``resolution`` directions (default 256 per non-degenerate axis; at
-    least 1, and any count below the axes and subset diagonals samples
-    exactly those).
+    cloud itself, or a boundary sample of the radial evaluator along 256
+    directions per non-degenerate axis.  A ball bounded on every axis is
+    sampled at another size as the cloud of its squared boundary points,
+    ``cloud_indicatrix(ind.boundary_points(absolute_directions(k, count))
+    ** 2)``.
 
     A product (``Indicatrix.factors``) is sampled factor by factor, each
     on its own bounded axes, and its certificate points are the Cartesian
@@ -620,7 +619,6 @@ def wu_metric(
     program of the whole ball, without subset diagonals that span several
     factors.
     """
-    check_resolution(resolution)
     # a balanced Reinhardt ball's hull is unbounded exactly along its
     # unbounded axes, so the degenerate axes are read off the metadata
     bounded = ind.boundedness()
@@ -630,7 +628,7 @@ def wu_metric(
     if m == 0:
         zero = DiagonalHermitianForm(axes=(math.inf,) * n)
         return WuResult(w_tilde=zero, w=zero, m=0, v_axes=v_axes, gap=0.0, certificate_points=0)
-    pts = _product_sample(ind.factors or (ind,), resolution)
+    pts = _product_sample(ind.factors or (ind,))
     info = min_vol_simplex_info(SimplexProgram(points=pts, tolerance=tolerance))
     axes_tilde = [math.inf] * n
     for col, j in enumerate(u_axes):

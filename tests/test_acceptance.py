@@ -225,7 +225,7 @@ def test_criterion_8_golden_table():
         eta_hat = golden_eta_hat(case, value)
         spec = elem_reinhardt(case.alpha, case.big_c, case.declared)
         ind, u = metric_indicatrix(case.kind, spec, case.a, case.k)
-        res = wu_metric(ind, resolution=1024)
+        res = wu_metric(ind)
         if u is None:
             aligned = case.x_vec
         else:
@@ -244,7 +244,7 @@ def test_criterion_8_golden_table():
         "golden table",
         ok,
         f"12 cases: closed-form err {worst_value:.2e} (tol 1e-10), "
-        f"wu-vs-eta-hat err {worst_wu:.2e} (tol 1e-2 at resolution 1024), "
+        f"wu-vs-eta-hat err {worst_wu:.2e} (tol 1e-2), "
         f"collapsed rows exactly zero: {zero_rows_ok}",
     )
 

@@ -192,6 +192,27 @@ def test_eval_kappa_at_moduli_point(tmp_path):
     assert float(row["value"]) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_eval_list_value_starting_with_a_minus_sign(capsys):
+    # argparse reads "--alpha -1,-2" as two flags; "--alpha=-1,-2" is one
+    code = run_cli(
+        [
+            "eval",
+            "--domain", "elem_reinhardt",
+            "--kind", "kappa",
+            "--alpha=-1,-2",
+            "--point", "2,1.5",
+            "--vector", "1,1",
+        ]
+    )
+    assert code == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["value"] == "0.60945445269730181"  # golden rat_ln_kappa
+    with pytest.raises(SystemExit) as stop:
+        run_cli(["eval", "--domain", "elem_reinhardt", "--kind", "kappa", "--alpha", "-1,-2"])
+    assert stop.value.code == 2
+    assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
 def test_eval_wu_on_polydisc(tmp_path):
     out = tmp_path / "row.csv"
     assert (

@@ -41,6 +41,7 @@ from wumetric.domains import (
 )
 from wumetric.experiments import GOLDEN_CASES
 from wumetric.metrics import MultiIndex, elem_reinhardt_metric_info
+from wumetric import wu as wu_module
 from wumetric.wu import wu_metric
 
 
@@ -464,18 +465,23 @@ def _cli_balls():
     return balls
 
 
-def test_cli_balls_sample_the_same_at_every_resolution():
+def test_cli_balls_sample_the_same_at_every_resolution(monkeypatch):
     # a radial factor with one bounded axis is sampled along that axis
-    # alone whatever the resolution, and a cloud is its own sample: so no
-    # ball the CLI solves depends on the resolution, and neither
-    # subcommand has a setting for it
+    # alone whatever the direction count, and a cloud is its own sample:
+    # so no ball the CLI solves depends on the count, and neither
+    # subcommand nor wu_metric has a setting for it
     balls = _cli_balls()
     assert len(balls) == 16 + 2 * len(GOLDEN_CASES)
+    first = {}
     for label, ball in balls:
         for factor in ball.factors or (ball,):
             assert factor.cloud is not None or sum(factor.boundedness()) <= 1, label
-        first = wu_metric(ball)
-        for resolution in (1, 8, 70_000):
-            res = wu_metric(ball, resolution=resolution)
-            assert res.w_tilde.axes == first.w_tilde.axes, (label, resolution)
-            assert res.certificate_points == first.certificate_points, (label, resolution)
+        first[label] = wu_metric(ball)
+    for resolution in (1, 8, 70_000):
+        monkeypatch.setattr(
+            wu_module, "absolute_directions", lambda k, count: absolute_directions(k, resolution)
+        )
+        for label, ball in balls:
+            res = wu_metric(ball)
+            assert res.w_tilde.axes == first[label].w_tilde.axes, (label, resolution)
+            assert res.certificate_points == first[label].certificate_points, (label, resolution)

@@ -130,3 +130,34 @@ def test_library_entry_refuses_settings_the_experiment_does_not_read():
 def test_each_read_setting_is_checked(name, field, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_experiment(ExperimentConfig(experiment=name, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "name, factor, failing",
+    [
+        ("mu", 1.001, {("g2_usc", "usc"): 3, ("gn_usc", "usc"): 3}),
+        ("nu", 1.5, {("g2_usc", "certificate"): 3}),
+    ],
+)
+def test_registry_rows_catch_a_wrong_certificate_coordinate(monkeypatch, name, factor, failing):
+    # the usc rows check W against sqrt(2) / (1 - x^2) and the g2_usc
+    # certificate rows check the ratio against t^2 (1 - x)^2, both typed
+    # from x and t, so a wrong mu or nu in every module that reads it
+    # fails them; nu x 1.5 still passes gn_usc, whose rows check the
+    # ratio only against a closed form that reads the same nu
+    import wumetric.domains
+    import wumetric.experiments
+    import wumetric.metrics
+    import wumetric.wu
+
+    true = getattr(wumetric.metrics, name)
+    for module in (wumetric.metrics, wumetric.domains, wumetric.wu, wumetric.experiments):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda x: factor * true(x))
+    got = {}
+    for exp in EXPERIMENTS:
+        for row in run_experiment(ExperimentConfig(exp)):
+            if not row.ok:
+                key = (exp, row.data["kind"])
+                got[key] = got.get(key, 0) + 1
+    assert got == failing

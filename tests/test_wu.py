@@ -952,24 +952,6 @@ def test_wu_normalization_on_scaled_balls():
         assert res.w((1.0, 2.0, -2.0)) == pytest.approx(math.sqrt(3.0) * 3.0 / r, rel=1e-8)
 
 
-@pytest.mark.parametrize("resolution", [0, -5])
-def test_wu_rejects_resolution_below_one(resolution):
-    # 0 used to fall back to the default and a negative count to the axes
-    # and subset diagonals alone
-    inner = indicatrix_at(polydisc(1.0, 2.0), (0.0, 0.0)).inner
-    with pytest.raises(ValueError, match="resolution"):
-        wu_metric(inner, resolution=resolution)
-    with pytest.raises(ValueError, match="resolution"):
-        wu_metric(cloud_indicatrix([(1.0, 4.0)]), resolution=resolution)
-
-
-def test_wu_at_resolution_one_samples_axes_and_diagonals():
-    ball = radial_indicatrix(lambda d: 1.0, 2, (True,) * 2)
-    res = wu_metric(ball, resolution=1)
-    assert res.certificate_points == 3
-    assert res.w_tilde.axes == pytest.approx((1.0, 1.0), rel=1e-12)
-
-
 @pytest.mark.parametrize("n", range(3, 13))
 def test_factored_gn_origin_equals_the_unfactored_direct_solve(n):
     inner = indicatrix_at(gn(n), (0.0,) * n).inner
@@ -1017,7 +999,7 @@ def test_product_sample_rows_are_every_choice_in_row_major_order():
     a, b, c = [(1.0,), (2.0,)], [(3.0, 4.0)], [(5.0,), (6.0,), (7.0,)]
     plane = cloud_indicatrix([(9.0,)], bounded_axes=(False,))
     factors = (cloud_indicatrix(a), plane, cloud_indicatrix(b), cloud_indicatrix(c))
-    got = wu_module._product_sample(factors, None)
+    got = wu_module._product_sample(factors)
     # the unbounded factor adds no coordinate
     want = [sum(rows, ()) for rows in itertools.product(a, b, c)]
     assert got.tolist() == [list(row) for row in want]
@@ -1042,7 +1024,7 @@ def test_wu_on_convexified_gn_origin_certifies():
     # the hull of Delta x C x Delta is the cube on the bounded axes, and its
     # boundary sample must certify at the solver's gap tolerance
     hull = convexify(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner)
-    res = wu_metric(hull, resolution=200)
+    res = wu_metric(hull)
     assert res.m == 2
     assert res.v_axes == frozenset({1})
     assert res.gap <= 1e-10
