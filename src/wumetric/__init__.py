@@ -32,8 +32,6 @@ from .domains import (
     membership,
     metric_indicatrix,
     polydisc,
-    spec_from_config,
-    spec_to_config,
     synthetic_rem_one,
     synthetic_rem_two,
     truncated_gn,
@@ -69,7 +67,6 @@ from .metrics import (
 from .wu import (
     ContradictionReport,
     DegenerateAxisError,
-    InfeasibleProgramError,
     SimplexProgram,
     SolveInfo,
     SolverError,

@@ -18,7 +18,13 @@ import os
 import sys
 from typing import IO, Sequence
 
-from .domains import DomainSpec, frame_coordinates, indicatrix_at, spec_from_config, spec_to_config
+from .domains import (
+    DOMAIN_SETTINGS,
+    DomainSpec,
+    frame_coordinates,
+    indicatrix_at,
+    spec_from_settings,
+)
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -179,14 +185,6 @@ def _list(cast):
     return parse
 
 
-def _checked(parse):
-    """The text itself once parse accepts it: ``spec_from_config`` reads text."""
-    def check(text: str) -> str:
-        parse(text)
-        return text
-    return check
-
-
 def _declared_type(text: str) -> str:
     if text not in ("rational", "irrational"):
         raise ValueError("expected rational or irrational")
@@ -201,19 +199,17 @@ RUN_SETTINGS = (
     ("tol", "solver/comparison tolerance", float),
     ("out", "CSV output path (default: stdout)", str),
 )
-# the domain keys of [eval] are handed to spec_from_config
-_DOMAIN_KEYS = ("domain", "alpha", "big_c", "type", "r", "n", "m")
 EVAL_SETTINGS = (
     ("domain", "elem_reinhardt|polydisc|g2|gn|truncated_gn", str),
     ("kind", "gamma|gamma_k|azukawa|kappa|wu", str),
     ("point", "comma-separated complex coordinates", _list(complex)),
     ("vector", "comma-separated complex direction", _list(complex)),
-    ("alpha", "exponent vector (elem_reinhardt)", _checked(_list(float))),
-    ("big_c", "domain constant C", _checked(float)),
+    ("alpha", "exponent vector (elem_reinhardt)", _list(float)),
+    ("big_c", "domain constant C", float),
     ("type", "rational|irrational: override exponent type detection", _declared_type),
-    ("r", "polydisc radii, comma-separated", _checked(_list(float))),
-    ("n", "dimension (gn, truncated_gn)", _checked(int)),
-    ("m", "truncation level (truncated_gn)", _checked(float)),
+    ("r", "polydisc radii, comma-separated", _list(float)),
+    ("n", "dimension (gn, truncated_gn)", int),
+    ("m", "truncation level (truncated_gn)", float),
     ("k", "order for kind gamma_k", int),
     ("tol", "solver tolerance", float),
     ("out", "CSV output path (default: stdout)", str),
@@ -338,16 +334,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for key in ("domain", "kind", "point", "vector"):
         if key not in settings:
             raise ConfigError(f"{key}: required for eval")
-    domain_cfg = {key: settings[key] for key in _DOMAIN_KEYS if key in settings}
     try:
-        spec = spec_from_config(domain_cfg)
-    except KeyError as exc:  # a decoder indexes the config by setting
+        spec = spec_from_settings(settings["domain"], settings)
+    except KeyError as exc:  # a family's builder indexes the settings by name
         raise ConfigError(
             f"{_dashed(exc.args[0])}: required for domain {settings['domain']!r}"
         ) from exc
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
-    stray = sorted(set(domain_cfg) - set(spec_to_config(spec)))
+    # a setting that only other families read
+    stray = sorted(
+        key for keys in DOMAIN_SETTINGS.values() for key in keys
+        if key in settings and key not in DOMAIN_SETTINGS[spec.variant]
+    )
     if stray:
         raise ConfigError(f"{_dashed(stray[0])}: not a setting of domain {spec.variant!r}")
     _check_out(settings.get("out"))

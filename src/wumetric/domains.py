@@ -8,7 +8,7 @@ of complete Reinhardt pseudoconvex domains) and a functional-theoretic
 outside (Caratheodory-side bound).
 
 Supported families, one ``_FAMILIES`` entry each (defining inequality,
-sandwich builder, config encoder and decoder):
+sandwich builder, the settings it reads and its builder from them):
 
   * polydisc(r_1, ..., r_n);
   * g2 = {|z_1| (1 + |z_2|) < 1} and gn = g2 x Delta^(n-2), the unbounded
@@ -373,70 +373,47 @@ def synthetic_rem_two(n: int = 3) -> tuple[Indicatrix, Indicatrix]:
 
 
 # ---------------------------------------------------------------------------
-# config-format serialization (see cli module for the file format)
-
-def spec_to_config(spec: DomainSpec) -> dict[str, str]:
-    return {"domain": spec.variant, **_FAMILIES[spec.variant].encode(spec)}
-
-
-def spec_from_config(cfg: Mapping[str, str]) -> DomainSpec:
-    return _family(cfg.get("domain", "").strip()).decode(cfg)
-
-
-def _elem_to_config(spec: DomainSpec) -> dict[str, str]:
-    out = {"alpha": ",".join(repr(x) for x in spec.alpha), "big_c": repr(spec.big_c)}
-    if spec.declared_type:
-        out["type"] = spec.declared_type
-    return out
-
-
-def _elem_from_config(cfg: Mapping[str, str]) -> DomainSpec:
-    alpha = [float(x) for x in cfg["alpha"].split(",")]
-    return elem_reinhardt(alpha, float(cfg.get("big_c", "0")), cfg.get("type") or None)
-
-
-# ---------------------------------------------------------------------------
 # the family table: a new domain family is one entry plus its constructor
 
 
 @dataclass(frozen=True)
 class _Family:
     """Defining inequality (on a point of the domain's dimension), sandwich
-    builder at a base point, and config encoder (keys besides ``domain``)
-    and decoder."""
+    builder at a base point, the settings the family reads besides
+    ``domain``, and its builder from their parsed values, which indexes
+    the values by setting name."""
 
     inside: Callable[[DomainSpec, CVector], bool]
     sandwich: Callable[[DomainSpec, CVector], SandwichIndicatrix]
-    encode: Callable[[DomainSpec], dict[str, str]]
-    decode: Callable[[Mapping[str, str]], DomainSpec]
+    settings: tuple[str, ...]
+    build: Callable[[Mapping[str, object]], DomainSpec]
 
 
 _FAMILIES: dict[str, _Family] = {
     "elem_reinhardt": _Family(
         lambda spec, z: membership_elem_reinhardt(spec.alpha, spec.big_c, z),
         _elem_sandwich,
-        _elem_to_config,
-        _elem_from_config,
+        ("alpha", "big_c", "type"),
+        lambda v: elem_reinhardt(v["alpha"], v.get("big_c", 0.0), v.get("type")),
     ),
     "polydisc": _Family(
         lambda spec, z: all(abs(c) < r for c, r in zip(z, spec.radii)),
         _polydisc_sandwich,
-        lambda spec: {"r": ",".join(repr(x) for x in spec.radii)},
-        lambda cfg: polydisc(*(float(x) for x in cfg["r"].split(","))),
+        ("r",),
+        lambda v: polydisc(*v["r"]),
     ),
-    "g2": _Family(_in_gn, _gn_sandwich, lambda spec: {}, lambda cfg: g2()),
-    "gn": _Family(
-        _in_gn,
-        _gn_sandwich,
-        lambda spec: {"n": str(spec.n)},
-        lambda cfg: gn(int(cfg["n"])),
-    ),
+    "g2": _Family(_in_gn, _gn_sandwich, (), lambda v: g2()),
+    "gn": _Family(_in_gn, _gn_sandwich, ("n",), lambda v: gn(v["n"])),
     "truncated_gn": _Family(
         _in_truncated_gn,
         _truncated_gn_sandwich,
-        lambda spec: {"n": str(spec.n), "m": repr(spec.m)},
-        lambda cfg: truncated_gn(int(cfg["n"]), float(cfg["m"])),
+        ("n", "m"),
+        lambda v: truncated_gn(v["n"], v["m"]),
     ),
+}
+# the settings each family reads besides ``domain``
+DOMAIN_SETTINGS: dict[str, tuple[str, ...]] = {
+    name: family.settings for name, family in _FAMILIES.items()
 }
 
 
@@ -446,3 +423,11 @@ def _family(variant: str) -> _Family:
             f"unknown domain {variant!r}; expected one of {', '.join(_FAMILIES)}"
         )
     return _FAMILIES[variant]
+
+
+def spec_from_settings(variant: str, values: Mapping[str, object]) -> DomainSpec:
+    """The spec of domain ``variant`` from parsed setting values: alpha and
+    r tuples of floats, big_c and m floats, n an int, type a string.  Only
+    the family's own settings (``DOMAIN_SETTINGS``) are read; a missing one
+    that it needs raises ``KeyError`` with the setting's name."""
+    return _family(variant).build(values)

@@ -10,10 +10,10 @@ program
 
 whose Lagrange dual is a diagonal D-optimal design problem over weights w
 on the points: maximize sum_j log (U^T w)_j on the probability simplex.
-The solver is a primal-dual interior-point Newton method on the n_f
-primal variables, run on a working set of points that grows until the
-normalized multipliers w certify optimality over every point through the
-duality gap n_f * log(max_i score_i / n_f), score_i = sum_j u_ij / (U^T w)_j.
+The solver is a primal-dual interior-point Newton method on the n primal
+variables, run on a working set of points that grows until the normalized
+multipliers w certify optimality over every point through the duality gap
+n * log(max_i score_i / n), score_i = sum_j u_ij / (U^T w)_j.
 Each step aims at the centring target sigma * s.lam / m_w, with sigma =
 CENTERING after a damped step and CENTERING**2 after a full one, so a solve
 that takes full steps closes the gap by about two decades a step, not one.
@@ -23,22 +23,18 @@ solve passes over the whole cloud at most twice per working set, not once
 per step.  Points are kept column-major, which makes every per-axis
 reduction and the pricing one contiguous sweep.
 
-Small programs are solved without it.  One free axis and one point have
-closed forms, and two points, such as the pinned program behind the gn
-certificate, are solved on their dual, which is concave in one weight w:
-an endpoint, or the root of its derivative found by scalar Newton steps
-safeguarded by bisection.
+Small programs are solved without it.  One axis and one point have closed
+forms, and two points, such as the program behind the gn certificate, are
+solved on their dual, which is concave in one weight w: an endpoint, or
+the root of its derivative found by scalar Newton steps safeguarded by
+bisection.
 
 Each fact about a large cloud is read once and handed down: the column
 maxima come from the program's validation pass (``SimplexProgram.
 column_max``), the column-normalized masses, which say which points have
-free mass and which are heaviest, from one pass in the reduction, and the
+mass and which are heaviest, from one pass in the reduction, and the
 maximum of <u_i, b> that rescales the returned b to contain every point
 from the pricing that returned it.
-
-Axes may be fixed (intercept pinned, e.g. by an a-priori inclusion).
-Fixing reduces to a free-axes program of the same shape via
-u~_i = u_i,free / rho_i with rho_i = 1 - <u_i,fixed part>.
 
 ``wu_metric`` splits off the degenerate axes of an indicatrix, samples its
 certificate points on the rest (a product ball factor by factor) and
@@ -52,7 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +62,7 @@ from .metrics import mu, nu
 
 DEFAULT_SOLVER_TOL = 1e-10
 # Interior-point constants: centring parameter, fraction-to-boundary step,
-# working-set points per free axis, and the Newton step budget.
+# working-set points per axis, and the Newton step budget.
 CENTERING = 0.1
 TO_BOUNDARY = 0.99
 WORK_PER_AXIS = 20
@@ -74,10 +70,6 @@ MAX_NEWTON_STEPS = 200
 # Rows per block of the column-major copy of the points: a block of source
 # and copy stays in cache, where one C-to-F copy strides through memory.
 COPY_BLOCK_ROWS = 4096
-
-
-class InfeasibleProgramError(ValueError):
-    """Fixed intercepts exclude one of the points."""
 
 
 class DegenerateAxisError(ValueError):
@@ -96,14 +88,13 @@ class SimplexProgram:
 
     points: Psi-points to enclose, kept as a read-only (m, n) float array
     copied from the input in column-major (Fortran) order, so ``points.T``
-    is a contiguous (n, m) view; fixed: axis -> pinned intercept;
-    tolerance: duality-gap certificate threshold.
+    is a contiguous (n, m) view; tolerance: duality-gap certificate
+    threshold.
     column_max: the read-only (n,) column maxima of the points, kept from
     the validation pass so the reduction does not read the points again.
     """
 
     points: np.ndarray
-    fixed: tuple[tuple[int, float], ...] = ()
     tolerance: float = DEFAULT_SOLVER_TOL
     column_max: np.ndarray = field(init=False, repr=False)
 
@@ -135,13 +126,6 @@ class SimplexProgram:
         top.flags.writeable = False
         object.__setattr__(self, "points", u)
         object.__setattr__(self, "column_max", top)
-        fixed = tuple(sorted((int(j), float(v)) for j, v in dict(self.fixed).items()))
-        for j, v in fixed:
-            if not 0 <= j < n:
-                raise ValueError(f"fixed axis {j} out of range")
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("fixed intercepts must be positive and finite")
-        object.__setattr__(self, "fixed", fixed)
 
     @property
     def dim(self) -> int:
@@ -149,15 +133,9 @@ class SimplexProgram:
 
 
 def simplex_program(
-    points: Sequence[Sequence[float]],
-    fixed: Mapping[int, float] | None = None,
-    tolerance: float = DEFAULT_SOLVER_TOL,
+    points: Sequence[Sequence[float]], tolerance: float = DEFAULT_SOLVER_TOL
 ) -> SimplexProgram:
-    return SimplexProgram(
-        points=points,
-        fixed=tuple((fixed or {}).items()),
-        tolerance=tolerance,
-    )
+    return SimplexProgram(points=points, tolerance=tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +143,8 @@ class SolveInfo:
     """Certified optimum: the duality gap, the interior-point Newton steps
     taken (0 for the closed forms and the two-point dual) and the dual
     weights, a read-only float array with one entry per input point.
-    Points with no mass on the free axes weigh 0; the weights sum to 1
-    unless no axis is free."""
+    Points with no mass (every coordinate 0) weigh 0; the weights sum to
+    1."""
 
     params: SimplexParams
     gap: float
@@ -190,102 +168,56 @@ def _column_shifts(tops: list[float]) -> list[int] | None:
 
 def _reduce(
     prog: SimplexProgram,
-) -> tuple[
-    np.ndarray, list[int], dict[int, float], np.ndarray, np.ndarray, np.ndarray, list[int] | None
-]:
-    """Scale out fixed axes; returns (reduced matrix, free axes, fixed map,
-    mask of the points kept as rows of the reduced matrix, column maxima
-    and column-normalized masses of the reduced rows, exponent shifts of
-    the free columns or None).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int] | None]:
+    """Returns (reduced matrix, mask of the points kept as its rows, column
+    maxima and column-normalized masses of its rows, exponent shifts of the
+    columns or None).
 
-    Points with no mass on the free axes are dropped.  With no fixed axis
-    and free mass on every point the reduced matrix is the points' free
-    columns as they are, column-major like the points.  Dead axes come
-    from the program's column maxima; one pass over the rows gives the
-    masses sum_j u_ij / max_i u_ij, which say which points have free mass
-    and which are heaviest.  Fixed axes rescale the rows, so there the
-    maxima and masses are taken again from the reduced rows.
+    Points with no mass are dropped; with mass on every point the reduced
+    matrix is the points as they are, column-major.  Dead axes come from
+    the program's column maxima; one pass over the rows gives the masses
+    sum_j u_ij / max_i u_ij, which say which points have mass and which
+    are heaviest.
 
-    A free column whose maximum t is subnormal, or so large that k t
-    passes 2**1022 (k free axes), would overflow 1 / t in the masses or
-    the solver's b = 1 / (k U^T w).  Such a column is scaled by the exact
-    power of two 2**shift that brings t into [1/2, 1) before the mass
-    pass; ``_assemble`` scales its intercept back.  When every maximum is
-    in range, shift is None and no pass is added.
+    A column whose maximum t is subnormal, or so large that k t passes
+    2**1022 (k axes), would overflow 1 / t in the masses or the solver's
+    b = 1 / (k U^T w).  Such a column is scaled by the exact power of two
+    2**shift that brings t into [1/2, 1) before the mass pass;
+    ``_assemble`` scales its intercept back.  When every maximum is in
+    range, shift is None and no pass is added.
     """
-    n = prog.dim
-    fixed = dict(prog.fixed)
-    free = [j for j in range(n) if j not in fixed]
-    u, top = prog.points, prog.column_max
-    reduced = u
-    if len(free) < n:
-        reduced, top = u[:, free], top[free]
+    reduced, top = prog.points, prog.column_max
     tops = top.tolist()
-    dead = [j for j, t in zip(free, tops) if not t > 0.0]
-    shift = _column_shifts(tops) if free else None
+    dead = [j for j, t in enumerate(tops) if not t > 0.0]
+    if dead:
+        raise DegenerateAxisError(f"no point mass on axes {dead}: volume infimum 0 is not attained")
+    shift = _column_shifts(tops)
     if shift is not None:
         # exact for the maxima; only an entry scaled down into the subnormal
         # range can round
         reduced, top = np.ldexp(reduced, shift), np.ldexp(top, shift)
-    # a dead column is all zeros and adds nothing to any mass
-    mass = reduced @ np.divide(1.0, top, out=np.zeros(len(free)), where=top > 0.0)
+    mass = reduced @ (1.0 / top)
     keep = mass > 0.0
-    if fixed:
-        rho = np.ones(len(u))
-        for j, aj in fixed.items():
-            rho -= u[:, j] / aj
-        # rho >= 0 with no free mass: point already enclosed, constraint void
-        violated = rho < -1e-12
-        bad = np.nonzero(violated | (keep & (rho <= 0.0)))[0]
-        if bad.size:
-            i = int(bad[0])
-            if violated[i]:
-                raise InfeasibleProgramError(
-                    f"point {i} violates the fixed intercepts (slack {rho[i]:.3e})"
-                )
-            raise InfeasibleProgramError(
-                f"point {i} saturates the fixed intercepts with free mass left"
-            )
-        reduced = reduced[keep] / rho[keep, None]
-    elif not keep.all():
+    if not keep.all():
         reduced, mass = reduced[keep], mass[keep]
-    if free:
-        # entries are nonnegative: no point has free mass iff every column is dead
-        if len(dead) == len(free):
-            raise DegenerateAxisError(
-                f"no point mass on free axes {free}: volume infimum 0 is not attained"
-            )
-        if dead:
-            raise DegenerateAxisError(
-                f"no point mass on axes {dead}: volume infimum 0 is not attained"
-            )
-        if fixed:
-            top = reduced.max(axis=0)
-            mass = reduced @ (1.0 / top)
-    return reduced, free, fixed, keep, top, mass, shift
+    return reduced, keep, top, mass, shift
 
 
 def _assemble(
     prog: SimplexProgram,
-    free: list[int],
-    fixed: dict[int, float],
-    a_free: np.ndarray,
+    a: np.ndarray,
     shift: list[int] | None = None,
     gap: float = math.nan,
 ) -> SimplexParams:
-    """Intercepts of the whole program from those of the free axes, which
+    """Intercepts of the program from those of the reduced matrix, which
     ``_reduce`` may have scaled by 2**shift: each is scaled back, rounded
     outward so containment holds.  One beyond the float range raises
     ``SolverError`` (reporting ``gap``) rather than read as degenerate."""
-    a = [math.inf] * prog.dim
-    for j, v in fixed.items():
-        a[j] = v
-    for col, j in enumerate(free):
-        a[j] = float(a_free[col])
-        s = shift[col] if shift is not None else 0
+    out = a.tolist()
+    for j, s in enumerate(shift or ()):
         if s:
             try:
-                back = math.ldexp(a[j], -s)
+                back = math.ldexp(out[j], -s)
             except OverflowError:
                 raise SolverError(
                     f"intercept on axis {j} is beyond the float range "
@@ -293,8 +225,8 @@ def _assemble(
                     gap,
                 ) from None
             # scaling a subnormal result up again is exact
-            a[j] = back if math.ldexp(back, s) >= a[j] else math.nextafter(back, math.inf)
-    return SimplexParams(intercepts=tuple(a))
+            out[j] = back if math.ldexp(back, s) >= out[j] else math.nextafter(back, math.inf)
+    return SimplexParams(intercepts=tuple(out))
 
 
 def _priced_gap(k: int, reach: float) -> float:
@@ -378,8 +310,8 @@ def _solve_reduced(
 
     ``top`` (u's column maxima) and ``mass`` (its row masses
     sum_j u_ij / top_j) come from ``_reduce``, which takes the maxima from
-    the program's validation pass, or from the reduced rows when fixed
-    axes rescale them, and the masses from its one pass over the rows.
+    the program's validation pass and the masses from its one pass over
+    the rows.
     The method runs on a working set: the WORK_PER_AXIS * k points of
     largest mass and each column's maximum, found by one scan of each
     column (contiguous for column-major u).  Only the working set is
@@ -488,30 +420,26 @@ def _solve_reduced(
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
-    """Solve the program with a duality-gap certificate.  One free axis has
-    the closed form a = max_i u_i, one point u on k free axes the closed
-    form a = k u; both have gap 0 and all weight on one point.  Two points
-    on k >= 2 free axes are solved on their one-weight dual
-    (``_solve_two_points``), more points by the interior-point method.
+    """Solve the program with a duality-gap certificate.  One axis has the
+    closed form a = max_i u_i, one point u on k axes the closed form
+    a = k u; both have gap 0 and all weight on one point.  Two points on
+    k >= 2 axes are solved on their one-weight dual (``_solve_two_points``),
+    more points by the interior-point method.
 
     Columns with subnormal or huge maxima are solved scaled by a power of
     two (``_reduce``).  An intercept beyond the float range raises
-    ``SolverError`` naming its axis: an infinite intercept on a free axis
-    would read as a degenerate axis."""
-    reduced, free, fixed, keep, top, mass, shift = _reduce(prog)
-    if not free:
-        params = _assemble(prog, free, fixed, np.zeros(0))
-        w = np.zeros(len(keep))
-        w.flags.writeable = False
-        return SolveInfo(params=params, gap=0.0, iterations=0, weights=w)
-    if len(free) == 1 or len(reduced) == 1:
+    ``SolverError`` naming its axis: an infinite intercept would read as a
+    degenerate axis."""
+    reduced, keep, top, mass, shift = _reduce(prog)
+    k = reduced.shape[1]
+    if k == 1 or len(reduced) == 1:
         # closed forms certified by all weight on one point, so the gap is
-        # 0: one free axis gives a = max u (every score u_i / max u is at
-        # most 1), one point u gives a = k u (its score is k)
+        # 0: one axis gives a = max u (every score u_i / max u is at most
+        # 1), one point u gives a = k u (its score is k)
         i = int(np.argmax(reduced[:, 0]))
         w = np.zeros(len(reduced))
         w[i] = 1.0
-        a, gap, iters = len(free) * reduced[i], 0.0, 0
+        a, gap, iters = k * reduced[i], 0.0, 0
     else:
         if len(reduced) == 2:
             b, w, gap, reach = _solve_two_points(reduced, prog.tolerance, top)
@@ -523,7 +451,7 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         if reach > 1.0:
             b = b / reach
         a = 1.0 / b
-    params = _assemble(prog, free, fixed, a, shift, gap)
+    params = _assemble(prog, a, shift, gap)
     if not keep.all():
         w, kept = np.zeros(len(keep)), w
         w[keep] = kept
@@ -754,10 +682,14 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
     certificate on G2 = {|z1|(1 + |z2|) < 1}: a pin s^2 with s > 1 gives
     the ratio s^2 (1-x)^2.
 
-    The solver's optimum must match ``gn_constrained_optimum`` in volume
-    to 1e-9 relative, or ``SolverError`` is raised.  ratio is the solver's
-    volume ratio against the reference and decides ``certified``;
-    ratio_bound is the closed-form optimum's, in both regimes.
+    The pin leaves the first point the slack rho = 1 - mu/t on the other
+    n - 1 axes, so the pinned program is the plain program on the points
+    (0, 1/rho, ..., 1/rho) and (nu, 1, ..., 1) there; its intercepts
+    follow t.  The solver's optimum must match ``gn_constrained_optimum``
+    in volume to 1e-11 relative, or ``SolverError`` is raised (measured at
+    most 5.1e-13 for n up to 200).  ratio is the solver's volume ratio
+    against the reference and decides ``certified``; ratio_bound is the
+    closed-form optimum's, in both regimes.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValueError("integer n >= 2 required")
@@ -765,13 +697,15 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
         raise ValueError("x in (0, 1) required")
     if t <= n / 2.0:
         raise ValueError("t > n/2 required for the monotone volume bound")
-    p = (mu(x), 0.0) + (1.0,) * (n - 2)
-    q = (0.0, nu(x)) + (1.0,) * (n - 2)
-    prog = SimplexProgram(points=(p, q), fixed=((0, t),))
-    params = min_vol_simplex(prog)
-    optimum = gn_constrained_optimum(n, x, t)
+    mu_x, nu_x = mu(x), nu(x)
+    rho = 1.0 - mu_x / t
+    p = (0.0,) + (1.0 / rho,) * (n - 2)
+    q = (nu_x,) + (1.0,) * (n - 2)
+    free = min_vol_simplex(SimplexProgram(points=(p, q)))
+    params = SimplexParams(intercepts=(t,) + free.intercepts)
+    optimum = _pinned_optimum(n, mu_x, nu_x, t)
     off = _volume_ratio(params.intercepts, optimum) - 1.0
-    if abs(off) > 1e-9:
+    if abs(off) > 1e-11:
         raise SolverError(
             f"constrained volume is {off:+.3e} relative off its closed form", gap=abs(off)
         )

@@ -218,25 +218,23 @@ def hull_radius_lp(
 
 
 def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> SimplexParams:
-    """Grid-search reference solver (free dimension <= 3).
+    """Grid-search reference solver (dimension <= 3).
 
-    Scans the optimality box a_j in [max_i u_ij, n_f * max_i u_ij] over all
-    free axes but the last, whose intercept has the closed form
+    Scans the optimality box a_j in [max_i u_ij, k * max_i u_ij] over all
+    axes but the last, whose intercept has the closed form
     max_i u_i,last / (1 - sum_{j<last} u_ij / a_j); three shrinking local
     refinement passes of 41 cells per axis follow the coarse scan.  Each
     scan takes the grid of leading intercepts as an open mesh (``np.ix_``)
     and builds the slack 1 - sum_j u_ij / a_j from one broadcast term per
     leading axis over a trailing point axis, so no meshgrid or stacked
-    copy of the grid is made.  One free axis returns a = max_i u_i.
+    copy of the grid is made.  One axis returns a = max_i u_i.
     """
-    reduced, free, fixed, _, lo, _, shift = _reduce(prog)
-    k = len(free)
-    if k == 0:
-        return _assemble(prog, free, fixed, np.zeros(0))
+    reduced, _, lo, _, shift = _reduce(prog)
+    k = reduced.shape[1]
     if k > 3:
-        raise ValueError("bruteforce reference handles at most 3 free axes")
+        raise ValueError("bruteforce reference handles at most 3 axes")
     if k == 1:
-        return _assemble(prog, free, fixed, lo, shift)
+        return _assemble(prog, lo, shift)
 
     def volumes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k-1, cells) leading intercepts -> volumes and last intercepts
@@ -275,7 +273,7 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     a = np.empty(k)
     a[:-1] = pt
     a[-1] = volumes(pt[:, None])[1].item()
-    return _assemble(prog, free, fixed, a, shift)
+    return _assemble(prog, a, shift)
 
 
 def sandwich_ok(sandwich, tol: float = 1e-12, samples: int = 64) -> bool:

@@ -28,7 +28,7 @@ from wumetric.experiments import (
     polydisc_cases,
     run_experiment,
 )
-from wumetric.geometry import simplex_volume
+from wumetric.geometry import SimplexParams, simplex_volume
 from wumetric.metrics import MultiIndex, elem_reinhardt_metric_info
 from wumetric.wu import (
     certify_contradiction_gn,
@@ -82,7 +82,8 @@ def test_criterion_2_constrained_closed_form():
     # pinned two-point program versus its exact optimum in both regimes:
     # the fully active stationary point (a1, nu a1 / mu, (n-2) a1 / (a1 - mu))
     # while a1 <= (n-1) mu, and (a1, (n-1) nu, n-1) with the first
-    # constraint slack beyond; grid oracle alongside
+    # constraint slack beyond; grid oracle alongside, on the program the pin
+    # leaves: (0, 1/rho) and (nu, 1) on the last two axes, rho = 1 - mu/a1
     n = 3
     worst_closed = 0.0
     worst_oracle = 0.0
@@ -90,13 +91,12 @@ def test_criterion_2_constrained_closed_form():
     for x, a1 in itertools.product((0.3, 0.1, 0.05), (2.0, 3.0)):
         mu = (1.0 - x * x) ** 2
         nu = (1.0 / x - 1.0) ** 2
-        points = [(mu, 0.0, 1.0), (0.0, nu, 1.0)]
         closed = gn_constrained_optimum(n, x, a1)
-        prog = simplex_program(points, fixed={0: a1})
-        solved = min_vol_simplex(prog)
+        solved = certify_contradiction_gn(n, x, a1).constrained
         for got, want in zip(solved.intercepts, closed):
             worst_closed = max(worst_closed, _rel(got, want))
-        brute = min_vol_simplex_bruteforce(prog, grid=301)
+        reduced = simplex_program([(0.0, 1.0 / (1.0 - mu / a1)), (nu, 1.0)])
+        brute = SimplexParams((a1,) + min_vol_simplex_bruteforce(reduced, grid=301).intercepts)
         gap = abs(simplex_volume(brute) - simplex_volume(solved))
         worst_oracle = max(worst_oracle, gap / simplex_volume(solved))
         regimes.append("active" if a1 <= (n - 1) * mu else "slack")

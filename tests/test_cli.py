@@ -596,6 +596,25 @@ def test_an_existing_out_file_is_overwritten_by_the_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"domain": "elem_reinhardt", "alpha": "1,2", "kind": "gamma", "point": "0.5,0.3"},
+         "alpha"),
+        ({"domain": "polydisc", "r": "1,2", "kind": "wu", "point": "0,0"}, "r"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flags", "ini"])
+def test_eval_domain_list_takes_a_trailing_comma(tmp_path, capsys, source, settings, key):
+    # each domain setting is parsed once, by the parser --point uses too
+    settings = {**settings, "vector": "1,1"}
+    rows = []
+    for text in (settings[key], settings[key] + ","):
+        assert run_cli(eval_argv(tmp_path, source, {**settings, key: text})) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize(
     "settings, missing",
     [
         ({"domain": "gn"}, "n"),

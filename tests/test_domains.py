@@ -31,9 +31,9 @@ from wumetric.domains import (
     indicatrix_at,
     membership,
     metric_indicatrix,
+    DOMAIN_SETTINGS,
     polydisc,
-    spec_from_config,
-    spec_to_config,
+    spec_from_settings,
     synthetic_rem_one,
     synthetic_rem_two,
     truncated_gn,
@@ -270,18 +270,22 @@ def test_config_round_trip():
         elem_reinhardt((-1.0, -2.0)),
     ]
     for spec in specs:
-        cfg = spec_to_config(spec)
-        assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.items())
-        back = spec_from_config(cfg)
-        assert back == spec, spec.variant
-    assert {spec.variant for spec in specs} == set(domains._FAMILIES)
+        # each field as its setting parses it; the other fields' settings too,
+        # which the family must not read
+        fields = {"alpha": spec.alpha, "big_c": spec.big_c, "type": spec.declared_type,
+                  "r": spec.radii, "n": spec.n, "m": spec.m}
+        values = {key: v for key, v in fields.items() if v is not None}
+        assert spec_from_settings(spec.variant, values) == spec, spec.variant
+        own = {key: values[key] for key in DOMAIN_SETTINGS[spec.variant] if key in values}
+        assert spec_from_settings(spec.variant, own) == spec, spec.variant
+    assert {spec.variant for spec in specs} == set(domains._FAMILIES) == set(DOMAIN_SETTINGS)
 
 
 def test_config_rejects_garbage():
-    with pytest.raises((ValueError, KeyError)):
-        spec_from_config({"domain": "dodecahedron"})
-    with pytest.raises((ValueError, KeyError)):
-        spec_from_config({"domain": "polydisc"})  # radii missing
+    with pytest.raises(ValueError, match="unknown domain 'dodecahedron'"):
+        spec_from_settings("dodecahedron", {})
+    with pytest.raises(KeyError, match="'r'"):
+        spec_from_settings("polydisc", {"n": 3})  # radii missing
 
 
 def test_metric_indicatrix_honours_declared_type():

@@ -1,9 +1,10 @@
 """Minimal-volume enclosing simplex solver and the Wu construction.
 
 Solver results are checked four ways: against closed forms (box corners,
-pinned two-point programs in both active and slack regimes), against the
-exhaustive grid reference, against the convex-programming invariants
-(containment, permutation equivariance, exact scaling), and against
+the gn certificate's two-point program, its pin scaled out, in both
+active and slack regimes), against the exhaustive grid reference,
+against the convex-programming invariants (containment, permutation
+equivariance, exact scaling), and against
 planted optima of adversarial programs (near-duplicate and dominated
 points, axis scales from 1e-12 to 1e12, single-axis mass).
 """
@@ -38,7 +39,6 @@ from wumetric.geometry import SimplexParams, simplex_volume
 from wumetric import wu as wu_module
 from wumetric.wu import (
     DegenerateAxisError,
-    InfeasibleProgramError,
     SimplexProgram,
     SolverError,
     certify_contradiction_gn,
@@ -56,6 +56,27 @@ TOL = 1e-10
 
 def solve(points, **kw):
     return min_vol_simplex(simplex_program(points, **kw)).intercepts
+
+
+def two_point_program(n, x):
+    mu = (1.0 - x * x) ** 2
+    nu = (1.0 / x - 1.0) ** 2
+    p1 = (mu, 0.0) + (1.0,) * (n - 2)
+    p2 = (0.0, nu) + (1.0,) * (n - 2)
+    return simplex_program([p1, p2]), mu, nu
+
+
+def pinned_two_point_program(n, x, t):
+    """The certificate's program with its first intercept pinned to t,
+    scaled to the plain program on the other n - 1 axes: a simplex
+    through (t, a_2, ..., a_n) contains (mu, 0, 1, ..., 1) iff T_(a_2..a_n)
+    contains (0, 1, ..., 1) / (1 - mu/t)."""
+    mu = (1.0 - x * x) ** 2
+    nu = (1.0 / x - 1.0) ** 2
+    rho = 1.0 - mu / t
+    p1 = (0.0,) + (1.0 / rho,) * (n - 2)
+    p2 = (nu,) + (1.0,) * (n - 2)
+    return simplex_program([p1, p2]), mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -84,26 +105,32 @@ def test_one_free_axis_is_the_largest_coordinate_exactly():
 
 
 def test_one_free_axis_beside_a_fixed_one():
-    # the free column is scaled by the fixed axis' slack; the point with no
-    # free mass weighs 0
-    info = min_vol_simplex_info(
-        simplex_program([(1.0, 0.5), (2.0, 0.0), (0.0, 0.25)], fixed={0: 4.0})
-    )
-    assert info.params.intercepts == (4.0, 0.5 / 0.75)
-    assert info.weights.tolist() == [1.0, 0.0, 0.0]
-    assert (info.iterations, info.gap) == (0, 0.0)
+    # the n = 2 certificate: with a_1 pinned, (mu, 0) has no mass left on
+    # the free axis and weighs 0, and the closed form gives a_2 = nu
+    for x, t in [(0.3, 1.21), (0.01, 4.0)]:
+        prog, _, nu = pinned_two_point_program(2, x, t)
+        info = min_vol_simplex_info(prog)
+        assert info.params.intercepts == (nu,)
+        assert info.weights.tolist() == [0.0, 1.0]
+        assert (info.iterations, info.gap) == (0, 0.0)
+        assert certify_contradiction_gn(2, x, t).constrained.intercepts == (t, nu)
+    # zero rows among others weigh 0 too
+    info = min_vol_simplex_info(simplex_program([(0.0,), (0.5,), (0.0,), (0.25,)]))
+    assert info.params.intercepts == (0.5,)
+    assert info.weights.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_one_point_is_k_times_the_point_exactly():
     # a = k u in closed form, certified by all weight on the point (its score
-    # is k); a fixed axis rescales the point first
+    # is k); the point with no mass beside it weighs 0
     u = (0.2, 0.57, 0.94)
     info = min_vol_simplex_info(simplex_program([u]))
     assert info.params.intercepts == tuple(3 * c for c in u)
     assert (info.iterations, info.gap) == (0, 0.0)
     assert info.weights.tolist() == [1.0]
-    info = min_vol_simplex_info(simplex_program([(1.0, 0.5, 0.25)], fixed={0: 4.0}))
-    assert info.params.intercepts == (4.0, 2 * 0.5 / 0.75, 2 * 0.25 / 0.75)
+    info = min_vol_simplex_info(simplex_program([(0.0, 0.0), (0.5, 0.25)]))
+    assert info.params.intercepts == (1.0, 0.5)
+    assert info.weights.tolist() == [0.0, 1.0]
     assert (info.iterations, info.gap) == (0, 0.0)
 
 
@@ -132,23 +159,14 @@ def test_redundant_interior_points_do_not_move_optimum():
     assert padded == pytest.approx(base, rel=1e-12)
 
 
-def two_point_program(n, x, t=None):
-    mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
-    p1 = (mu, 0.0) + (1.0,) * (n - 2)
-    p2 = (0.0, nu) + (1.0,) * (n - 2)
-    fixed = None if t is None else {0: t}
-    return simplex_program([p1, p2], fixed=fixed), mu, nu
-
-
 def test_pinned_two_point_active_regime():
     # pin below (n-1) mu: both certificate constraints stay active and the
     # optimum is (t, nu t / mu, (n-2) t / (t - mu), ...)
     n, x, t = 3, 0.1, 1.5
-    prog, mu, nu = two_point_program(n, x, t)
+    prog, mu, nu = pinned_two_point_program(n, x, t)
     assert t <= (n - 1) * mu
-    a = min_vol_simplex(prog).intercepts
     want = (t, nu * t / mu, (n - 2) * t / (t - mu))
+    a = (t,) + min_vol_simplex(prog).intercepts
     assert a == pytest.approx(want, rel=1e-9)
     assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-9)
 
@@ -157,17 +175,17 @@ def test_pinned_two_point_slack_regime():
     # pin above (n-1) mu: the first constraint goes slack and the trailing
     # intercepts settle at n-1
     n, x, t = 3, 0.1, 2.0
-    prog, mu, nu = two_point_program(n, x, t)
+    prog, mu, nu = pinned_two_point_program(n, x, t)
     assert t > (n - 1) * mu
-    a = min_vol_simplex(prog).intercepts
+    a = (t,) + min_vol_simplex(prog).intercepts
     assert a == pytest.approx((t, (n - 1) * nu, float(n - 1)), rel=1e-9)
+    assert certify_contradiction_gn(n, x, t).constrained.intercepts == a
     assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-9)
 
 
 def test_pinned_two_point_matches_reduced_optimum_across_regimes():
     for n, x, t in [(3, 0.3, 1.6), (3, 0.05, 2.0), (4, 0.2, 2.1), (5, 0.1, 2.6)]:
-        prog, _, _ = two_point_program(n, x, t)
-        a = min_vol_simplex(prog).intercepts
+        a = certify_contradiction_gn(n, x, t).constrained.intercepts
         assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-8)
 
 
@@ -199,20 +217,21 @@ def test_two_point_dual_matches_the_closed_form_in_both_regimes(n):
             if t <= n / 2.0:
                 continue
             regimes.add(t <= (n - 1) * m)
-            prog, _, _ = two_point_program(n, x, t)
+            prog, _, _ = pinned_two_point_program(n, x, t)
             info = min_vol_simplex_info(prog)
             want = gn_constrained_optimum(n, x, t)
+            got = (t,) + info.params.intercepts
             assert info.gap <= TOL and info.iterations == 0
-            assert info.params.intercepts == pytest.approx(want, rel=5e-14)
-            vol = math.prod(a / b for a, b in zip(info.params.intercepts, want))
+            assert got == pytest.approx(want, rel=5e-14)
+            vol = math.prod(a / b for a, b in zip(got, want))
             assert abs(vol - 1.0) <= (1e-12 if n > 8 else 5e-15)
     assert regimes == ({False} if n == 2 else {False, True})
 
 
 def _interior_point_optimum(prog):
     """Intercepts and gap of ``_solve_reduced`` on the reduced rows of a
-    program with no fixed or scaled axis, rescaled to contain them."""
-    reduced, _, _, _, top, mass, shift = wu_module._reduce(prog)
+    program with no scaled axis, rescaled to contain them."""
+    reduced, _, top, mass, shift = wu_module._reduce(prog)
     assert shift is None and reduced.shape[0] == 2
     b, _, gap, _, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, mass)
     return 1.0 / (b / max(reach, 1.0)), gap
@@ -243,12 +262,19 @@ def test_two_point_dual_edge_cases(pts, want, weights):
 
 
 def test_two_point_dual_with_fixed_axes():
-    # pinning a_1 = 1 leaves the rows (2, 0) and (0, 4/3): weights 1/2 each
-    pts = [(0.5, 1.0, 0.0), (0.25, 0.0, 1.0)]
-    info = min_vol_simplex_info(simplex_program(pts, fixed={0: 1.0}))
+    # pinning a_1 = 1 for (0.5, 1, 0) and (0.25, 0, 1) leaves the rows
+    # (2, 0) and (0, 4/3): weights 1/2 each
+    info = min_vol_simplex_info(simplex_program([(2.0, 0.0), (0.0, 4.0 / 3.0)]))
     assert info.gap <= TOL
-    assert info.params.intercepts == pytest.approx((1.0, 2.0, 4.0 / 3.0), rel=1e-15)
+    assert info.params.intercepts == pytest.approx((2.0, 4.0 / 3.0), rel=1e-15)
     assert info.weights.tolist() == [0.5, 0.5]
+    # the certificate's rows: a = k (w p + (1 - w) q) on k = n - 1 axes
+    # gives w = 1 - t / ((n-1) mu) while t <= (n-1) mu, and w = 0 beyond
+    for n, x, t in [(3, 0.1, 1.5), (5, 0.3, 2.6), (8, 0.05, 6.0), (5, 0.1, 4.5)]:
+        prog, mu, _ = pinned_two_point_program(n, x, t)
+        w = min_vol_simplex_info(prog).weights.tolist()
+        want = max(1.0 - t / ((n - 1) * mu), 0.0)
+        assert w == pytest.approx([want, 1.0 - want], rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e308])
@@ -320,18 +346,17 @@ def test_two_point_dual_agrees_with_the_interior_point_method(kind):
 
 
 def test_fixed_intercepts_are_honored():
-    a = solve([(1.0, 1.0)], fixed={0: 4.0})
-    assert a[0] == 4.0
-    # with a1 = 4 the point needs u2/a2 <= 3/4, so a2 = 4/3
-    assert a[1] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    # the certificate pins a_1 = t and its scaled program keeps both points
+    # inside: (mu, 0, 1, ...) saturates the simplex in the active regime
+    for n, x, t in [(3, 0.1, 1.6), (3, 0.1, 2.0), (6, 0.3, 3.5), (40, 0.05, 30.0)]:
+        a = certify_contradiction_gn(n, x, t).constrained.intercepts
+        assert a[0] == t
+        _, mu, nu = two_point_program(n, x)
+        for p in ((mu, 0.0) + (1.0,) * (n - 2), (0.0, nu) + (1.0,) * (n - 2)):
+            assert psi_contains(a, p, tol=1e-14)
 
 
-def test_infeasible_and_degenerate_errors():
-    with pytest.raises(InfeasibleProgramError):
-        solve([(1.0, 0.0)], fixed={0: 0.5})
-    with pytest.raises(InfeasibleProgramError):
-        # saturates the pin exactly but still has mass on the free axis
-        solve([(1.0, 1.0)], fixed={0: 1.0})
+def test_degenerate_errors():
     with pytest.raises(DegenerateAxisError):
         solve([(1.0, 0.0)])  # no mass on axis 2: infimum 0 not attained
     with pytest.raises(DegenerateAxisError):
@@ -400,11 +425,6 @@ def test_program_validation_messages():
     with pytest.raises(DegenerateAxisError) as err:
         simplex_program([(1.0, 0.0), (0.5, math.inf)])
     assert str(err.value) == "infinite coordinate on axis 1: degenerate"
-    # the first offending point names the error, violation before saturation
-    with pytest.raises(InfeasibleProgramError, match="point 0 saturates"):
-        solve([(0.5, 1.0), (1.0, 0.0)], fixed={0: 0.5})
-    with pytest.raises(InfeasibleProgramError, match="point 1 violates"):
-        solve([(0.25, 1.0), (1.0, 1.0), (0.5, 1.0)], fixed={0: 0.5})
 
 
 def test_program_keeps_a_read_only_copy_of_its_points():
@@ -571,15 +591,9 @@ def test_weights_cover_every_input_point():
     # the certificate, recomputed against the caller's own points
     a = np.array(info.params.intercepts)
     assert float(-np.sum(np.log(2 * (pts.T @ w) / a))) <= TOL
-    # with axis 0 pinned, the first point has no free mass left
-    info = min_vol_simplex_info(
-        simplex_program([(0.5, 0.0), (0.2, 1.0), (0.1, 0.5)], fixed={0: 1.0})
-    )
-    assert info.weights.shape == (3,) and info.weights[0] == 0.0
-    assert info.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-    # no free axis: nothing to weigh
-    info = min_vol_simplex_info(simplex_program([(0.5,), (0.2,)], fixed={0: 1.0}))
-    assert info.weights.tolist() == [0.0, 0.0]
+    # on one axis the zero point weighs 0 beside the closed form's argmax
+    info = min_vol_simplex_info(simplex_program([(0.2,), (0.0,), (0.5,)]))
+    assert info.weights.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_reported_gap_is_the_gap_of_the_returned_weights():
@@ -613,17 +627,20 @@ def test_program_keeps_its_column_maxima_read_only():
         SimplexProgram(points=pts, column_max=pts.max(axis=0))
 
 
-@pytest.mark.parametrize("fixed", [None, {1: 4.0}])
-def test_reduction_hands_the_solver_maxima_and_masses_of_its_rows(fixed):
-    # with a fixed axis the rows are rescaled, so the program's column
-    # maxima no longer hold and both facts come from the reduced rows
+@pytest.mark.parametrize("scale", [None, 1e-310])
+def test_reduction_hands_the_solver_maxima_and_masses_of_its_rows(scale):
+    # a column with a subnormal maximum is scaled by a power of two, so the
+    # program's column maxima no longer hold for it and the reduction hands
+    # on the scaled ones
     pts = _seeded_cloud(31, 3_000, 4)
     pts[::7] = 0.0
-    prog = simplex_program(pts, fixed=fixed)
-    reduced, free, _, keep, top, mass, _ = wu_module._reduce(prog)
+    if scale is not None:
+        pts[:, 1] *= scale
+    prog = simplex_program(pts)
+    reduced, keep, top, mass, shift = wu_module._reduce(prog)
     assert keep.tolist() == (np.arange(len(pts)) % 7 != 0).tolist()
-    rho = 1.0 if fixed is None else 1.0 - pts[:, [1]] / 4.0
-    assert np.array_equal(reduced, (pts[:, free] / rho)[keep])
+    assert (shift is None) == (scale is None)
+    assert np.array_equal(reduced, np.ldexp(pts, shift or 0)[keep])
     assert np.array_equal(top, reduced.max(axis=0))
     # one pass over all rows, or over the kept ones: the layouts differ
     np.testing.assert_allclose(mass, reduced @ (1.0 / top), rtol=1e-15, atol=0.0)
@@ -661,20 +678,17 @@ def test_dead_columns_keep_their_errors(m):
     with pytest.raises(DegenerateAxisError) as err:
         min_vol_simplex_info(simplex_program(pts))
     assert str(err.value) == "no point mass on axes [1]: volume infimum 0 is not attained"
+    # a dead column is reported before a scaled one is solved
+    pts[:, 2] *= 1e-310
     with pytest.raises(DegenerateAxisError) as err:
-        min_vol_simplex_info(simplex_program(pts, fixed={0: 4.0}))
+        min_vol_simplex_info(simplex_program(pts))
     assert str(err.value) == "no point mass on axes [1]: volume infimum 0 is not attained"
     with pytest.raises(DegenerateAxisError) as err:
         min_vol_simplex_info(simplex_program(np.zeros((m, 3))))
-    assert str(err.value) == (
-        "no point mass on free axes [0, 1, 2]: volume infimum 0 is not attained"
-    )
+    assert str(err.value) == "no point mass on axes [0, 1, 2]: volume infimum 0 is not attained"
     with pytest.raises(DegenerateAxisError) as err:
         min_vol_simplex_bruteforce(simplex_program(np.zeros((m, 2))))
-    assert str(err.value) == "no point mass on free axes [0, 1]: volume infimum 0 is not attained"
-    # an infeasible pin is reported before a dead column
-    with pytest.raises(InfeasibleProgramError, match="point 0 violates"):
-        min_vol_simplex_info(simplex_program(pts, fixed={0: 1e-3}))
+    assert str(err.value) == "no point mass on axes [0, 1]: volume infimum 0 is not attained"
 
 
 @pytest.mark.parametrize(
@@ -691,7 +705,7 @@ def test_containment_rescale_uses_the_pricing_of_the_returned_point(cloud):
     # iterate, so a maximum kept from the first pricing would not match
     pts = cloud()
     prog = simplex_program(pts)
-    reduced, _, _, _, top, mass, _ = wu_module._reduce(prog)
+    reduced, _, top, mass, _ = wu_module._reduce(prog)
     b, w, gap, _, reach = wu_module._solve_reduced(reduced, TOL, top, mass)
     assert reach == float(np.max(reduced @ b))
     k = pts.shape[1]
@@ -899,7 +913,7 @@ def test_bruteforce_box_corner():
 
 
 def test_bruteforce_matches_solver_on_pinned_program():
-    prog, _, _ = two_point_program(3, 0.1, 2.0)
+    prog, _, _ = pinned_two_point_program(3, 0.1, 2.0)
     exact = min_vol_simplex(prog)
     ref = min_vol_simplex_bruteforce(prog, grid=601)
     assert simplex_volume(ref) == pytest.approx(simplex_volume(exact), rel=1e-3)
@@ -1184,6 +1198,47 @@ def test_gn_certificate_bound_dominates_ratio():
             for t in (0.51 * n + 0.1, 2.0 * n):
                 rep = certify_contradiction_gn(n, x, t)
                 assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10), (n, x, t)
+
+
+GN_SWEEP_XS = (0.99, 0.9, 0.5, 0.3, 0.1, 0.05, 0.01, 1e-3, 1e-4)
+
+
+def _gn_sweep_pins(n, x):
+    """Pins on both sides of t = (n-1) mu and of n - 1, and at the ends."""
+    m = (n - 1) * (1.0 - x * x) ** 2
+    pins = {m - 0.2, m + 0.2, 0.999 * m, 0.9 * m, m, 1.1 * m,
+            0.999 * (n - 1), 0.9 * (n - 1), float(n - 1), 1.1 * (n - 1), n / 2.0 + 1e-3, 3.0 * n}
+    return sorted(t for t in pins if t > n / 2.0)
+
+
+def test_gn_certificate_self_check_holds_with_a_tenfold_margin():
+    # the certificate refuses a volume more than 1e-11 relative off the
+    # closed form; over this sweep the worst is 5.1e-13 (n = 200, x = 1e-4)
+    worst = 0.0
+    for n in list(range(2, 60)) + [100, 150, 200]:
+        for x in GN_SWEEP_XS:
+            for t in _gn_sweep_pins(n, x):
+                rep = certify_contradiction_gn(n, x, t)
+                want = gn_constrained_optimum(n, x, t)
+                off = math.prod(a / b for a, b in zip(rep.constrained.intercepts, want)) - 1.0
+                worst = max(worst, abs(off))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("off, raises", [(5e-12, False), (2e-11, True)])
+def test_gn_certificate_refuses_a_volume_off_its_closed_form(monkeypatch, off, raises):
+    solve = wu_module.min_vol_simplex
+
+    def skewed(prog):
+        a = solve(prog).intercepts
+        return SimplexParams((a[0] * (1.0 + off),) + a[1:])
+
+    monkeypatch.setattr(wu_module, "min_vol_simplex", skewed)
+    if raises:
+        with pytest.raises(SolverError, match="relative off its closed form"):
+            certify_contradiction_gn(5, 0.01, 4.0)
+    else:
+        assert certify_contradiction_gn(5, 0.01, 4.0).certified
 
 
 def test_gn_certificate_validation():
