@@ -14,9 +14,11 @@ The solver is a primal-dual interior-point Newton method on the n primal
 variables, run on a working set of points that grows until the normalized
 multipliers w certify optimality over every point through the duality gap
 n * log(max_i score_i / n), score_i = sum_j u_ij / (U^T w)_j.
-Each step aims at the centring target sigma * s.lam / m_w, with sigma =
-CENTERING after a damped step and CENTERING**2 after a full one, so a solve
-that takes full steps closes the gap by about two decades a step, not one.
+Each working set starts centred, at the primal point of uniform weights
+with multipliers lam proportional to 1 / s.  Each step aims at the centring
+target sigma * s.lam / m_w, with sigma = CENTERING**2 when the undamped step
+stays feasible and CENTERING otherwise, so the gap closes by about two
+decades a step, not one.
 Newton steps score only the working set.  All m points are priced when the
 working-set gap certifies, and once more when that gap stops halving, so a
 solve passes over the whole cloud at most twice per working set, not once
@@ -301,11 +303,15 @@ def _solve_reduced(
     """Primal-dual interior-point Newton method (Boyd and Vandenberghe,
     Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
-    Each step targets s_i lam_i = sigma * s.lam / m_w.  The centring sigma
-    is CENTERING on the first step of a working set and after a step cut
-    short by the fraction-to-boundary rule, and CENTERING**2 after a full
-    step (Wright, Primal-Dual Interior-Point Methods, 1997, on adaptive
-    centring).  The step length is the largest alpha <= 1 with
+    Each working set starts at b proportional to 1 / x.mean(axis=0), the
+    primal point of uniform weights on the scaled points x, scaled so that
+    max_i <x_i, b> = TO_BOUNDARY, with s = 1 - x b and lam = mu / s, where
+    b.X^T lam = k = b.(1 / b) fixes mu.  Each step targets
+    s_i lam_i = sigma * s.lam / m_w, with sigma = CENTERING**2 after an
+    undamped step that stays feasible, even if the fraction-to-boundary
+    rule cuts it, and CENTERING on the first step and otherwise (Wright,
+    Primal-Dual Interior-Point Methods, 1997, on adaptive centring).  The
+    step length is the largest alpha <= 1 with
     y + alpha dy >= (1 - TO_BOUNDARY) y for y = (b, s, lam).
 
     ``top`` (u's column maxima) and ``mass`` (its row masses
@@ -327,6 +333,8 @@ def _solve_reduced(
     gap halves.  When it stops halving, the iterate with the smallest
     working-set gap since certification is priced once more, and of the
     two priced iterates the one with the smaller full gap is returned.
+    A solve out of steps before that prices the iterate of smallest
+    working-set gap, and returns it if the full gap is within ``tol``.
     Returns (b, w, gap, Newton steps, reach): w is scattered over all m
     points, and reach = max_i <u_i, b> is read off the pricing of the
     returned b, so the caller's containment rescale needs no pass.
@@ -360,8 +368,14 @@ def _solve_reduced(
         y, dy = np.ones(k + 2 * mw), np.empty(k + 2 * mw)
         b, s, lam = y[:k], y[k : k + mw], y[k + mw :]
         db, ds, dlam = dy[:k], dy[k : k + mw], dy[k + mw :]
-        b[:] = 0.5 / k
-        s -= x @ b
+        # the primal point of uniform weights, scaled to reach TO_BOUNDARY,
+        # and lam = mu / s with mu such that b.X^T lam = k = b.(1 / b)
+        b[:] = 1.0 / (k * x.mean(axis=0))
+        xb = x @ b
+        b *= TO_BOUNDARY / xb.max()
+        xb *= TO_BOUNDARY / xb.max()
+        s -= xb
+        lam[:] = k / float(xb @ (1.0 / s)) / s
         sigma, stuck = CENTERING, False
         while True:
             w = lam / lam.sum()
@@ -381,6 +395,18 @@ def _solve_reduced(
                 done = gap == 0.0 or not gap < 0.5 * lowest
                 if gap < lowest:
                     lowest, lowest_w = gap, w
+            if certified is None and (stuck or steps >= MAX_NEWTON_STEPS):
+                # the full gap can certify where the working-set gap stalls
+                full, b_full, reach, _ = price(*near_at)
+                if full > tol:
+                    best = min(best, full)
+                    raise SolverError(
+                        f"no certificate for the {m} x {k} program after {steps} "
+                        f"Newton steps (best gap {best:.3e})",
+                        best,
+                    )
+                work, w = near_at
+                certified, lowest_w, done = (full, b_full, reach, w), None, True
             if certified is not None and (done or stuck or steps >= MAX_NEWTON_STEPS):
                 best, best_b, reach, best_w = certified
                 if lowest_w is not None:
@@ -390,14 +416,6 @@ def _solve_reduced(
                 full_w = np.zeros(m)
                 full_w[work] = best_w
                 return best_b, full_w, best, steps, reach
-            if stuck or steps >= MAX_NEWTON_STEPS:
-                # the working-set gap only bounds the full gap from below
-                best = min(best, price(*near_at)[0])
-                raise SolverError(
-                    f"no certificate for the {m} x {k} program after {steps} "
-                    f"Newton steps (best gap {best:.3e})",
-                    best,
-                )
             steps += 1
             inv_s = 1.0 / s
             d = lam * inv_s
@@ -415,8 +433,8 @@ def _solve_reduced(
             q = float((dy / y).min())
             alpha = 1.0 if q >= -TO_BOUNDARY else -TO_BOUNDARY / q
             y += alpha * dy
-            # a full step means the iterate is well centred: aim lower next
-            sigma = CENTERING**2 if alpha == 1.0 else CENTERING
+            # a feasible undamped step means the iterate is well centred: aim lower
+            sigma = CENTERING**2 if q >= -1.0 else CENTERING
 
 
 def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
