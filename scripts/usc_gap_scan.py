@@ -7,15 +7,15 @@ each x together with the x -> 0 limit.  Ratios above 1 certify that no
 enclosing-simplex volume can be upper semicontinuous at the degenerate
 base point.  As in `wumetric run g2_usc`, n = 2 is the two-variable
 certificate on G2 = {|z1|(1 + |z2|) < 1} pinned at t^2 (t > 1); larger n
-pin t itself (t > n/2).  Each cell is marked `a` or `s` by its regime:
-both certificate constraints active (pin <= (n-1) mu(x)), or the first
-one slack; the limit switches formula at t = n - 1.
+pin t itself (t > n/2).  Each cell is marked `a` or `s` by the regime its
+certificate reports: both certificate constraints active, or the first
+one slack.  The limit is `gn_ratio(n, 0, pin)`, which switches formula at
+t = n - 1.
 """
 
 import argparse
 
-from wumetric.metrics import mu
-from wumetric.wu import certify_contradiction_gn, gn_ratio_limit
+from wumetric.wu import certify_contradiction_gn, gn_ratio
 
 
 def scan(n, x_grid, t_grid) -> None:
@@ -26,9 +26,8 @@ def scan(n, x_grid, t_grid) -> None:
         cells = []
         for x in x_grid:
             rep = certify_contradiction_gn(n, x, pin)
-            regime = "a" if pin <= (n - 1) * mu(x) else "s"
-            cells.append(f"{rep.ratio:.6f}{regime}{'*' if rep.certified else ' '}")
-        print(f"t={t:<4.2f} limit={gn_ratio_limit(n, pin):.6f}  " + " ".join(cells))
+            cells.append(f"{rep.ratio:.6f}{rep.regime[0]}{'*' if rep.certified else ' '}")
+        print(f"t={t:<4.2f} limit={gn_ratio(n, 0.0, pin):.6f}  " + " ".join(cells))
     print("(* = certified: solver ratio > 1; a/s = active/slack regime)\n")
 
 

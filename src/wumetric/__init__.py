@@ -47,12 +47,7 @@ from .experiments import (
     golden_eta_hat,
     run_experiment,
 )
-from .geometry import (
-    DiagonalHermitianForm,
-    SimplexParams,
-    UnboundedSimplexError,
-    simplex_volume,
-)
+from .geometry import DiagonalHermitianForm, SimplexParams
 from .metrics import (
     BranchInfo,
     MultiIndex,
@@ -72,8 +67,7 @@ from .wu import (
     SolverError,
     WuResult,
     certify_contradiction_gn,
-    gn_constrained_optimum,
-    gn_ratio_limit,
+    gn_ratio,
     min_vol_simplex,
     min_vol_simplex_info,
     simplex_program,

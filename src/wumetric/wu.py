@@ -42,7 +42,10 @@ from the pricing that returned it.
 certificate points on the rest (a product ball factor by factor) and
 solves the simplex program once for the minimal ellipsoid seminorm, and
 ``certify_contradiction_gn`` packages the volume-comparison argument that
-rules out distance decrease under particular holomorphic maps.
+rules out distance decrease under particular holomorphic maps.  Its
+solved volume ratio is checked against ``gn_ratio``, a closed form typed
+from x and the pin t alone, so a wrong mu or nu in the solved points is
+refused.
 """
 
 from __future__ import annotations
@@ -55,11 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .busemann import Indicatrix, absolute_directions
-from .geometry import (
-    DiagonalHermitianForm,
-    SimplexParams,
-    simplex_volume,
-)
+from .geometry import DiagonalHermitianForm, SimplexParams
 from .metrics import mu, nu
 
 DEFAULT_SOLVER_TOL = 1e-10
@@ -248,12 +247,14 @@ def _solve_two_points(
     F'' = -sum_j r_j^2, so F' is decreasing.  w = 1 is optimal when every
     p_j > 0 and F'(1) = k - sum_j q_j / p_j >= 0, w = 0 likewise with p and
     q swapped.  Otherwise F' changes sign inside (0, 1), and safeguarded
-    Newton steps on F' find its root: a step that leaves the bracket of
-    the root is replaced by bisection, until F' is 0, a Newton step no
-    longer moves w or the bracket holds no float between its ends (no
-    tolerance is involved).  Scores do not change when a column is
-    scaled, so F' is evaluated on unit column maxima (``top``), where no
-    w p_j + (1 - w) q_j is 0 inside (0, 1).
+    Newton steps on F' from w = 1/2 find its root: a step that leaves the
+    bracket of the root is replaced by bisection, until F' is 0, a Newton
+    step no longer moves w, or a step moves w by at most 2**-53, half the
+    float spacing at 1, the scale of w.  So a root within rounding of an
+    end, as at the gn regime boundary, costs at most about 53 halvings,
+    not a walk through the subnormals.  Scores do not change when a
+    column is scaled, so F' is evaluated on unit column maxima (``top``),
+    where no w p_j + (1 - w) q_j is 0 inside (0, 1).
 
     Returns (b, w, gap, reach) as ``_solve_reduced`` does: b = 1 / (k (w p
     + (1 - w) q)) on u as it is, the weights (w, 1 - w), the gap of its
@@ -283,9 +284,9 @@ def _solve_two_points(
                 break
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
-                if not lo < step < hi:
-                    break
-            w = step
+            w, moved = step, abs(step - w)
+            if moved <= 2.0**-53:
+                break
     weights = np.array([w, 1.0 - w])
     b = 1.0 / (k * (weights @ u))
     reach = float((u @ b).max())
@@ -626,28 +627,27 @@ class ContradictionReport:
     ratio > 1 certifies that no simplex with the pinned first intercept
     can both contain the constructed certificate points and have volume
     at most the comparison simplex's, contradicting the assumed metric
-    inequality.  ratio is the solver's volume ratio; ratio_bound is that
-    of the closed-form optimum and ratio_limit its x -> 0 limit.
+    inequality.  ratio is the solver's volume ratio and ratio_bound the
+    closed form ``gn_ratio(n, x, t)``; regime is "active" when both
+    certificate constraints bind at the pin and "slack" when the first
+    does not.
     """
 
     n: int
     x: float
     t: float
     constrained: SimplexParams
-    constrained_volume: float
     reference: SimplexParams
-    reference_volume: float
     ratio: float
     ratio_bound: float
-    ratio_limit: float
+    regime: str
     certified: bool
 
 
-def _pinned_optimum(n: int, mu_x: float, nu_x: float, t: float) -> tuple[float, ...]:
-    """``gn_constrained_optimum`` with the certificate values mu and nu given."""
-    s_opt = min((n - 2) / (n - 1), 1.0 - mu_x / t)
-    trailing = ((n - 2) / s_opt,) * (n - 2) if n > 2 else ()
-    return (t, nu_x / (1.0 - s_opt)) + trailing
+def _regime(n: int, x: float, t: float) -> str:
+    """Regime of the pin t: "active" while t <= (n-1)(1 - x^2)^2 lets the
+    first certificate point bind, "slack" beyond."""
+    return "active" if t <= (n - 1) * (1.0 - x * x) ** 2 else "slack"
 
 
 def _reference(n: int, x: float) -> tuple[float, ...]:
@@ -660,33 +660,30 @@ def _volume_ratio(a: Sequence[float], b: Sequence[float]) -> float:
     return math.prod(x / y for x, y in zip(a, b))
 
 
-def gn_ratio_limit(n: int, t: float) -> float:
-    """x -> 0 limit of the certificate's volume ratio, for every n >= 2.
-
-    As mu -> 1 and x^2 nu -> 1 it is the pinned optimum at mu = nu = 1
-    against the reference at x = 1, (2t/n) 2/(n (1-S)) ((n-2)/(n S))^(n-2)
-    with S = min((n-2)/(n-1), 1 - 1/t): 4 t^2/n^2 ((n-2) t/(n (t-1)))^(n-2)
-    while t <= n-1 (both constraints active), 4 t (n-1)^(n-1)/n^n beyond,
-    and t at n = 2; a product of per-axis factors, finite for every n."""
-    return _volume_ratio(_pinned_optimum(n, 1.0, 1.0, t), _reference(n, 1.0))
-
-
-def gn_constrained_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
-    """Exact optimum of the pinned two-point program behind the certificate.
+def gn_ratio(n: int, x: float, t: float) -> float:
+    """Volume ratio of the certificate's pinned optimum on gn against the
+    reference simplex, for n >= 2, 0 <= x < 1 and a pin t > n/2; x = 0
+    gives the x -> 0 limit.  It is typed from x and t alone.
 
     With the first intercept pinned to t, minimizing the volume over
     simplexes containing (mu, 0, 1, ..., 1) and (0, nu, 1, ..., 1) reduces,
     after symmetrizing the trailing intercepts and saturating the second
-    constraint, to one variable S = sum_{j>=3} 1/b_j.  The objective
-    nu (n-2)^(n-2) / ((1-S) S^(n-2)) is unimodal with interior minimum at
-    S = (n-2)/(n-1); the first point's constraint caps S at 1 - mu/t.  The
-    fully active stationary point (t, nu t / mu, (n-2) t / (t-mu), ...) is
-    therefore optimal exactly when t <= (n-1) mu, and for larger pins the
-    first constraint goes slack.  At n = 2 there is no trailing block:
-    S = 0, the first constraint is slack for every pin t > 1 > mu, and the
-    optimum is (t, nu).
+    constraint, to one variable S = sum_{j>=3} 1/a_j.  The objective
+    nu (n-2)^(n-2) / ((1-S) S^(n-2)) is unimodal with minimum at
+    S = (n-2)/(n-1), and the first point caps S at 1 - mu/t, so the optimum
+    is (t, nu/(1-S), (n-2)/S, ...) with S the smaller of the two: both
+    constraints bind (active regime) exactly when t <= (n-1) mu.  With
+    mu = (1 - x^2)^2 and x^2 nu = (1 - x)^2 its ratio against
+    (n/2, n/(2 x^2), n, ..., n) is
+    (2t/(n(1+x)))^2 ((n-2) t/(n (t - mu)))^(n-2) in the active regime and
+    (2t/n) (2 (n-1) (1-x)^2/n) ((n-1)/n)^(n-2) in the slack one, which is
+    t (1-x)^2 at n = 2.  A product of per-axis factors, so it meets
+    neither n! nor n^n.
     """
-    return _pinned_optimum(n, mu(x), nu(x), t)
+    if _regime(n, x, t) == "active":
+        trailing = (n - 2) * t / (n * (t - (1.0 - x * x) ** 2))
+        return (2.0 * t / (n * (1.0 + x))) ** 2 * trailing ** (n - 2)
+    return (2.0 * t / n) * (2.0 * (n - 1) * (1.0 - x) ** 2 / n) * ((n - 1) / n) ** (n - 2)
 
 
 def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
@@ -703,11 +700,10 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
     The pin leaves the first point the slack rho = 1 - mu/t on the other
     n - 1 axes, so the pinned program is the plain program on the points
     (0, 1/rho, ..., 1/rho) and (nu, 1, ..., 1) there; its intercepts
-    follow t.  The solver's optimum must match ``gn_constrained_optimum``
-    in volume to 1e-11 relative, or ``SolverError`` is raised (measured at
-    most 5.1e-13 for n up to 200).  ratio is the solver's volume ratio
-    against the reference and decides ``certified``; ratio_bound is the
-    closed-form optimum's, in both regimes.
+    follow t.  ratio is the solver's volume ratio against the reference
+    and decides ``certified``; it must match ``gn_ratio``, which reads
+    neither mu nor nu, to 1e-11 relative, or ``SolverError`` is raised
+    (measured at most 4.9e-13 for n up to 200).
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValueError("integer n >= 2 required")
@@ -715,30 +711,27 @@ def certify_contradiction_gn(n: int, x: float, t: float) -> ContradictionReport:
         raise ValueError("x in (0, 1) required")
     if t <= n / 2.0:
         raise ValueError("t > n/2 required for the monotone volume bound")
-    mu_x, nu_x = mu(x), nu(x)
-    rho = 1.0 - mu_x / t
+    rho = 1.0 - mu(x) / t
     p = (0.0,) + (1.0 / rho,) * (n - 2)
-    q = (nu_x,) + (1.0,) * (n - 2)
+    q = (nu(x),) + (1.0,) * (n - 2)
     free = min_vol_simplex(SimplexProgram(points=(p, q)))
     params = SimplexParams(intercepts=(t,) + free.intercepts)
-    optimum = _pinned_optimum(n, mu_x, nu_x, t)
-    off = _volume_ratio(params.intercepts, optimum) - 1.0
+    reference = SimplexParams(intercepts=_reference(n, x))
+    ratio = _volume_ratio(params.intercepts, reference.intercepts)
+    bound = gn_ratio(n, x, t)
+    off = ratio / bound - 1.0
     if abs(off) > 1e-11:
         raise SolverError(
             f"constrained volume is {off:+.3e} relative off its closed form", gap=abs(off)
         )
-    reference = SimplexParams(intercepts=_reference(n, x))
-    ratio = _volume_ratio(params.intercepts, reference.intercepts)
     return ContradictionReport(
         n=n,
         x=x,
         t=t,
         constrained=params,
-        constrained_volume=simplex_volume(params),
         reference=reference,
-        reference_volume=simplex_volume(reference),
         ratio=ratio,
-        ratio_bound=_volume_ratio(optimum, reference.intercepts),
-        ratio_limit=gn_ratio_limit(n, t),
+        ratio_bound=bound,
+        regime=_regime(n, x, t),
         certified=ratio > 1.0,
     )

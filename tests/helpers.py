@@ -5,9 +5,10 @@ generalized-golden-ratio Kronecker sequence, so every run sees the same
 "random" cases.  The hard clouds draw from a numpy generator with a fixed
 seed.  The references that only tests call live here, not in the
 library: the grid-search solver ``min_vol_simplex_bruteforce``, the
-sandwich self-check ``sandwich_ok``, the LP hull radius and the Psi-point
-containment test ``psi_contains``.  ``script`` loads a script of
-``scripts/`` as a module.
+sandwich self-check ``sandwich_ok``, the LP hull radius, the Psi-point
+containment test ``psi_contains``, the gn certificate's optimum
+``gn_optimum`` typed from x and t, and ``volume_ratio``.  ``script`` loads
+a script of ``scripts/`` as a module.
 """
 
 from __future__ import annotations
@@ -295,3 +296,20 @@ def psi_contains(intercepts, p, tol: float) -> bool:
     """Whether the Psi-point p lies in the closed simplex T_a up to tol:
     sum over finite intercepts of p_j / a_j <= 1 + tol."""
     return sum(u / a for u, a in zip(p, intercepts) if math.isfinite(a)) <= 1.0 + tol
+
+
+def volume_ratio(a, b) -> float:
+    """vol T_a / vol T_b as the product of the intercept ratios a_j / b_j."""
+    return math.prod(x / y for x, y in zip(a, b))
+
+
+def gn_optimum(n: int, x: float, t: float) -> tuple[float, ...]:
+    """Intercepts of the gn certificate's optimum with its first intercept
+    pinned to t, typed from x and t alone (0 < x < 1, t > n/2):
+    (t, t / (x (1 + x))^2, (n - 2) t / (t - (1 - x^2)^2), ...) while both
+    certificate points bind, t <= (n - 1)(1 - x^2)^2, and
+    (t, (n - 1)(1 - x)^2 / x^2, n - 1, ...) beyond."""
+    if t <= (n - 1) * (1.0 - x * x) ** 2:
+        trailing = (n - 2) * t / (t - (1.0 - x * x) ** 2)
+        return (t, t / (x * (1.0 + x)) ** 2) + (trailing,) * (n - 2)
+    return (t, (n - 1) * (1.0 - x) ** 2 / (x * x)) + (float(n - 1),) * (n - 2)

@@ -9,7 +9,7 @@ criteria it affects.
 import itertools
 import math
 
-from helpers import cloud_cases, min_vol_simplex_bruteforce
+from helpers import cloud_cases, gn_optimum, min_vol_simplex_bruteforce, volume_ratio
 from wumetric.busemann import cloud_indicatrix, support
 from wumetric.domains import (
     g2,
@@ -28,12 +28,10 @@ from wumetric.experiments import (
     polydisc_cases,
     run_experiment,
 )
-from wumetric.geometry import SimplexParams, simplex_volume
 from wumetric.metrics import MultiIndex, elem_reinhardt_metric_info
 from wumetric.wu import (
     certify_contradiction_gn,
-    gn_constrained_optimum,
-    gn_ratio_limit,
+    gn_ratio,
     min_vol_simplex,
     simplex_program,
     wu_metric,
@@ -66,8 +64,8 @@ def test_criterion_1_polydisc_formula():
             worst_formula = max(worst_formula, _rel(aj, n * rj * rj))
         if n <= 3:
             brute = min_vol_simplex_bruteforce(simplex_program([point]), grid=301)
-            gap = abs(simplex_volume(brute) - simplex_volume(params))
-            worst_oracle = max(worst_oracle, gap / simplex_volume(params))
+            gap = abs(volume_ratio(brute.intercepts, params.intercepts) - 1.0)
+            worst_oracle = max(worst_oracle, gap)
     ok = worst_formula <= 1e-8 and worst_oracle <= 1e-3
     _report(
         1,
@@ -91,14 +89,14 @@ def test_criterion_2_constrained_closed_form():
     for x, a1 in itertools.product((0.3, 0.1, 0.05), (2.0, 3.0)):
         mu = (1.0 - x * x) ** 2
         nu = (1.0 / x - 1.0) ** 2
-        closed = gn_constrained_optimum(n, x, a1)
+        closed = gn_optimum(n, x, a1)
         solved = certify_contradiction_gn(n, x, a1).constrained
         for got, want in zip(solved.intercepts, closed):
             worst_closed = max(worst_closed, _rel(got, want))
         reduced = simplex_program([(0.0, 1.0 / (1.0 - mu / a1)), (nu, 1.0)])
-        brute = SimplexParams((a1,) + min_vol_simplex_bruteforce(reduced, grid=301).intercepts)
-        gap = abs(simplex_volume(brute) - simplex_volume(solved))
-        worst_oracle = max(worst_oracle, gap / simplex_volume(solved))
+        brute = (a1,) + min_vol_simplex_bruteforce(reduced, grid=301).intercepts
+        gap = abs(volume_ratio(brute, solved.intercepts) - 1.0)
+        worst_oracle = max(worst_oracle, gap)
         regimes.append("active" if a1 <= (n - 1) * mu else "slack")
     ok = worst_closed <= 1e-8 and worst_oracle <= 1e-3
     _report(
@@ -140,7 +138,7 @@ def test_criterion_4_gn_gap():
     res = wu_metric(indicatrix_at(gn(3), (0.0, 0.0, 0.0)).inner)
     want = 1.0 / math.sqrt(2.0)
     tilde_err = _rel(res.w_tilde(E1_3), want)
-    limit = gn_ratio_limit(3, 1.6)
+    limit = gn_ratio(3, 0.0, 1.6)
     finite = certify_contradiction_gn(3, 0.01, 2.0)
     ok = (
         tilde_err <= 1e-10
@@ -256,8 +254,8 @@ def test_criterion_9_property_suites():
         prog = simplex_program(points)
         params = min_vol_simplex(prog)
         brute = min_vol_simplex_bruteforce(prog, grid=301)
-        gap = abs(simplex_volume(brute) - simplex_volume(params))
-        worst_oracle = max(worst_oracle, gap / simplex_volume(params))
+        gap = abs(volume_ratio(brute.intercepts, params.intercepts) - 1.0)
+        worst_oracle = max(worst_oracle, gap)
     oracle_ok = worst_oracle <= 1e-3
 
     # metric homogeneity |lambda| f(X) across both type branches

@@ -1,9 +1,11 @@
 """Experiment registry and config validation."""
 
+import csv
 import re
 
 import pytest
 
+from wumetric.cli import main
 from wumetric.experiments import (
     EXPERIMENTS,
     GOLDEN_CASES,
@@ -135,16 +137,17 @@ def test_each_read_setting_is_checked(name, field, value, message):
 @pytest.mark.parametrize(
     "name, factor, failing",
     [
-        ("mu", 1.001, {("g2_usc", "usc"): 3, ("gn_usc", "usc"): 3}),
-        ("nu", 1.5, {("g2_usc", "certificate"): 3}),
+        ("mu", 1.001, {("g2_usc", "usc"): 3, ("gn_usc", "exit"): 3}),
+        ("nu", 1.5, {("g2_usc", "exit"): 3, ("gn_usc", "exit"): 3}),
     ],
 )
-def test_registry_rows_catch_a_wrong_certificate_coordinate(monkeypatch, name, factor, failing):
-    # the usc rows check W against sqrt(2) / (1 - x^2) and the g2_usc
-    # certificate rows check the ratio against t^2 (1 - x)^2, both typed
-    # from x and t, so a wrong mu or nu in every module that reads it
-    # fails them; nu x 1.5 still passes gn_usc, whose rows check the
-    # ratio only against a closed form that reads the same nu
+def test_registry_rows_catch_a_wrong_certificate_coordinate(
+    monkeypatch, tmp_path, capsys, name, factor, failing
+):
+    # the usc rows check W against sqrt(2) / (1 - x^2), and the certificate
+    # refuses a ratio off gn_ratio, both typed from x and t, so a wrong mu
+    # or nu in every module that reads it fails usc rows (exit 1, counted
+    # by kind) or stops the run with a SolverError (exit 3)
     import wumetric.domains
     import wumetric.experiments
     import wumetric.metrics
@@ -156,8 +159,13 @@ def test_registry_rows_catch_a_wrong_certificate_coordinate(monkeypatch, name, f
             monkeypatch.setattr(module, name, lambda x: factor * true(x))
     got = {}
     for exp in EXPERIMENTS:
-        for row in run_experiment(ExperimentConfig(exp)):
-            if not row.ok:
-                key = (exp, row.data["kind"])
-                got[key] = got.get(key, 0) + 1
+        out = tmp_path / f"{exp}.csv"
+        code = main(["run", exp, "--out", str(out)])
+        if code == 1:
+            with open(out, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    if row["ok"] == "false":
+                        got[(exp, row["kind"])] = got.get((exp, row["kind"]), 0) + 1
+        elif code:
+            got[(exp, "exit")] = code
     assert got == failing

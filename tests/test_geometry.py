@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wumetric.geometry import (
-    DiagonalHermitianForm,
-    SimplexParams,
-    UnboundedSimplexError,
-    simplex_volume,
-)
+from wumetric.geometry import DiagonalHermitianForm, SimplexParams
 
 axes_st = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=5
@@ -35,18 +30,6 @@ def test_form_rejects_bad_axes():
     for bad in [(0.0,), (-1.0, 2.0), (float("nan"),), ()]:
         with pytest.raises(ValueError):
             DiagonalHermitianForm(axes=bad)
-
-
-def test_simplex_volume():
-    assert simplex_volume(SimplexParams((2.0, 8.0))) == pytest.approx(8.0)
-    assert simplex_volume(SimplexParams((1.0, 1.0, 1.0))) == pytest.approx(1.0 / 6.0)
-    with pytest.raises(UnboundedSimplexError):
-        simplex_volume(SimplexParams((1.0, math.inf)))
-
-
-def test_simplex_volume_past_the_float_range_of_n_factorial():
-    # 200! has no float value, but prod(a_j) / 200! is exactly 1 here
-    assert simplex_volume(SimplexParams(tuple(range(1, 201)))) == 1.0
 
 
 def test_containment_boundary_tolerance():

@@ -9,8 +9,10 @@ planted optima of adversarial programs (near-duplicate and dominated
 points, axis scales from 1e-12 to 1e12, single-axis mass).
 """
 
+import inspect
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -22,9 +24,11 @@ from hypothesis import strategies as st
 from helpers import (
     cloud_cases,
     gn_ball_radius,
+    gn_optimum,
     hard_cloud_cases,
     min_vol_simplex_bruteforce,
     psi_contains,
+    volume_ratio,
 )
 from wumetric.busemann import (
     batch_radial,
@@ -35,15 +39,14 @@ from wumetric.busemann import (
 )
 from wumetric.domains import g2, gn, indicatrix_at, polydisc, synthetic_rem_one
 from wumetric.experiments import polydisc_cases
-from wumetric.geometry import SimplexParams, simplex_volume
+from wumetric.geometry import SimplexParams
 from wumetric import wu as wu_module
 from wumetric.wu import (
     DegenerateAxisError,
     SimplexProgram,
     SolverError,
     certify_contradiction_gn,
-    gn_constrained_optimum,
-    gn_ratio_limit,
+    gn_ratio,
     min_vol_simplex,
     min_vol_simplex_info,
     simplex_program,
@@ -59,8 +62,12 @@ def solve(points, **kw):
 
 
 def two_point_program(n, x):
+    """The certificate's two points, with nu = ((1 - x) / x)^2: the
+    library's (1/x - 1)^2 cancels near x = 1 (2.2e-14 relative at
+    x = 0.99), which the typed closed forms of ``helpers.gn_optimum`` do
+    not."""
     mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
+    nu = ((1.0 - x) / x) ** 2
     p1 = (mu, 0.0) + (1.0,) * (n - 2)
     p2 = (0.0, nu) + (1.0,) * (n - 2)
     return simplex_program([p1, p2]), mu, nu
@@ -70,9 +77,9 @@ def pinned_two_point_program(n, x, t):
     """The certificate's program with its first intercept pinned to t,
     scaled to the plain program on the other n - 1 axes: a simplex
     through (t, a_2, ..., a_n) contains (mu, 0, 1, ..., 1) iff T_(a_2..a_n)
-    contains (0, 1, ..., 1) / (1 - mu/t)."""
+    contains (0, 1, ..., 1) / (1 - mu/t).  nu as in ``two_point_program``."""
     mu = (1.0 - x * x) ** 2
-    nu = (1.0 / x - 1.0) ** 2
+    nu = ((1.0 - x) / x) ** 2
     rho = 1.0 - mu / t
     p1 = (0.0,) + (1.0 / rho,) * (n - 2)
     p2 = (nu,) + (1.0,) * (n - 2)
@@ -168,7 +175,7 @@ def test_pinned_two_point_active_regime():
     want = (t, nu * t / mu, (n - 2) * t / (t - mu))
     a = (t,) + min_vol_simplex(prog).intercepts
     assert a == pytest.approx(want, rel=1e-9)
-    assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-9)
+    assert a == pytest.approx(gn_optimum(n, x, t), rel=1e-9)
 
 
 def test_pinned_two_point_slack_regime():
@@ -180,13 +187,13 @@ def test_pinned_two_point_slack_regime():
     a = (t,) + min_vol_simplex(prog).intercepts
     assert a == pytest.approx((t, (n - 1) * nu, float(n - 1)), rel=1e-9)
     assert certify_contradiction_gn(n, x, t).constrained.intercepts == a
-    assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-9)
+    assert a == pytest.approx(gn_optimum(n, x, t), rel=1e-9)
 
 
 def test_pinned_two_point_matches_reduced_optimum_across_regimes():
     for n, x, t in [(3, 0.3, 1.6), (3, 0.05, 2.0), (4, 0.2, 2.1), (5, 0.1, 2.6)]:
         a = certify_contradiction_gn(n, x, t).constrained.intercepts
-        assert a == pytest.approx(gn_constrained_optimum(n, x, t), rel=1e-8)
+        assert a == pytest.approx(gn_optimum(n, x, t), rel=1e-8)
 
 
 def test_unpinned_two_point_optimum():
@@ -208,8 +215,8 @@ def test_unpinned_two_point_optimum():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 40, 200])
 def test_two_point_dual_matches_the_closed_form_in_both_regimes(n):
     # pins from just above n/2 to 3n: the active regime t <= (n-1) mu and
-    # the slack one beyond.  Measured worst cases: intercepts 2.4e-14 and
-    # volume 4.7e-13 relative, both at n = 200 (2.2e-15 volume up to n = 8)
+    # the slack one beyond.  Measured worst cases: intercepts 1.7e-14 and
+    # volume 4.8e-13 relative, both at n = 200 (2.0e-15 volume up to n = 8)
     regimes = set()
     for x in np.linspace(0.01, 0.99, 9).tolist():
         m = (1.0 - x * x) ** 2
@@ -219,11 +226,11 @@ def test_two_point_dual_matches_the_closed_form_in_both_regimes(n):
             regimes.add(t <= (n - 1) * m)
             prog, _, _ = pinned_two_point_program(n, x, t)
             info = min_vol_simplex_info(prog)
-            want = gn_constrained_optimum(n, x, t)
+            want = gn_optimum(n, x, t)
             got = (t,) + info.params.intercepts
             assert info.gap <= TOL and info.iterations == 0
             assert got == pytest.approx(want, rel=5e-14)
-            vol = math.prod(a / b for a, b in zip(got, want))
+            vol = volume_ratio(got, want)
             assert abs(vol - 1.0) <= (1e-12 if n > 8 else 5e-15)
     assert regimes == ({False} if n == 2 else {False, True})
 
@@ -301,6 +308,34 @@ def test_two_point_dual_gap_above_the_tolerance_raises():
     assert err.value.gap == gap
 
 
+def test_two_point_dual_at_the_regime_boundary_takes_few_evaluations():
+    # at the pin t = (n-1) mu the root of F' lies within rounding of w = 0
+    # and every Newton step leaves the bracket: bisection must stop once a
+    # step moves w by at most 2**-53 (26 evaluations of F' here), not halve
+    # on through the subnormals (over 1 000)
+    lines, first = inspect.getsourcelines(wu_module._solve_two_points)
+    target = first + next(i for i, line in enumerate(lines) if line.strip().startswith("slope = "))
+    code = wu_module._solve_two_points.__code__
+    evaluations = 0
+
+    def local(frame, event, arg):
+        nonlocal evaluations
+        if event == "line" and frame.f_lineno == target:
+            evaluations += 1
+        return local
+
+    n, x = 50, 0.1
+    t = (n - 1) * (1.0 - x * x) ** 2
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        rep = certify_contradiction_gn(n, x, t)
+    finally:
+        sys.settrace(previous)
+    assert 0 < evaluations <= 32
+    assert rep.constrained.intercepts == pytest.approx(gn_optimum(n, x, t), rel=1e-13)
+
+
 def _two_point_case(rng, kind):
     """Two seeded points of one of TWO_POINT_KINDS on k = 2..8 axes,
     coordinates e^-5 .. e^5, in random order."""
@@ -321,11 +356,14 @@ def _two_point_case(rng, kind):
         q = p.copy()
     elif kind == "near-tie":
         q = p * np.exp(rng.uniform(-0.1, 0.1, k))
+    elif kind == "wide-range":
+        # coordinates e^-30 .. e^30: a term of F' is near 0 at an end of [0, 1]
+        p, q = np.exp(rng.uniform(-30.0, 30.0, (2, k)))
     return rng.permutation(np.vstack([p, q]))
 
 
 TWO_POINT_KINDS = ("generic", "near-duplicate", "dominated", "zero-coordinates", "duplicate",
-                   "near-tie")
+                   "near-tie", "wide-range")
 
 
 @pytest.mark.parametrize("kind", TWO_POINT_KINDS)
@@ -375,7 +413,7 @@ def test_containment_certificate():
 def test_duality_gap_is_reported():
     info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (0.3, 0.2)]))
     assert info.gap <= 1e-10
-    assert simplex_volume(info.params) == pytest.approx(2.0)
+    assert math.prod(info.params.intercepts) / 2 == pytest.approx(2.0)
     assert all(w >= 0 for w in info.weights)
 
 
@@ -961,9 +999,10 @@ def test_mass_on_a_single_axis_matches_bruteforce():
     prog = simplex_program(pts)
     info = min_vol_simplex_info(prog)
     assert info.gap <= TOL
-    ref = simplex_volume(min_vol_simplex_bruteforce(prog, grid=601))
-    assert simplex_volume(info.params) == pytest.approx(ref, rel=1e-3)
-    assert simplex_volume(info.params) <= ref * (1.0 + 1e-9)
+    ref = min_vol_simplex_bruteforce(prog, grid=601)
+    vol = volume_ratio(info.params.intercepts, ref.intercepts)
+    assert vol == pytest.approx(1.0, rel=1e-3)
+    assert vol <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1018,7 @@ def test_bruteforce_matches_solver_on_pinned_program():
     prog, _, _ = pinned_two_point_program(3, 0.1, 2.0)
     exact = min_vol_simplex(prog)
     ref = min_vol_simplex_bruteforce(prog, grid=601)
-    assert simplex_volume(ref) == pytest.approx(simplex_volume(exact), rel=1e-3)
+    assert volume_ratio(ref.intercepts, exact.intercepts) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_bruteforce_lands_on_the_am_gm_optimum_of_the_polydisc_programs():
@@ -1001,10 +1040,10 @@ def test_bruteforce_refuses_high_dimensions():
 def test_bruteforce_oracle_equivalence():
     for n, pts in cloud_cases(14):
         prog = simplex_program(pts)
-        vol = simplex_volume(min_vol_simplex(prog))
-        ref = simplex_volume(min_vol_simplex_bruteforce(prog, grid=301))
-        assert vol == pytest.approx(ref, rel=1e-3), (n, len(pts))
-        assert vol <= ref * (1.0 + 1e-9)  # never worse than the scan
+        ref = min_vol_simplex_bruteforce(prog, grid=301)
+        vol = volume_ratio(min_vol_simplex(prog).intercepts, ref.intercepts)
+        assert vol == pytest.approx(1.0, rel=1e-3), (n, len(pts))
+        assert vol <= 1.0 + 1e-9  # never worse than the scan
 
 
 # ---------------------------------------------------------------------------
@@ -1163,8 +1202,9 @@ def test_g2_certificate_at_reference_parameters():
     nu = (1.0 / 0.01 - 1.0) ** 2
     assert rep.constrained.intercepts == pytest.approx((1.1**2, nu), rel=1e-12)
     assert rep.ratio == pytest.approx(0.01**2 * 1.1**2 * nu, rel=1e-12)
-    assert gn_constrained_optimum(2, 0.01, t * t) == pytest.approx((t * t, nu), rel=1e-12)
-    assert rep.ratio_limit == t * t
+    assert gn_optimum(2, 0.01, t * t) == pytest.approx((t * t, nu), rel=1e-12)
+    assert rep.regime == "slack"
+    assert gn_ratio(2, 0.0, t * t) == t * t
 
 
 def test_g2_certificate_inconclusive_region():
@@ -1183,7 +1223,7 @@ def test_g2_certificate_is_the_closed_form_ratio(x, t):
     assert rep.ratio == pytest.approx(want, rel=1e-15)
     assert rep.ratio_bound == pytest.approx(want, rel=1e-15)
     assert rep.constrained.intercepts[0] == t * t
-    assert gn_ratio_limit(2, t * t) == t * t
+    assert gn_ratio(2, 0.0, t * t) == t * t
 
 
 def test_g2_certificate_validation():
@@ -1198,7 +1238,7 @@ def test_gn_certificate_slack_regime():
     rep = certify_contradiction_gn(n, x, t)
     nu = (1.0 / x - 1.0) ** 2
     want = 4.0 * x * x * t * nu * (n - 1) ** (n - 1) / n**n
-    assert rep.certified
+    assert rep.certified and rep.regime == "slack"
     assert rep.ratio == pytest.approx(want, rel=1e-10)
     assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10)
 
@@ -1208,10 +1248,10 @@ def test_gn_certificate_active_regime():
     rep = certify_contradiction_gn(n, x, t)
     mu, nu = (1.0 - x * x) ** 2, (1.0 / x - 1.0) ** 2
     want = 4.0 * x * x * nu * (n - 2) ** (n - 2) * t**n / (mu * n**n * (t - mu) ** (n - 2))
-    assert rep.certified
+    assert rep.certified and rep.regime == "active"
     assert rep.ratio == pytest.approx(want, rel=1e-8)
     assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-8)
-    assert rep.ratio_limit == pytest.approx(gn_ratio_limit(n, t), rel=1e-15)
+    assert rep.ratio_bound == gn_ratio(n, x, t)
 
 
 def test_gn_certificate_not_always_conclusive():
@@ -1221,18 +1261,18 @@ def test_gn_certificate_not_always_conclusive():
 
 
 def test_gn_ratio_limit_reference_values():
-    assert gn_ratio_limit(3, 1.6) == pytest.approx(4.0 * 1.6**3 / (27.0 * 0.6), rel=1e-15)
-    assert gn_ratio_limit(3, 1.5) == pytest.approx(1.0, rel=1e-12)
+    assert gn_ratio(3, 0.0, 1.6) == pytest.approx(4.0 * 1.6**3 / (27.0 * 0.6), rel=1e-15)
+    assert gn_ratio(3, 0.0, 1.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gn_ratio_limit_in_the_slack_regime():
     # past t = n - 1 the first constraint goes slack: the limit is
     # 4 t (n-1)^(n-1) / n^n, and the finite-x ratio tends to it
-    assert gn_ratio_limit(3, 2.5) == pytest.approx(40 / 27, abs=1e-15)
-    assert gn_ratio_limit(4, 3.5) == pytest.approx(4 * 3.5 * 27 / 256, rel=1e-15)
+    assert gn_ratio(3, 0.0, 2.5) == pytest.approx(40 / 27, abs=1e-15)
+    assert gn_ratio(4, 0.0, 3.5) == pytest.approx(4 * 3.5 * 27 / 256, rel=1e-15)
     assert certify_contradiction_gn(3, 1e-4, 2.5).ratio == pytest.approx(40 / 27, rel=1e-3)
     # t = n - 1 lies in both regimes
-    assert gn_ratio_limit(3, 2.0) == pytest.approx(32 / 27, rel=1e-15)
+    assert gn_ratio(3, 0.0, 2.0) == pytest.approx(32 / 27, rel=1e-15)
 
 
 @pytest.mark.parametrize("n, t", [(64, 33.0), (171, 86.0), (200, 101.0)])
@@ -1242,7 +1282,7 @@ def test_gn_certificate_in_many_variables(n, t):
     exact = 4 * Fraction(n - 2) ** (n - 2) * Fraction(t) ** n / (
         n**n * (Fraction(t) - 1) ** (n - 2)
     )
-    assert gn_ratio_limit(n, t) == pytest.approx(float(exact), rel=1e-13)
+    assert gn_ratio(n, 0.0, t) == pytest.approx(float(exact), rel=1e-13)
     for x in (0.1, 0.01):
         rep = certify_contradiction_gn(n, x, t)
         ratio = math.prod(Fraction(a) / Fraction(b) for a, b in zip(
@@ -1250,8 +1290,6 @@ def test_gn_certificate_in_many_variables(n, t):
         ))
         assert rep.ratio == pytest.approx(float(ratio), rel=1e-13)
         assert rep.ratio == pytest.approx(rep.ratio_bound, rel=1e-10)
-        assert 0.0 < rep.constrained_volume < math.inf
-        assert 0.0 < rep.reference_volume < math.inf
 
 
 def test_gn_certificate_bound_dominates_ratio():
@@ -1275,16 +1313,16 @@ def _gn_sweep_pins(n, x):
 
 
 def test_gn_certificate_self_check_holds_with_a_tenfold_margin():
-    # the certificate refuses a volume more than 1e-11 relative off the
-    # closed form; over this sweep the worst is 5.1e-13 (n = 200, x = 1e-4)
+    # the certificate refuses a ratio more than 1e-11 relative off
+    # gn_ratio; over this sweep the worst is 4.9e-13 against gn_ratio and
+    # 4.7e-13 against the typed intercepts (both at n = 200)
     worst = 0.0
     for n in list(range(2, 60)) + [100, 150, 200]:
         for x in GN_SWEEP_XS:
             for t in _gn_sweep_pins(n, x):
                 rep = certify_contradiction_gn(n, x, t)
-                want = gn_constrained_optimum(n, x, t)
-                off = math.prod(a / b for a, b in zip(rep.constrained.intercepts, want)) - 1.0
-                worst = max(worst, abs(off))
+                off = volume_ratio(rep.constrained.intercepts, gn_optimum(n, x, t)) - 1.0
+                worst = max(worst, abs(off), abs(rep.ratio / gn_ratio(n, x, t) - 1.0))
     assert worst <= 1e-12
 
 
