@@ -392,5 +392,7 @@ def mu(x: float) -> float:
 
 
 def nu(x: float) -> float:
-    """Second g2 certificate coordinate (1/x - 1)^2 at the base point (x, 0)."""
-    return (1.0 / x - 1.0) ** 2
+    """Second g2 certificate coordinate (1/x - 1)^2 at the base point (x, 0),
+    computed as ((1 - x)/x)^2: 1 - x is exact for x in [1/2, 1], where
+    1/x - 1 cancels."""
+    return ((1.0 - x) / x) ** 2

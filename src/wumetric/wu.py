@@ -25,11 +25,16 @@ solve passes over the whole cloud at most twice per working set, not once
 per step.  Points are kept column-major, which makes every per-axis
 reduction and the pricing one contiguous sweep.
 
-Small programs are solved without it.  One axis and one point have closed
+Some programs are solved without it.  One axis and one point have closed
 forms, and two points, such as the program behind the gn certificate, are
 solved on their dual, which is concave in one weight w: an endpoint, or
 the root of its derivative found by scalar Newton steps safeguarded by
-bisection.
+bisection.  On more points, the simplex T_top through the column maxima
+top is tried first: every enclosing T_a has a_j >= top_j, and T_top
+scaled by reach, the largest column-normalized mass, contains every
+point, so its gap k log(reach) certifies it whenever every point lies
+under the face through the axis points, as for ellipsoids (the weak
+duality half of Kiefer and Wolfowitz, 1960).
 
 Each fact about a large cloud is read once and handed down: the column
 maxima come from the program's validation pass (``SimplexProgram.
@@ -442,8 +447,17 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     """Solve the program with a duality-gap certificate.  One axis has the
     closed form a = max_i u_i, one point u on k axes the closed form
     a = k u; both have gap 0 and all weight on one point.  Two points on
-    k >= 2 axes are solved on their one-weight dual (``_solve_two_points``),
-    more points by the interior-point method.
+    k >= 2 axes are solved on their one-weight dual (``_solve_two_points``).
+
+    More points take the column-maxima simplex a = reach top when its gap
+    k log(reach) is within the tolerance, with reach = max_i sum_j
+    u_ij / top_j the largest mass from ``_reduce``: each enclosing a has
+    a_j >= top_j, since the point that attains top_j must fit, so the
+    volume is within reach^k of the optimum and each intercept within
+    reach^k - 1 relative, tighter than the sqrt(2 gap) of a general
+    optimum.  Its weights are 1/k on one argmax row per column, whose
+    (U^T w)_j >= top_j / k certify the same gap.  Otherwise the program
+    goes to the interior-point method (``_solve_reduced``).
 
     Columns with subnormal or huge maxima are solved scaled by a power of
     two (``_reduce``).  An intercept beyond the float range raises
@@ -460,11 +474,18 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
         w[i] = 1.0
         a, gap, iters = k * reduced[i], 0.0, 0
     else:
+        iters = 0
         if len(reduced) == 2:
             b, w, gap, reach = _solve_two_points(reduced, prog.tolerance, top)
-            iters = 0
         else:
-            b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
+            # the column-maxima simplex: the masses are the pricing of 1 / top
+            reach = float(mass.max())
+            gap = _priced_gap(k, reach)
+            if gap <= prog.tolerance:
+                b = 1.0 / top
+                w = np.bincount(reduced.argmax(axis=0), minlength=len(reduced)) / k
+            else:
+                b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
         # conservative rescale: containment of every reduced point, exactly;
         # reach is max(reduced @ b) from the pricing that returned b
         if reach > 1.0:
@@ -662,8 +683,9 @@ def _volume_ratio(a: Sequence[float], b: Sequence[float]) -> float:
 
 def gn_ratio(n: int, x: float, t: float) -> float:
     """Volume ratio of the certificate's pinned optimum on gn against the
-    reference simplex, for n >= 2, 0 <= x < 1 and a pin t > n/2; x = 0
-    gives the x -> 0 limit.  It is typed from x and t alone.
+    reference simplex, for n >= 2, 0 <= x < 1 and a pin t >= n/2; x = 0
+    gives the x -> 0 limit, and t = n/2 the limit of the pin.  It is typed
+    from x and t alone; other inputs raise ``ValueError``.
 
     With the first intercept pinned to t, minimizing the volume over
     simplexes containing (mu, 0, 1, ..., 1) and (0, nu, 1, ..., 1) reduces,
@@ -678,11 +700,20 @@ def gn_ratio(n: int, x: float, t: float) -> float:
     (2t/(n(1+x)))^2 ((n-2) t/(n (t - mu)))^(n-2) in the active regime and
     (2t/n) (2 (n-1) (1-x)^2/n) ((n-1)/n)^(n-2) in the slack one, which is
     t (1-x)^2 at n = 2.  A product of per-axis factors, so it meets
-    neither n! nor n^n.
+    neither n! nor n^n.  At n = 2 there is no trailing factor, and both
+    regimes give 1 at the pin t = 1 with x = 0.
     """
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError("integer n >= 2 required")
+    if not 0.0 <= x < 1.0:
+        raise ValueError("x in [0, 1) required")
+    if not t >= n / 2.0:
+        raise ValueError("t >= n/2 required for the monotone volume bound")
     if _regime(n, x, t) == "active":
-        trailing = (n - 2) * t / (n * (t - (1.0 - x * x) ** 2))
-        return (2.0 * t / (n * (1.0 + x))) ** 2 * trailing ** (n - 2)
+        ratio = (2.0 * t / (n * (1.0 + x))) ** 2
+        if n > 2:
+            ratio *= ((n - 2) * t / (n * (t - (1.0 - x * x) ** 2))) ** (n - 2)
+        return ratio
     return (2.0 * t / n) * (2.0 * (n - 1) * (1.0 - x) ** 2 / n) * ((n - 1) / n) ** (n - 2)
 
 

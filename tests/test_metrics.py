@@ -8,6 +8,7 @@ branch against hand arithmetic written straight from the displayed formulas.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -418,3 +419,14 @@ def test_g2_kappa_upper_points_values():
         want = np.array([(1.0 - x * x, 0.0), (0.0, (1.0 - x) / x)]) ** 2
         assert cloud.shape == (2, 2)
         np.testing.assert_allclose(cloud, want, rtol=1e-12, atol=0.0)
+
+
+def test_nu_holds_its_rational_value_near_one():
+    # nu = ((1 - x)/x)^2: 1 - x is exact for x >= 1/2, so nu is within two
+    # ulps of its exact value; (1/x - 1)^2 cancels there (2.2e-14 off at
+    # x = 0.99)
+    xs = [0.5, 0.75, 0.9, 0.99, 0.999, 1.0 - 2.0**-20, 1.0 - 2.0**-52]
+    xs += np.random.default_rng(97).uniform(0.5, 1.0, 200).tolist()
+    for x in xs:
+        exact = ((1 - Fraction(x)) / Fraction(x)) ** 2
+        assert abs(Fraction(metrics.nu(x)) / exact - 1) <= Fraction(2.0**-51)

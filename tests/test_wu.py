@@ -62,10 +62,10 @@ def solve(points, **kw):
 
 
 def two_point_program(n, x):
-    """The certificate's two points, with nu = ((1 - x) / x)^2: the
-    library's (1/x - 1)^2 cancels near x = 1 (2.2e-14 relative at
-    x = 0.99), which the typed closed forms of ``helpers.gn_optimum`` do
-    not."""
+    """The certificate's two points, with nu = ((1 - x) / x)^2 written out
+    as ``metrics.nu`` computes it: (1/x - 1)^2 would cancel near x = 1
+    (2.2e-14 relative at x = 0.99), which the typed closed forms of
+    ``helpers.gn_optimum`` do not."""
     mu = (1.0 - x * x) ** 2
     nu = ((1.0 - x) / x) ** 2
     p1 = (mu, 0.0) + (1.0,) * (n - 2)
@@ -236,12 +236,14 @@ def test_two_point_dual_matches_the_closed_form_in_both_regimes(n):
 
 
 def _interior_point_optimum(prog):
-    """Intercepts and gap of ``_solve_reduced`` on the reduced rows of a
-    program with no scaled axis, rescaled to contain them."""
+    """Intercepts, gap and Newton steps of ``_solve_reduced`` on the
+    reduced rows of a program with no scaled axis, rescaled to contain
+    them: the interior-point method on a program that the public path
+    answers on the two-point dual or by the column-maxima simplex."""
     reduced, _, top, mass, shift = wu_module._reduce(prog)
-    assert shift is None and reduced.shape[0] == 2
-    b, _, gap, _, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, mass)
-    return 1.0 / (b / max(reach, 1.0)), gap
+    assert shift is None
+    b, _, gap, steps, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, mass)
+    return 1.0 / (b / max(reach, 1.0)), gap, steps
 
 
 @pytest.mark.parametrize(
@@ -264,7 +266,7 @@ def test_two_point_dual_edge_cases(pts, want, weights):
     if want is not None:
         assert info.params.intercepts == want and info.weights.tolist() == weights
     else:
-        a, _ = _interior_point_optimum(simplex_program(pts))
+        a, _, _ = _interior_point_optimum(simplex_program(pts))
         assert abs(np.log(info.params.intercepts).sum() - np.log(a).sum()) <= TOL
 
 
@@ -372,7 +374,7 @@ def test_two_point_dual_agrees_with_the_interior_point_method(kind):
     for _ in range(60):
         prog = simplex_program(_two_point_case(rng, kind))
         info = min_vol_simplex_info(prog)
-        a, gap = _interior_point_optimum(prog)
+        a, gap, _ = _interior_point_optimum(prog)
         assert info.gap <= TOL and gap <= TOL
         # both are feasible, so each log-volume is within its own gap of the optimum
         assert abs(np.log(info.params.intercepts).sum() - np.log(a).sum()) <= TOL
@@ -888,21 +890,30 @@ def _planted_near_tie(seed, k, depth):
     return a, pts
 
 
-def test_planted_near_tie_programs_certify_within_the_step_pin():
+def _planted_near_ties():
     # 288 seeded programs, k = 2..5, interior points 1e-1 .. 1e-3 below the
-    # planted facet.  The centred start with centring 0.01 after every step
-    # whose undamped length stays feasible takes 3 008 Newton steps in all;
-    # the old start with 0.01 only after a full step took 4 466, and a
-    # fixed centring of 0.1 took 5 458.
-    total = 0
+    # planted facet
     for seed in range(24):
         for k in (2, 3, 4, 5):
             for e, depth in enumerate((1e-1, 1e-2, 1e-3), start=1):
-                a, pts = _planted_near_tie(1000 * seed + 10 * k + e, k, depth)
-                info = min_vol_simplex_info(simplex_program(pts))
-                assert info.gap <= TOL
-                assert np.allclose(info.params.intercepts, a, rtol=1e-12, atol=0.0)
-                total += info.iterations
+                yield _planted_near_tie(1000 * seed + 10 * k + e, k, depth)
+
+
+def test_planted_near_tie_programs_certify_within_the_step_pin():
+    # The public path answers every program by the column-maxima simplex;
+    # the pin holds the interior-point method on the same rows.  The
+    # centred start with centring 0.01 after every step whose undamped
+    # length stays feasible takes 3 008 Newton steps in all; the old start
+    # with 0.01 only after a full step took 4 466, and a fixed centring of
+    # 0.1 took 5 458.
+    total = 0
+    for a, pts in _planted_near_ties():
+        prog = simplex_program(pts)
+        assert min_vol_simplex_info(prog).iterations == 0
+        got, gap, steps = _interior_point_optimum(prog)
+        assert gap <= TOL
+        assert np.allclose(got, a, rtol=1e-12, atol=0.0)
+        total += steps
     assert total <= 3008
 
 
@@ -927,7 +938,9 @@ def test_seeded_sweep_across_scales_certifies_within_the_step_pin():
     # certifies.  The planted intercepts are off by at most 1.6e-15
     # relative, except for two programs 1e-11 deep that stop at a gap of
     # 2e-11 and are off by 3.1e-12.  The sweep takes 5 753 Newton steps in
-    # all, where the old start and centring rule took 7 971.
+    # all, where the old start and centring rule took 7 971.  The public
+    # path answers the planted programs by the column-maxima simplex, so
+    # their steps are counted on ``_solve_reduced`` over the same rows.
     total = 0
     for seed in range(250):
         rng = np.random.default_rng(seed)
@@ -942,10 +955,12 @@ def test_seeded_sweep_across_scales_certifies_within_the_step_pin():
         k = 2 + seed % 4
         depth = 10.0 ** -(1 + seed % 12)
         a, pts = _planted_vertices(rng, k, depth, rng.integers(-12, 13, k))
-        info = min_vol_simplex_info(simplex_program(pts))
-        assert info.gap <= TOL
-        assert np.allclose(info.params.intercepts, a, rtol=1e-11, atol=0.0)
-        total += info.iterations
+        prog = simplex_program(pts)
+        assert min_vol_simplex_info(prog).iterations == 0
+        got, gap, steps = _interior_point_optimum(prog)
+        assert gap <= TOL
+        assert np.allclose(got, a, rtol=1e-11, atol=0.0)
+        total += steps
     assert total <= 5753
 
 
@@ -958,9 +973,104 @@ def test_seeded_sweep_across_scales_certifies_within_the_step_pin():
 )
 def test_planted_vertices_with_near_duplicates(k, depth, exponents, seed):
     a, pts = _planted_vertices(np.random.default_rng(seed), k, depth, exponents[:k])
-    info = min_vol_simplex_info(simplex_program(pts))
+    prog = simplex_program(pts)
+    info = min_vol_simplex_info(prog)
+    assert info.gap <= TOL and info.iterations == 0
+    assert info.params.intercepts == pytest.approx(tuple(a), rel=1e-15)
+    # the interior-point method on the same rows
+    got, gap, _ = _interior_point_optimum(prog)
+    assert gap <= TOL
+    assert tuple(got) == pytest.approx(tuple(a), rel=1e-9)
+
+
+def _assert_certified(info, pts):
+    """The certificate recomputed from the returned intercepts a and
+    weights w: containment max_i <u_i, 1/a> <= 1 + 1e-15, and the gap
+    sum_j log(a_j / (k (U^T w)_j)) within the tolerance."""
+    a, w, k = np.array(info.params.intercepts), info.weights, pts.shape[1]
+    assert float((pts @ (1.0 / a)).max()) <= 1.0 + 1e-15
+    assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-15
     assert info.gap <= TOL
-    assert info.params.intercepts == pytest.approx(tuple(a), rel=1e-9)
+    assert float(np.log(a / (k * (pts.T @ w))).sum()) <= TOL
+
+
+def test_planted_programs_take_the_column_maxima_simplex():
+    # the axis points a_j e_j are the column maxima and every other point
+    # lies in T_a, so the optimum is known before any solve: no Newton
+    # step, and the intercepts to rounding (at most 6.7e-16 relative
+    # here), where the interior-point method is pinned to 1e-12
+    planted = list(_planted_near_ties())
+    rng = np.random.default_rng(71)
+    for seed in range(60):
+        k = 2 + seed % 4
+        planted.append(_planted_vertices(rng, k, 10.0 ** -(1 + seed % 12), rng.integers(-12, 13, k)))
+    for a, pts in planted:
+        info = min_vol_simplex_info(simplex_program(pts))
+        assert info.iterations == 0
+        assert np.allclose(info.params.intercepts, a, rtol=1e-15, atol=0.0)
+        _assert_certified(info, pts)
+
+
+def test_column_maxima_weights_skip_rows_with_no_mass():
+    a, pts = _planted_near_tie(5, 3, 1e-2)
+    pts = np.vstack([np.zeros((2, 3)), pts])
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.iterations == 0 and (info.weights[:2] == 0.0).all()
+    # 1/k on the axis point of each column
+    axis = [int(np.argmax(pts[:, j])) for j in range(3)]
+    assert info.weights[axis].tolist() == [1.0 / 3.0] * 3
+    assert np.count_nonzero(info.weights) == 3
+    _assert_certified(info, pts)
+
+
+def _pushed_face_point(k, push):
+    """A planted near-tie program with one point of the face pushed out
+    by the relative amount ``push``, and its column maxima."""
+    a, pts = _planted_near_tie(31 + k, k, 1e-2)
+    face = (np.abs(pts @ (1.0 / a) - 1.0) < 1e-12) & (pts.min(axis=1) > 0.0)
+    pts[np.flatnonzero(face)[0]] *= 1.0 + push
+    top = pts.max(axis=0)
+    assert np.array_equal(top, a)
+    return pts, top
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_face_point_pushed_out_goes_to_the_interior_point_method(k):
+    # pushed out by 1e-6, the point leaves the column-maxima simplex a gap
+    # of about k 1e-6; the Newton method (14 to 20 steps) finds a smaller
+    # simplex and certifies it
+    pts, top = _pushed_face_point(k, 1e-6)
+    info = min_vol_simplex_info(simplex_program(pts))
+    assert info.iterations > 0
+    _assert_certified(info, pts)
+    reach = float((pts @ (1.0 / top)).max())
+    assert np.log(info.params.intercepts).sum() < np.log(top * reach).sum() - 1e-7
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_face_point_pushed_out_within_the_tolerance_keeps_the_closed_form(k):
+    # pushed out by 1e-13, the column-maxima simplex certifies with its
+    # own gap k log(reach), about k 1e-13, and is scaled by reach to
+    # contain the point
+    pts, top = _pushed_face_point(k, 1e-13)
+    info = min_vol_simplex_info(simplex_program(pts))
+    reach = float((pts @ (1.0 / top)).max())
+    assert info.iterations == 0
+    assert info.gap == k * math.log(reach) == pytest.approx(k * 1e-13, rel=1e-2)
+    assert info.params.intercepts == tuple((1.0 / ((1.0 / top) / reach)).tolist())
+    _assert_certified(info, pts)
+
+
+@pytest.mark.parametrize("exponents", [(-3, 5, 11), (-900, 0, 1022), (40, -40, 0)])
+def test_column_maxima_simplex_scales_exactly(exponents):
+    # power-of-two column scalings give bitwise-scaled intercepts; 2**1022
+    # takes k t past 2**1022, so that column is solved scaled back
+    a, pts = _planted_near_tie(19, 3, 1e-3)
+    plain = min_vol_simplex_info(simplex_program(pts))
+    scaled = min_vol_simplex_info(simplex_program(np.ldexp(pts, exponents)))
+    assert plain.iterations == scaled.iterations == 0
+    assert scaled.params.intercepts == tuple(np.ldexp(plain.params.intercepts, exponents).tolist())
+    assert scaled.gap == plain.gap and np.array_equal(scaled.weights, plain.weights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1263,6 +1373,33 @@ def test_gn_certificate_not_always_conclusive():
 def test_gn_ratio_limit_reference_values():
     assert gn_ratio(3, 0.0, 1.6) == pytest.approx(4.0 * 1.6**3 / (27.0 * 0.6), rel=1e-15)
     assert gn_ratio(3, 0.0, 1.5) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gn_ratio_at_the_smallest_pin():
+    # at n = 2 the trailing factor has exponent 0, and both regimes give
+    # 1 at x = 0, t = n/2 = 1
+    assert gn_ratio(2, 0.0, 1.0) == 1.0
+    assert gn_ratio(2, 0.0, 1.0 + 2.0**-40) == pytest.approx(1.0, abs=1e-11)
+    assert gn_ratio(2, 0.5, 1.0) == 0.25
+
+
+@pytest.mark.parametrize(
+    "n, x, t, message",
+    [
+        (1, 0.1, 1.0, "integer n >= 2"),
+        (3.0, 0.1, 2.0, "integer n >= 2"),
+        (3, 1.5, 2.0, r"x in \[0, 1\)"),
+        (3, 1.0, 2.0, r"x in \[0, 1\)"),
+        (3, -0.1, 2.0, r"x in \[0, 1\)"),
+        (3, math.nan, 2.0, r"x in \[0, 1\)"),
+        (3, 0.1, 1.0, "t >= n/2"),
+        (2, 0.0, 0.5, "t >= n/2"),
+        (3, 0.1, math.nan, "t >= n/2"),
+    ],
+)
+def test_gn_ratio_refuses_inputs_outside_its_range(n, x, t, message):
+    with pytest.raises(ValueError, match=message):
+        gn_ratio(n, x, t)
 
 
 def test_gn_ratio_limit_in_the_slack_regime():
