@@ -21,13 +21,13 @@ the minimum of its factors' radii, and keeps its factors, so that
 all of them.
 
 Every radial sample becomes a boundary point rho(d) d in one place,
-``Indicatrix.boundary_points``, which also holds the one recession rule:
-zero radii are dropped, and so is a radius beyond ``RADIUS_CAP`` along a
-direction with mass only on unbounded axes; such a radius on a direction
-with mass on a declared-bounded axis raises ``UnknownBoundednessError``.
-``convexify`` and ``wu.wu_metric`` both sample through it.  ``support``
-samples nothing: it reads a cloud's or a hull's stored points, and refuses
-a raw radial ball.
+``Indicatrix.boundary_points``, which also holds the one recession rule: a
+radius is recession exactly when it is infinite, and then it is dropped
+along a direction with mass only on unbounded axes and raises
+``UnknownBoundednessError`` along any other.  Zero radii are dropped.
+``convexify`` and ``wu.wu_metric`` sample through it, along
+``DIRECTIONS_PER_AXIS`` directions per axis.  ``support`` samples nothing:
+it reads a cloud's or a hull's stored points, and refuses a raw radial ball.
 
 The largest seminorm below eta has the convex hull conv(B) as its ball.
 Downstream minimization (minimal enclosing ellipsoid respectively simplex)
@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-RADIUS_CAP = 1e12  # radial samples beyond this are treated as recession
+DIRECTIONS_PER_AXIS = 256  # default boundary sample: this many directions per axis
 # direction tables kept by absolute_directions, one per (k, count) shape;
 # a table above the byte budget is built for its call and not kept
 DIRECTION_TABLES = 16
@@ -170,13 +170,14 @@ class Indicatrix:
     def boundary_points(self, directions: np.ndarray) -> np.ndarray:
         """Boundary points rho(d) d along unit directions of shape (N, dim)
         with nonnegative entries, from one radial call, one row per kept
-        direction in order.  Zero radii are dropped, and so are radii
-        beyond ``RADIUS_CAP`` on directions with mass only on unbounded
-        axes; beyond it on a declared-bounded axis they raise
-        ``UnknownBoundednessError``."""
+        direction in order.  A radius is recession exactly when it is
+        infinite: it is dropped on a direction with mass only on unbounded
+        axes and raises ``UnknownBoundednessError`` on one with mass on a
+        declared-bounded axis.  Zero radii are dropped; every finite radius
+        is a sample."""
         d = np.asarray(directions)
         rho = self.radii(d)
-        far = rho > RADIUS_CAP
+        far = rho == math.inf
         if far.any() and (d[far][:, np.array(self.boundedness())] != 0.0).any():
             raise UnknownBoundednessError(
                 "radial evaluator unbounded on a declared-bounded direction"
@@ -185,15 +186,12 @@ class Indicatrix:
         return rho[keep, None] * d[keep]
 
     def eta(self, X: Sequence[complex]) -> float:
-        """Metric value eta(X) = |X| / rho(X/|X|) (radial representation)."""
-        if self.radial is None:
-            raise UnsupportedIndicatrixError("eta needs the radial representation")
+        """Metric value eta(X) = |X| / rho(X/|X|), rho read through
+        ``radii``: 0 where rho is infinite (recession), inf where it is 0."""
         norm = math.sqrt(sum(abs(x) ** 2 for x in X))
         if norm == 0.0:
             return 0.0
-        rho = float(self.radial(tuple(complex(x) / norm for x in X)))
-        if rho == math.inf:
-            return 0.0
+        rho = float(self.radii(tuple(complex(x) / norm for x in X)))
         if rho <= 0.0:
             return math.inf
         return norm / rho
@@ -402,9 +400,9 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     minimization treats a point set and its hull alike.  Other radial
     Reinhardt indicatrices get a hull radial evaluator backed by the
     ``boundary_points`` along ``resolution`` directions (default
-    256 * dim; a count below 1 raises ``ValueError``): the facets of their
-    downward-closed hull are computed once, and a radius is the reciprocal
-    of the gauge max_f <n_f, d> / b_f.
+    ``DIRECTIONS_PER_AXIS`` * dim; a count below 1 raises ``ValueError``):
+    the facets of their downward-closed hull are computed once, and a
+    radius is the reciprocal of the gauge max_f <n_f, d> / b_f.
     A hull whose maximal boundary samples span more than ``MAX_HULL_AXES``
     axes raises ``UnsupportedIndicatrixError``: its facets run into the
     millions.
@@ -414,7 +412,7 @@ def convexify(ind: Indicatrix, resolution: int | None = None) -> Indicatrix:
     if ind.cloud is not None or ind.hull_points is not None:
         return ind
     bounded = np.flatnonzero(ind.boundedness())
-    count = 256 * ind.dim if resolution is None else resolution
+    count = DIRECTIONS_PER_AXIS * ind.dim if resolution is None else resolution
     pts = ind.boundary_points(absolute_directions(ind.dim, count))
     if len(pts) == 0:
         raise ValueError("no boundary samples with a positive finite radius")

@@ -224,8 +224,18 @@ def metric_indicatrix(
         alpha_n = np.array(info.alpha_normalized)
         big_k = val0 * abs(at[0]) / abs(alpha_n[0])
         c = big_k * alpha_n / np.array(at)
+        # frame and radius from c scaled by the power of two 2**-e that puts
+        # its largest modulus in [1/2, 1), so that |c| cannot underflow
+        top = float(np.abs(c).max())
+        if not 0.0 < top < math.inf:
+            raise ValueError(
+                f"{kind}: the covector K alpha / a at {at} underflows to 0 or is "
+                f"not finite (largest modulus {top!r}, metric at e1 {val0!r})"
+            )
+        e = math.frexp(top)[1]
+        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
         u = _unitary_from_functional(c)
-        radius = 1.0 / float(np.linalg.norm(c))
+        radius = float(np.ldexp(1.0 / np.linalg.norm(c), -e))
 
         bounded = (True,) + (False,) * (n - 1)
         return radial_indicatrix(batch_radial(lambda m: radius / m[..., 0]), n, bounded), u

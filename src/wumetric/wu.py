@@ -62,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .busemann import Indicatrix, absolute_directions
+from .busemann import DIRECTIONS_PER_AXIS, Indicatrix, absolute_directions
 from .geometry import DiagonalHermitianForm, SimplexParams
 from .metrics import mu, nu
 
@@ -250,16 +250,17 @@ def _solve_two_points(
 
     F'(w) = sum_j r_j with r_j = (p_j - q_j) / (w p_j + (1 - w) q_j), and
     F'' = -sum_j r_j^2, so F' is decreasing.  w = 1 is optimal when every
-    p_j > 0 and F'(1) = k - sum_j q_j / p_j >= 0, w = 0 likewise with p and
-    q swapped.  Otherwise F' changes sign inside (0, 1), and safeguarded
-    Newton steps on F' from w = 1/2 find its root: a step that leaves the
-    bracket of the root is replaced by bisection, until F' is 0, a Newton
-    step no longer moves w, or a step moves w by at most 2**-53, half the
-    float spacing at 1, the scale of w.  So a root within rounding of an
-    end, as at the gn regime boundary, costs at most about 53 halvings,
-    not a walk through the subnormals.  Scores do not change when a
-    column is scaled, so F' is evaluated on unit column maxima (``top``),
-    where no w p_j + (1 - w) q_j is 0 inside (0, 1).
+    p_j > 0 and F'(1) = sum_j (p_j - q_j) / p_j >= 0, and w = 0 when every
+    q_j > 0 and F'(0) = sum_j (p_j - q_j) / q_j <= 0: the ends read F' with
+    the same sums as the search.  Otherwise F' changes sign inside (0, 1),
+    and safeguarded Newton steps on F' from w = 1/2 find its root: a step
+    that leaves the bracket of the root is replaced by bisection, until F'
+    is 0, a Newton step no longer moves w, or a step moves w by at most
+    2**-53, half the float spacing at 1, the scale of w.  So a root within
+    rounding of an end costs at most about 53 halvings, not a walk through
+    the subnormals.  Scores do not change when a column is scaled, so F'
+    is evaluated on unit column maxima (``top``), where no
+    w p_j + (1 - w) q_j is 0 inside (0, 1).
 
     Returns (b, w, gap, reach) as ``_solve_reduced`` does: b = 1 / (k (w p
     + (1 - w) q)) on u as it is, the weights (w, 1 - w), the gap of its
@@ -268,12 +269,12 @@ def _solve_two_points(
     """
     k = u.shape[1]
     p, q = (u / top).tolist()
-    if all(pj > 0.0 for pj in p) and sum(qj / pj for pj, qj in zip(p, q)) <= k:
+    d = [pj - qj for pj, qj in zip(p, q)]
+    if all(pj > 0.0 for pj in p) and sum(dj / pj for dj, pj in zip(d, p)) >= 0.0:
         w = 1.0
-    elif all(qj > 0.0 for qj in q) and sum(pj / qj for pj, qj in zip(p, q)) <= k:
+    elif all(qj > 0.0 for qj in q) and sum(dj / qj for dj, qj in zip(d, q)) <= 0.0:
         w = 0.0
     else:
-        d = [pj - qj for pj, qj in zip(p, q)]
         lo, hi, w = 0.0, 1.0, 0.5
         while True:
             r = [dj / (qj + w * dj) for dj, qj in zip(d, q)]
@@ -527,13 +528,15 @@ class WuResult:
 
 def _psi_sample(ind: Indicatrix, axes: list[int]) -> np.ndarray:
     """Psi-points of the indicatrix on its bounded ``axes``: its cloud, or
-    its boundary along 256 directions per axis."""
+    its boundary along ``DIRECTIONS_PER_AXIS`` directions per axis."""
     if ind.cloud is not None:
         return ind.cloud[:, axes]
-    sub = absolute_directions(len(axes), 256 * len(axes))
+    sub = absolute_directions(len(axes), DIRECTIONS_PER_AXIS * len(axes))
     dirs = np.zeros((len(sub), ind.dim))
     dirs[:, axes] = sub
-    return ind.boundary_points(dirs)[:, axes] ** 2
+    # a radius above about 1e154 squares to inf, which SimplexProgram refuses
+    with np.errstate(over="ignore"):
+        return ind.boundary_points(dirs)[:, axes] ** 2
 
 
 def _product_sample(factors: tuple[Indicatrix, ...]) -> np.ndarray:
@@ -572,9 +575,10 @@ def wu_metric(
     Degenerate axes (unbounded directions of the hull) are split off; on
     the complement the minimal-volume enclosing diagonal ellipsoid is
     computed by one certified solve over the certificate points: the
-    cloud itself, or a boundary sample of the radial evaluator along 256
-    directions per non-degenerate axis.  A ball bounded on every axis is
-    sampled at another size as the cloud of its squared boundary points,
+    cloud itself, or a boundary sample of the radial evaluator along
+    ``DIRECTIONS_PER_AXIS`` directions per non-degenerate axis.  A ball
+    bounded on every axis is sampled at another size as the cloud of its
+    squared boundary points,
     ``cloud_indicatrix(ind.boundary_points(absolute_directions(k, count))
     ** 2)``.
 

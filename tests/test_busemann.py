@@ -470,10 +470,13 @@ def test_boundary_points_recession_rule():
     # zero radii are dropped
     point = radial_indicatrix(lambda d: 0.0, 2, (True, True))
     assert point.boundary_points(dirs).shape == (0, 2)
-    # a radius beyond the cap on a bounded axis is an error, not a sample
+    # an infinite radius on a bounded axis is an error, not a sample
     escaping = radial_indicatrix(batch_radial(lambda m: 1.0 / m[..., 0]), 2, (True, True))
     with pytest.raises(UnknownBoundednessError):
         escaping.boundary_points(dirs)
+    # a finite radius, however large, is a sample on a bounded axis too
+    large = radial_indicatrix(lambda d: 1e300, 2, (True, True))
+    assert np.array_equal(large.boundary_points(dirs), 1e300 * dirs)
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,45 @@ def test_eval_list_value_starting_with_a_minus_sign(capsys):
     assert "argument --alpha: expected one argument" in capsys.readouterr().err
 
 
+def _scale_grid():
+    """The 40 eval cases of the scale grid, as (alpha, point) settings:
+    alpha (1,2) and (2,3) at s (5,3), (1,-1) at (5s, 3/s) and (1,2) at
+    (5s, 0) and (0, 3s), for s from 1e-7 down to 1e-300."""
+    for s in (1e-7, 1e-20, 1e-50, 1e-75, 1e-100, 1e-150, 1e-200, 1e-300):
+        yield "1,2", f"{5 * s!r},{3 * s!r}"
+        yield "2,3", f"{5 * s!r},{3 * s!r}"
+        yield "1,-1", f"{5 * s!r},{3 / s!r}"
+        yield "1,2", f"{5 * s!r},0"
+        yield "1,2", f"0,{3 * s!r}"
+
+
+def test_eval_wu_matches_kappa_at_every_scale(capsys):
+    # the Wu seminorm of the kappa ball is kappa itself, at any base-point
+    # scale: a finite radius, however large, is a boundary sample, and the
+    # rank-one frame is built from the covector scaled by a power of two.
+    # Where the squared radius leaves the float range the run refuses with
+    # exit 2 and a message; no case raises
+    answered = sweep = 0
+    for alpha, point in _scale_grid():
+        argv = ["eval", "--domain", "elem_reinhardt", "--alpha", alpha,
+                "--point", point, "--vector", "1,1", "--kind"]
+        assert run_cli(argv + ["kappa"]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        kappa = float(row["value"])
+        code = run_cli(argv + ["wu"])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (alpha, point)
+        sweep += kappa > 0.0
+        if code == 2:
+            assert captured.err.startswith("error: "), (alpha, point)
+            continue
+        (row,) = csv.DictReader(captured.out.splitlines())
+        assert float(row["value"]) == pytest.approx(kappa, rel=1e-14, abs=0.0), (alpha, point)
+        answered += kappa > 0.0
+    assert sweep == 28
+    assert answered >= 25
+
+
 def test_eval_wu_on_polydisc(tmp_path):
     out = tmp_path / "row.csv"
     assert (

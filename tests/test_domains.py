@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -258,6 +258,45 @@ def test_metric_indicatrix_vanishing_metric_gives_full_space():
     assert u is None
     assert ind.bounded_axes == (False, False)
     assert sum(ind.boundedness()) == 0
+
+
+def test_metric_indicatrix_refuses_a_covector_that_underflows():
+    # gamma at e1 is 2.7e-298 here, but K alpha / a underflows to 0
+    with pytest.raises(ValueError, match="underflows to 0"):
+        metric_indicatrix("gamma", elem_reinhardt((2.0, 3.0)), (5e-75, 3e-75))
+
+
+# Base points of the scale test: alpha and the point at scale s.
+_SCALED_POINTS = [
+    ((1.0, 2.0), lambda s: (5.0 * s, 3.0 * s)),
+    ((2.0, 3.0), lambda s: (5.0 * s, 3.0 * s)),
+    ((1.0, -1.0), lambda s: (5.0 * s, 3.0 / s)),
+    ((1.0, 2.0), lambda s: (5.0 * s, 0.0)),
+    ((1.0, 2.0), lambda s: (0.0, 3.0 * s)),
+]
+
+
+@given(
+    case=st.sampled_from(_SCALED_POINTS),
+    log_scale=st.floats(math.log(1e-60), math.log(1e-6)),
+)
+def test_wu_of_the_kappa_ball_is_kappa_at_any_scale(case, log_scale):
+    # the radii of lambda B are lambda times those of B, so no absolute
+    # radius tells a bounded axis from a receding one: the Wu seminorm of
+    # kappa's ball is kappa wherever its squared radii are floats.  X is
+    # (1, 1): off it, kappa's exp of a sum of logs rounds to about
+    # |log kappa| ulps, 1e-14 at these scales, on its own
+    X = (1.0, 1.0)
+    alpha, point = case
+    spec = elem_reinhardt(alpha)
+    at = point(math.exp(log_scale))
+    ind, u = metric_indicatrix("kappa", spec, at)
+    axes = np.eye(2)[list(ind.boundedness())]
+    # a bounded axis exists exactly when kappa does not vanish identically
+    assume(len(axes) > 0 and (ind.radii(axes) ** 2 < math.inf).all())
+    want, _ = elem_reinhardt_metric_info("kappa", MultiIndex(spec.alpha), 0.0, at, X)
+    got = wu_metric(ind).w_tilde(domains.frame_coordinates(u, X))
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_config_round_trip():

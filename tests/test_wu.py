@@ -310,11 +310,9 @@ def test_two_point_dual_gap_above_the_tolerance_raises():
     assert err.value.gap == gap
 
 
-def test_two_point_dual_at_the_regime_boundary_takes_few_evaluations():
-    # at the pin t = (n-1) mu the root of F' lies within rounding of w = 0
-    # and every Newton step leaves the bracket: bisection must stop once a
-    # step moves w by at most 2**-53 (26 evaluations of F' here), not halve
-    # on through the subnormals (over 1 000)
+def _two_point_evaluations(n, x, t):
+    """(evaluations of F' in _solve_two_points, report) for the gn
+    certificate at (n, x, t)."""
     lines, first = inspect.getsourcelines(wu_module._solve_two_points)
     target = first + next(i for i, line in enumerate(lines) if line.strip().startswith("slope = "))
     code = wu_module._solve_two_points.__code__
@@ -326,14 +324,30 @@ def test_two_point_dual_at_the_regime_boundary_takes_few_evaluations():
             evaluations += 1
         return local
 
-    n, x = 50, 0.1
-    t = (n - 1) * (1.0 - x * x) ** 2
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
         rep = certify_contradiction_gn(n, x, t)
     finally:
         sys.settrace(previous)
+    return evaluations, rep
+
+
+def test_two_point_dual_at_the_regime_boundary_takes_few_evaluations():
+    n, x = 50, 0.1
+    boundary = (n - 1) * (1.0 - x * x) ** 2
+    # at the pin t = (n-1) mu the root of F' lies within rounding of w = 0:
+    # the end test reads F'(0) with the search's own sums, so it takes w = 0
+    # without a search
+    evaluations, rep = _two_point_evaluations(n, x, boundary)
+    assert evaluations == 0
+    assert rep.constrained.intercepts == pytest.approx(gn_optimum(n, x, boundary), rel=1e-13)
+    # just below it the root is inside (0, 1) and every Newton step leaves
+    # the bracket: bisection must stop once a step moves w by at most
+    # 2**-53 (8 evaluations of F' here), not halve on through the
+    # subnormals (over 1 000)
+    t = boundary * (1.0 - 1e-13)
+    evaluations, rep = _two_point_evaluations(n, x, t)
     assert 0 < evaluations <= 32
     assert rep.constrained.intercepts == pytest.approx(gn_optimum(n, x, t), rel=1e-13)
 
