@@ -14,11 +14,12 @@ The solver is a primal-dual interior-point Newton method on the n primal
 variables, run on a working set of points that grows until the normalized
 multipliers w certify optimality over every point through the duality gap
 n * log(max_i score_i / n), score_i = sum_j u_ij / (U^T w)_j.
-Each working set starts centred, at the primal point of uniform weights
-with multipliers lam proportional to 1 / s.  Each step aims at the centring
-target sigma * s.lam / m_w, with sigma = CENTERING**2 when the undamped step
-stays feasible and CENTERING otherwise, so the gap closes by about two
-decades a step, not one.
+Each working set starts centred near the column-maxima simplex, with a
+share UNIFORM_SHARE of the primal point of uniform weights in its
+intercepts, and multipliers lam proportional to 1 / s.  Each step aims at
+the centring target sigma * s.lam / m_w, with sigma = CENTERING**2 when
+the undamped step stays feasible and CENTERING otherwise, so the gap
+closes by about two decades a step, not one.
 Newton steps score only the working set.  All m points are priced when the
 working-set gap certifies, and once more when that gap stops halving, so a
 solve passes over the whole cloud at most twice per working set, not once
@@ -37,11 +38,11 @@ under the face through the axis points, as for ellipsoids (the weak
 duality half of Kiefer and Wolfowitz, 1960).
 
 Each fact about a large cloud is read once and handed down: the column
-maxima come from the program's validation pass (``SimplexProgram.
-column_max``), the column-normalized masses, which say which points have
-mass and which are heaviest, from one pass in the reduction, and the
-maximum of <u_i, b> that rescales the returned b to contain every point
-from the pricing that returned it.
+maxima and their rows come from the program's validation pass
+(``SimplexProgram.column_max``, ``column_argmax``), the column-normalized
+masses, which say which points have mass and which are heaviest, from one
+pass in the reduction, and the maximum of <u_i, b> that rescales the
+returned b to contain every point from the pricing that returned it.
 
 ``wu_metric`` splits off the degenerate axes of an indicatrix, samples its
 certificate points on the rest (a product ball factor by factor) and
@@ -67,9 +68,11 @@ from .geometry import DiagonalHermitianForm, SimplexParams
 from .metrics import mu, nu
 
 DEFAULT_SOLVER_TOL = 1e-10
-# Interior-point constants: centring parameter, fraction-to-boundary step,
-# working-set points per axis, and the Newton step budget.
+# Interior-point constants: centring parameter, share of the uniform-weights
+# point in the start, fraction-to-boundary step, working-set points per
+# axis, and the Newton step budget.
 CENTERING = 0.1
+UNIFORM_SHARE = 0.1
 TO_BOUNDARY = 0.99
 WORK_PER_AXIS = 20
 MAX_NEWTON_STEPS = 200
@@ -96,13 +99,15 @@ class SimplexProgram:
     copied from the input in column-major (Fortran) order, so ``points.T``
     is a contiguous (n, m) view; tolerance: duality-gap certificate
     threshold.
-    column_max: the read-only (n,) column maxima of the points, kept from
-    the validation pass so the reduction does not read the points again.
+    column_max, column_argmax: the read-only (n,) column maxima of the
+    points and the first row of each, kept from the validation pass so
+    neither the reduction nor the solve reads the points for them again.
     """
 
     points: np.ndarray
     tolerance: float = DEFAULT_SOLVER_TOL
     column_max: np.ndarray = field(init=False, repr=False)
+    column_argmax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.points) == 0:
@@ -122,16 +127,19 @@ class SimplexProgram:
         # NaN fails every comparison, so one minimum rejects NaN and negatives
         if not u.min(initial=0.0) >= 0.0:
             raise ValueError("coordinates must be nonnegative")
-        top = u.max(axis=0)
+        # each maximum read off its row: column j starts at j m in u's buffer
+        arg = u.argmax(axis=0)
+        top = u.T.ravel()[arg + np.arange(0, m * n, m)]
         for j, t in enumerate(top.tolist()):
             if t == math.inf:
                 raise DegenerateAxisError(f"infinite coordinate on axis {j}: degenerate")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        u.flags.writeable = False
-        top.flags.writeable = False
+        for a in (u, top, arg):
+            a.flags.writeable = False
         object.__setattr__(self, "points", u)
         object.__setattr__(self, "column_max", top)
+        object.__setattr__(self, "column_argmax", arg)
 
     @property
     def dim(self) -> int:
@@ -174,16 +182,17 @@ def _column_shifts(tops: list[float]) -> list[int] | None:
 
 def _reduce(
     prog: SimplexProgram,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int] | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int] | None]:
     """Returns (reduced matrix, mask of the points kept as its rows, column
-    maxima and column-normalized masses of its rows, exponent shifts of the
-    columns or None).
+    maxima, the reduced row of each, column-normalized masses of its rows,
+    exponent shifts of the columns or None).
 
     Points with no mass are dropped; with mass on every point the reduced
-    matrix is the points as they are, column-major.  Dead axes come from
-    the program's column maxima; one pass over the rows gives the masses
-    sum_j u_ij / max_i u_ij, which say which points have mass and which
-    are heaviest.
+    matrix is the points as they are, column-major.  Dead axes, the column
+    maxima and their rows (kept, as they have mass, and renumbered only
+    when points were dropped) come from the program's validation pass; one
+    pass over the rows gives the masses sum_j u_ij / max_i u_ij, which say
+    which points have mass and which are heaviest.
 
     A column whose maximum t is subnormal, or so large that k t passes
     2**1022 (k axes), would overflow 1 / t in the masses or the solver's
@@ -192,21 +201,21 @@ def _reduce(
     ``_assemble`` scales its intercept back.  When every maximum is in
     range, shift is None and no pass is added.
     """
-    reduced, top = prog.points, prog.column_max
+    reduced, top, arg = prog.points, prog.column_max, prog.column_argmax
     tops = top.tolist()
     dead = [j for j, t in enumerate(tops) if not t > 0.0]
     if dead:
         raise DegenerateAxisError(f"no point mass on axes {dead}: volume infimum 0 is not attained")
     shift = _column_shifts(tops)
     if shift is not None:
-        # exact for the maxima; only an entry scaled down into the subnormal
-        # range can round
+        # exact for the maxima, which stay on their rows; only an entry
+        # scaled down into the subnormal range can round
         reduced, top = np.ldexp(reduced, shift), np.ldexp(top, shift)
     mass = reduced @ (1.0 / top)
     keep = mass > 0.0
     if not keep.all():
-        reduced, mass = reduced[keep], mass[keep]
-    return reduced, keep, top, mass, shift
+        reduced, mass, arg = reduced[keep], mass[keep], np.cumsum(keep)[arg] - 1
+    return reduced, keep, top, arg, mass, shift
 
 
 def _assemble(
@@ -305,30 +314,30 @@ def _solve_two_points(
 
 
 def _solve_reduced(
-    u: np.ndarray, tol: float, top: np.ndarray, mass: np.ndarray
+    u: np.ndarray, tol: float, top: np.ndarray, arg: np.ndarray, mass: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """Primal-dual interior-point Newton method (Boyd and Vandenberghe,
     Convex Optimization, 11.7) on maximize sum_j log b_j, U b + s = 1, s >= 0.
 
-    Each working set starts at b proportional to 1 / x.mean(axis=0), the
-    primal point of uniform weights on the scaled points x, scaled so that
-    max_i <x_i, b> = TO_BOUNDARY, with s = 1 - x b and lam = mu / s, where
-    b.X^T lam = k = b.(1 / b) fixes mu.  Each step targets
-    s_i lam_i = sigma * s.lam / m_w, with sigma = CENTERING**2 after an
-    undamped step that stays feasible, even if the fraction-to-boundary
-    rule cuts it, and CENTERING on the first step and otherwise (Wright,
-    Primal-Dual Interior-Point Methods, 1997, on adaptive centring).  The
-    step length is the largest alpha <= 1 with
+    Each working set starts near the column-maxima simplex b = 1 on the
+    scaled points x (unit column maxima), at 1 / b = UNIFORM_SHARE k
+    x.mean(axis=0) + 1 - UNIFORM_SHARE, the first term the primal point of
+    uniform weights, scaled so that max_i <x_i, b> = TO_BOUNDARY, with
+    s = 1 - x b and lam = mu / s, where b.X^T lam = k = b.(1 / b) fixes
+    mu.  Each step targets s_i lam_i = sigma * s.lam / m_w, with sigma =
+    CENTERING**2 after an undamped step that stays feasible, even if the
+    fraction-to-boundary rule cuts it, and CENTERING on the first step and
+    otherwise (Wright, Primal-Dual Interior-Point Methods, 1997, on
+    adaptive centring).  The step length is the largest alpha <= 1 with
     y + alpha dy >= (1 - TO_BOUNDARY) y for y = (b, s, lam).
 
-    ``top`` (u's column maxima) and ``mass`` (its row masses
-    sum_j u_ij / top_j) come from ``_reduce``, which takes the maxima from
-    the program's validation pass and the masses from its one pass over
-    the rows.
+    ``top`` (u's column maxima), ``arg`` (their rows) and ``mass`` (its
+    row masses sum_j u_ij / top_j) come from ``_reduce``, which takes the
+    maxima and their rows from the program's validation pass and the
+    masses from its one pass over the rows, so the solve scans no column.
     The method runs on a working set: the WORK_PER_AXIS * k points of
-    largest mass and each column's maximum, found by one scan of each
-    column (contiguous for column-major u).  Only the working set is
-    scaled to unit column maxima: scores do not change when a column is
+    largest mass and the rows of the column maxima.  Only the working set
+    is scaled to unit column maxima: scores do not change when a column is
     scaled, so pricing reads u as it is.  Each Newton step scores only the
     working set, score_i = sum_j u_ij / (U^T w)_j with w = lam / sum(lam).
     Once the working-set gap k log(max_i score_i / k) is within ``tol``,
@@ -350,11 +359,8 @@ def _solve_reduced(
     if m <= WORK_PER_AXIS * k:
         work = np.arange(m)
     else:
-        heavy = np.argpartition(-mass, WORK_PER_AXIS * k - 1)
-        # one argmax per contiguous column: measured faster than
-        # u.argmax(axis=0) inside a large solve
-        tops = [int(np.argmax(u[:, j])) for j in range(k)]
-        work = np.union1d(heavy[: WORK_PER_AXIS * k], tops)
+        cut = m - WORK_PER_AXIS * k
+        work = np.union1d(np.argpartition(mass, cut)[cut:], arg)
 
     def price(work: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
         """The weights w on ``work`` priced over all m points: their full
@@ -375,9 +381,9 @@ def _solve_reduced(
         y, dy = np.ones(k + 2 * mw), np.empty(k + 2 * mw)
         b, s, lam = y[:k], y[k : k + mw], y[k + mw :]
         db, ds, dlam = dy[:k], dy[k : k + mw], dy[k + mw :]
-        # the primal point of uniform weights, scaled to reach TO_BOUNDARY,
-        # and lam = mu / s with mu such that b.X^T lam = k = b.(1 / b)
-        b[:] = 1.0 / (k * x.mean(axis=0))
+        # near the column-maxima simplex, scaled to reach TO_BOUNDARY, and
+        # lam = mu / s with mu such that b.X^T lam = k = b.(1 / b)
+        b[:] = 1.0 / (UNIFORM_SHARE * k * x.mean(axis=0) + (1.0 - UNIFORM_SHARE))
         xb = x @ b
         b *= TO_BOUNDARY / xb.max()
         xb *= TO_BOUNDARY / xb.max()
@@ -456,21 +462,22 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
     a_j >= top_j, since the point that attains top_j must fit, so the
     volume is within reach^k of the optimum and each intercept within
     reach^k - 1 relative, tighter than the sqrt(2 gap) of a general
-    optimum.  Its weights are 1/k on one argmax row per column, whose
-    (U^T w)_j >= top_j / k certify the same gap.  Otherwise the program
-    goes to the interior-point method (``_solve_reduced``).
+    optimum.  Its weights are 1/k on the row of each column maximum (from
+    the validation pass), whose (U^T w)_j >= top_j / k certify the same
+    gap.  Otherwise the program goes to the interior-point method
+    (``_solve_reduced``).
 
     Columns with subnormal or huge maxima are solved scaled by a power of
     two (``_reduce``).  An intercept beyond the float range raises
     ``SolverError`` naming its axis: an infinite intercept would read as a
     degenerate axis."""
-    reduced, keep, top, mass, shift = _reduce(prog)
+    reduced, keep, top, arg, mass, shift = _reduce(prog)
     k = reduced.shape[1]
     if k == 1 or len(reduced) == 1:
         # closed forms certified by all weight on one point, so the gap is
         # 0: one axis gives a = max u (every score u_i / max u is at most
         # 1), one point u gives a = k u (its score is k)
-        i = int(np.argmax(reduced[:, 0]))
+        i = int(arg[0])
         w = np.zeros(len(reduced))
         w[i] = 1.0
         a, gap, iters = k * reduced[i], 0.0, 0
@@ -484,9 +491,9 @@ def min_vol_simplex_info(prog: SimplexProgram) -> SolveInfo:
             gap = _priced_gap(k, reach)
             if gap <= prog.tolerance:
                 b = 1.0 / top
-                w = np.bincount(reduced.argmax(axis=0), minlength=len(reduced)) / k
+                w = np.bincount(arg, minlength=len(reduced)) / k
             else:
-                b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, mass)
+                b, w, gap, iters, reach = _solve_reduced(reduced, prog.tolerance, top, arg, mass)
         # conservative rescale: containment of every reduced point, exactly;
         # reach is max(reduced @ b) from the pricing that returned b
         if reach > 1.0:

@@ -230,7 +230,7 @@ def min_vol_simplex_bruteforce(prog: SimplexProgram, grid: int = 601) -> Simplex
     leading axis over a trailing point axis, so no meshgrid or stacked
     copy of the grid is made.  One axis returns a = max_i u_i.
     """
-    reduced, _, lo, _, shift = _reduce(prog)
+    reduced, _, lo, _, _, shift = _reduce(prog)
     k = reduced.shape[1]
     if k > 3:
         raise ValueError("bruteforce reference handles at most 3 axes")

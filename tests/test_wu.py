@@ -240,9 +240,9 @@ def _interior_point_optimum(prog):
     reduced rows of a program with no scaled axis, rescaled to contain
     them: the interior-point method on a program that the public path
     answers on the two-point dual or by the column-maxima simplex."""
-    reduced, _, top, mass, shift = wu_module._reduce(prog)
+    reduced, _, top, arg, mass, shift = wu_module._reduce(prog)
     assert shift is None
-    b, _, gap, steps, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, mass)
+    b, _, gap, steps, reach = wu_module._solve_reduced(reduced, prog.tolerance, top, arg, mass)
     return 1.0 / (b / max(reach, 1.0)), gap, steps
 
 
@@ -671,14 +671,20 @@ def _seeded_cloud(seed, m, k):
 
 
 def test_program_keeps_its_column_maxima_read_only():
+    # with the row of each, the first of a tie
     pts = _seeded_cloud(29, 5_000, 4)
+    pts[17, 2] = pts[4_000, 2] = 2.0
     prog = simplex_program(pts)
     assert np.array_equal(prog.column_max, pts.max(axis=0))
-    with pytest.raises(ValueError, match="read-only"):
-        prog.column_max[0] = 1.0
-    assert "column_max" not in repr(prog)
-    with pytest.raises(TypeError):
-        SimplexProgram(points=pts, column_max=pts.max(axis=0))
+    arg = prog.column_argmax
+    assert arg.tolist() == pts.argmax(axis=0).tolist() and arg[2] == 17
+    assert np.array_equal(pts[arg, range(4)], prog.column_max)
+    for name, kept in (("column_max", prog.column_max), ("column_argmax", arg)):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
+        assert name not in repr(prog)
+        with pytest.raises(TypeError):
+            SimplexProgram(points=pts, **{name: kept})
 
 
 @pytest.mark.parametrize("scale", [None, 1e-310])
@@ -691,11 +697,13 @@ def test_reduction_hands_the_solver_maxima_and_masses_of_its_rows(scale):
     if scale is not None:
         pts[:, 1] *= scale
     prog = simplex_program(pts)
-    reduced, keep, top, mass, shift = wu_module._reduce(prog)
+    reduced, keep, top, arg, mass, shift = wu_module._reduce(prog)
     assert keep.tolist() == (np.arange(len(pts)) % 7 != 0).tolist()
     assert (shift is None) == (scale is None)
     assert np.array_equal(reduced, np.ldexp(pts, shift or 0)[keep])
     assert np.array_equal(top, reduced.max(axis=0))
+    # the rows of the maxima, mapped past the dropped rows
+    assert np.array_equal(reduced[arg, range(4)], top)
     # one pass over all rows, or over the kept ones: the layouts differ
     np.testing.assert_allclose(mass, reduced @ (1.0 / top), rtol=1e-15, atol=0.0)
 
@@ -759,8 +767,8 @@ def test_containment_rescale_uses_the_pricing_of_the_returned_point(cloud):
     # iterate, so a maximum kept from the first pricing would not match
     pts = cloud()
     prog = simplex_program(pts)
-    reduced, _, top, mass, _ = wu_module._reduce(prog)
-    b, w, gap, _, reach = wu_module._solve_reduced(reduced, TOL, top, mass)
+    reduced, _, top, arg, mass, _ = wu_module._reduce(prog)
+    b, w, gap, _, reach = wu_module._solve_reduced(reduced, TOL, top, arg, mass)
     assert reach == float(np.max(reduced @ b))
     k = pts.shape[1]
     assert gap == k * math.log(max(k * reach, k) / k)
@@ -824,8 +832,9 @@ def test_intercept_beyond_the_float_range_names_its_axis():
 def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
     # no Newton step: the only iterate is the centred start on the starting
     # set, whose weights are lam / sum(lam) with lam proportional to 1 / s at
-    # the primal point of uniform weights.  That start weighs each lone
-    # column maximum 0.5 e_j on axes 4 .. 8 about 100 times a point of the
+    # b = 1 / (theta k mean(x) + 1 - theta) on unit column maxima x, near the
+    # column-maxima simplex.  That start weighs each lone column maximum
+    # 0.5 e_j on axes 4 .. 8 about a fourteenth of a median point of the
     # heavy bulk near the corner of axes 1 .. 3, so the light point spread
     # over axes 4 .. 8 scores highest, outside the set
     monkeypatch.setattr(wu_module, "MAX_NEWTON_STEPS", 0)
@@ -836,7 +845,8 @@ def test_budget_error_reports_the_gap_over_all_points(monkeypatch):
     pts = np.vstack([bulk, thin, [(0.0,) * 3 + (0.25,) * 5]])
     k = pts.shape[1]
     work = _initial_working_set(pts)
-    reach = pts[work] @ (1.0 / pts[work].mean(axis=0))
+    x, theta = pts[work] / pts.max(axis=0), wu_module.UNIFORM_SHARE
+    reach = x @ (1.0 / (theta * k * x.mean(axis=0) + 1.0 - theta))
     lam = 1.0 / (1.0 - wu_module.TO_BOUNDARY * reach / reach.max())
     inv = 1.0 / (pts[work].T @ (lam / lam.sum()))
     full = k * math.log(max(float(np.max(pts @ inv)), k) / k)
@@ -879,7 +889,8 @@ def test_near_duplicate_stall_reproducers_certify(eps):
     # touches the optimum, where a gap g bounds the error by sqrt(2 g).
     # Two points are solved on their dual, with no Newton step; the
     # interior point (0.5, 0.5) sends the program through the Newton method,
-    # which takes 10 steps from the centred start (13 from the old start).
+    # which takes 10 steps from the start near the column-maxima simplex,
+    # as from the uniform-weights start (13 from the first start).
     for interior, steps in (((), 0), (((0.5, 0.5),), 10)):
         info = min_vol_simplex_info(simplex_program([(1.0, 1.0), (1.0 + eps, 1.0), *interior]))
         assert info.gap <= TOL
@@ -915,11 +926,11 @@ def _planted_near_ties():
 
 def test_planted_near_tie_programs_certify_within_the_step_pin():
     # The public path answers every program by the column-maxima simplex;
-    # the pin holds the interior-point method on the same rows.  The
-    # centred start with centring 0.01 after every step whose undamped
-    # length stays feasible takes 3 008 Newton steps in all; the old start
-    # with 0.01 only after a full step took 4 466, and a fixed centring of
-    # 0.1 took 5 458.
+    # the pin holds the interior-point method on the same rows.  The start
+    # near the column-maxima simplex with centring 0.01 after every step
+    # whose undamped length stays feasible takes 2 709 Newton steps in all;
+    # the uniform-weights start took 3 008, the first start with 0.01 only
+    # after a full step 4 466, and a fixed centring of 0.1 5 458.
     total = 0
     for a, pts in _planted_near_ties():
         prog = simplex_program(pts)
@@ -928,7 +939,7 @@ def test_planted_near_tie_programs_certify_within_the_step_pin():
         assert gap <= TOL
         assert np.allclose(got, a, rtol=1e-12, atol=0.0)
         total += steps
-    assert total <= 3008
+    assert total <= 2709
 
 
 def _planted_vertices(rng, k, depth, exponents):
@@ -951,8 +962,10 @@ def test_seeded_sweep_across_scales_certifies_within_the_step_pin():
     # 1e-1 .. 1e-12 deep and axis scales 10**-12 .. 10**12.  Every program
     # certifies.  The planted intercepts are off by at most 1.6e-15
     # relative, except for two programs 1e-11 deep that stop at a gap of
-    # 2e-11 and are off by 3.1e-12.  The sweep takes 5 753 Newton steps in
-    # all, where the old start and centring rule took 7 971.  The public
+    # 2e-11 and are off by 3.1e-12.  The sweep takes 5 427 Newton steps in
+    # all from the start near the column-maxima simplex, where the
+    # uniform-weights start took 5 753 and the first start and centring
+    # rule 7 971.  The public
     # path answers the planted programs by the column-maxima simplex, so
     # their steps are counted on ``_solve_reduced`` over the same rows.
     total = 0
@@ -975,7 +988,42 @@ def test_seeded_sweep_across_scales_certifies_within_the_step_pin():
         assert gap <= TOL
         assert np.allclose(got, a, rtol=1e-11, atol=0.0)
         total += steps
-    assert total <= 5753
+    assert total <= 5427
+
+
+def _planted_cloud(seed, m, k):
+    # shaped like the benchmark's cloud_solve clouds: k contact points on
+    # the face sum u_j / a_j = 1 whose hull holds its centroid, so T_a is
+    # optimal, and m - k points inside T_a / 2
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(math.log(0.5), math.log(2.0), k))
+    contact = 0.5 * a / k + 0.5 * np.diag(a)
+    depth = rng.uniform(0.0, 0.5, (m - k, 1)) ** (1.0 / k)
+    pts = np.vstack([contact, a * _unit_face(rng, m - k, k) * depth])
+    rng.shuffle(pts)
+    return a, pts
+
+
+def test_planted_clouds_certify_within_the_step_pin():
+    # 200 seeded clouds, m = 2 000 and k = 6..10, so the interior-point
+    # method runs on working sets of WORK_PER_AXIS * k points.  The start
+    # near the column-maxima simplex takes 2 667 Newton steps in all; the
+    # uniform-weights start took 3 497.  Intercepts are measured within
+    # 1.2e-15 relative of the planted optimum.
+    total = 0
+    for seed in range(200):
+        k = 6 + seed % 5
+        a, pts = _planted_cloud(seed, 2_000, k)
+        info = min_vol_simplex_info(simplex_program(pts))
+        got, w = np.array(info.params.intercepts), info.weights
+        # the certificate, recomputed in numpy from a and w alone
+        assert float((pts @ (1.0 / got)).max()) <= 1.0 + 1e-15
+        assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-15
+        assert info.gap <= TOL
+        assert float(np.log(got / (k * (pts.T @ w))).sum()) <= TOL
+        assert np.allclose(got, a, rtol=1e-12, atol=0.0)
+        total += info.iterations
+    assert total <= 2667
 
 
 @settings(max_examples=40, deadline=None)
